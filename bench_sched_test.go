@@ -26,8 +26,8 @@ import (
 // buildScaleMix compiles `jobs` training jobs — cycling through pipeline,
 // DP-allreduce, and FSDP paradigms — onto one fabric of `hosts` uniform
 // hosts. Jobs occupy disjoint 4-worker slices of the host set; the fabric
-// retains its full size so per-host scheduler costs (capacity profiles)
-// scale with the cluster, not the tenant set.
+// retains its full size, so anything the scheduler does per host rather
+// than per touched link shows up as growth with the cluster.
 func buildScaleMix(hosts, jobs int) (*ddlt.Workload, *fabric.Network, error) {
 	net := fabric.NewNetwork()
 	names := make([]string, hosts)
@@ -150,8 +150,8 @@ func echelonCached() sched.Scheduler {
 	return sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}
 }
 
-// echelonNoCache disables cross-event memoization (profile pooling and
-// parallel ranking remain); the comparison column for BENCH_sched.json.
+// echelonNoCache disables cross-event memoization; the comparison column
+// for BENCH_sched.json.
 func echelonNoCache() sched.Scheduler {
 	return sched.EchelonMADD{Backfill: true}
 }

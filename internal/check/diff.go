@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -21,7 +20,7 @@ import (
 
 // compareRuns demands two simulations of the same scenario be identical —
 // not approximately: the differential oracles assert that optimisations
-// (plan caching, parallel ranking) are pure implementation detail.
+// (plan caching, delta rescheduling) are pure implementation detail.
 func compareRuns(oracle string, c *compiled, a, b *sim.Result) []Violation {
 	var out []Violation
 	if a.Makespan != b.Makespan {
@@ -73,30 +72,6 @@ func diffCache(c *compiled) []Violation {
 		return []Violation{vf(OracleCache, "cold run: %v", err)}
 	}
 	return compareRuns(OracleCache, c, warm, cold)
-}
-
-// gomaxprocsMu serializes diffRank's global GOMAXPROCS toggling so
-// concurrent checks (e.g. parallel tests) cannot interleave it.
-var gomaxprocsMu sync.Mutex
-
-// diffRank pins GOMAXPROCS to 1 (serial solo ranking) and then to 4
-// (parallel ranking) and demands identical runs. Each run gets a fresh
-// cache so ranking actually executes instead of being memoized away.
-func diffRank(c *compiled) []Violation {
-	gomaxprocsMu.Lock()
-	defer gomaxprocsMu.Unlock()
-	prev := runtime.GOMAXPROCS(1)
-	serial, errS := runSim(c, sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
-	runtime.GOMAXPROCS(4)
-	parallel, errP := runSim(c, sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
-	runtime.GOMAXPROCS(prev)
-	if errS != nil {
-		return []Violation{vf(OracleRank, "serial run: %v", errS)}
-	}
-	if errP != nil {
-		return []Violation{vf(OracleRank, "parallel run: %v", errP)}
-	}
-	return compareRuns(OracleRank, c, serial, parallel)
 }
 
 // replayEvent is one timed action in the coordinator replay of a simulated

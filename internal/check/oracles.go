@@ -37,7 +37,6 @@ const (
 // Differential-oracle names (two executions that must agree).
 const (
 	OracleCache   = "cache"   // EchelonMADD with PlanCache vs cold cache: identical run
-	OracleRank    = "rank"    // parallel vs serial solo ranking: identical run
 	OracleLive    = "live"    // sim vs live coordinator replay: same references/tardiness/allocations
 	OracleJournal = "journal" // journal crash/Restore mid-run: bit-equal to uninterrupted run
 	OracleDelta   = "delta"   // incremental Apply vs full Schedule: bit-equal replanned flows, held rates frozen, stale state refused
@@ -55,7 +54,7 @@ func ResultOracles() []string {
 
 // DiffOracles lists the differential oracles in evaluation order.
 func DiffOracles() []string {
-	return []string{OracleCache, OracleRank, OracleLive, OracleJournal, OracleDelta, OracleDegrade}
+	return []string{OracleCache, OracleLive, OracleJournal, OracleDelta, OracleDegrade}
 }
 
 // AllOracles lists every oracle the harness knows.

@@ -180,8 +180,6 @@ func Run(sc *Scenario, cfg Config) *Outcome {
 		switch o {
 		case OracleCache:
 			out.Violations = append(out.Violations, diffCache(c)...)
-		case OracleRank:
-			out.Violations = append(out.Violations, diffRank(c)...)
 		case OracleLive:
 			out.Violations = append(out.Violations, diffLive(c, res)...)
 		case OracleJournal:

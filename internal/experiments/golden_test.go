@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"echelonflow/internal/ddlt"
@@ -49,13 +48,10 @@ func (e *equivScheduler) Schedule(snap *sched.Snapshot, net fabric.Fabric) (map[
 	return want, errSeed
 }
 
-// assertGolden runs the workload once under the equivalence harness. It
-// forces GOMAXPROCS above 1 so the cached scheduler's parallel ranking path
-// is exercised even on single-CPU machines, and returns the cache stats for
-// callers that assert on hit counts.
+// assertGolden runs the workload once under the equivalence harness and
+// returns the cache stats for callers that assert on hit counts.
 func assertGolden(t *testing.T, base sched.EchelonMADD, opts sim.Options) sched.CacheStats {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cached := base
 	cached.Cache = sched.NewPlanCache()
 	eq := &equivScheduler{t: t, seed: base, cached: cached}

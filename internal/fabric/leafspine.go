@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"echelonflow/internal/unit"
 )
@@ -23,14 +22,17 @@ import (
 type LeafSpine struct {
 	hosts   map[string]*Host
 	names   []string
-	leaves  []string // registration order
-	leafSet map[string]bool
-	leafOf  map[string]string // host → leaf
+	leaves  []string       // registration order
+	leafIdx map[string]int // leaf → position in leaves
+	leafOf  map[string]int // host → position of its leaf
 	spines  int
-	up      map[LinkKey]unit.Rate // LinkUp keys
-	down    map[LinkKey]unit.Rate // LinkDown keys
-	gen     uint64
-	topoGen uint64
+	// Spine links are built once, in AddLeaf, so that the per-flow path
+	// lookup formats no names: leaf i's links to spine k are up[i*spines+k]
+	// and down[i*spines+k], and spineLink maps their shared name back.
+	up, down  []Link
+	spineLink map[string]int
+	gen       uint64
+	topoGen   uint64
 }
 
 // NewLeafSpine returns an empty fabric with the given number of spine
@@ -40,12 +42,11 @@ func NewLeafSpine(spines int) (*LeafSpine, error) {
 		return nil, fmt.Errorf("fabric: leaf-spine needs at least 1 spine, got %d", spines)
 	}
 	return &LeafSpine{
-		hosts:   make(map[string]*Host),
-		leafSet: make(map[string]bool),
-		leafOf:  make(map[string]string),
-		spines:  spines,
-		up:      make(map[LinkKey]unit.Rate),
-		down:    make(map[LinkKey]unit.Rate),
+		hosts:     make(map[string]*Host),
+		leafIdx:   make(map[string]int),
+		leafOf:    make(map[string]int),
+		spines:    spines,
+		spineLink: make(map[string]int),
 	}, nil
 }
 
@@ -61,14 +62,16 @@ func (ls *LeafSpine) AddLeaf(name string, upPerSpine, downPerSpine unit.Rate) er
 	if upPerSpine < 0 || downPerSpine < 0 {
 		return fmt.Errorf("fabric: leaf %q has negative link capacity", name)
 	}
-	if ls.leafSet[name] {
+	if _, ok := ls.leafIdx[name]; ok {
 		return fmt.Errorf("fabric: duplicate leaf %q", name)
 	}
-	ls.leafSet[name] = true
+	ls.leafIdx[name] = len(ls.leaves)
 	ls.leaves = append(ls.leaves, name)
 	for k := 0; k < ls.spines; k++ {
-		ls.up[LinkKey{Kind: LinkUp, Name: spineLinkName(name, k)}] = upPerSpine
-		ls.down[LinkKey{Kind: LinkDown, Name: spineLinkName(name, k)}] = downPerSpine
+		link := spineLinkName(name, k)
+		ls.spineLink[link] = len(ls.up)
+		ls.up = append(ls.up, Link{Key: LinkKey{Kind: LinkUp, Name: link}, Capacity: upPerSpine})
+		ls.down = append(ls.down, Link{Key: LinkKey{Kind: LinkDown, Name: link}, Capacity: downPerSpine})
 	}
 	ls.gen++
 	ls.topoGen++
@@ -91,12 +94,13 @@ func (ls *LeafSpine) AddHost(name, leaf string, egress, ingress unit.Rate) error
 	if _, ok := ls.hosts[name]; ok {
 		return fmt.Errorf("fabric: duplicate host %q", name)
 	}
-	if !ls.leafSet[leaf] {
+	li, ok := ls.leafIdx[leaf]
+	if !ok {
 		return fmt.Errorf("fabric: unknown leaf %q", leaf)
 	}
 	ls.hosts[name] = &Host{Name: name, Egress: egress, Ingress: ingress}
 	ls.names = append(ls.names, name)
-	ls.leafOf[name] = leaf
+	ls.leafOf[name] = li
 	ls.gen++
 	ls.topoGen++
 	return nil
@@ -109,13 +113,14 @@ func (ls *LeafSpine) MoveHost(name, leaf string) error {
 	if ls.hosts[name] == nil {
 		return fmt.Errorf("fabric: unknown host %q", name)
 	}
-	if !ls.leafSet[leaf] {
+	li, ok := ls.leafIdx[leaf]
+	if !ok {
 		return fmt.Errorf("fabric: unknown leaf %q", leaf)
 	}
-	if ls.leafOf[name] == leaf {
+	if ls.leafOf[name] == li {
 		return nil
 	}
-	ls.leafOf[name] = leaf
+	ls.leafOf[name] = li
 	ls.gen++
 	ls.topoGen++
 	return nil
@@ -168,7 +173,8 @@ func (ls *LeafSpine) SetCapacity(name string, egress, ingress unit.Rate) error {
 // SetSpineLink rewrites one leaf↔spine link pair's capacities (degraded or
 // recovering interior links).
 func (ls *LeafSpine) SetSpineLink(leaf string, spine int, up, down unit.Rate) error {
-	if !ls.leafSet[leaf] {
+	li, ok := ls.leafIdx[leaf]
+	if !ok {
 		return fmt.Errorf("fabric: unknown leaf %q", leaf)
 	}
 	if spine < 0 || spine >= ls.spines {
@@ -177,31 +183,41 @@ func (ls *LeafSpine) SetSpineLink(leaf string, spine int, up, down unit.Rate) er
 	if up < 0 || down < 0 {
 		return fmt.Errorf("fabric: leaf %q spine %d given negative capacity", leaf, spine)
 	}
-	name := spineLinkName(leaf, spine)
-	ls.up[LinkKey{Kind: LinkUp, Name: name}] = up
-	ls.down[LinkKey{Kind: LinkDown, Name: name}] = down
+	ls.up[li*ls.spines+spine].Capacity = up
+	ls.down[li*ls.spines+spine].Capacity = down
 	ls.gen++
 	return nil
 }
 
 // RackOf implements Fabric: the leaf is the host's rack.
-func (ls *LeafSpine) RackOf(host string) string { return ls.leafOf[host] }
+func (ls *LeafSpine) RackOf(host string) string { return ls.LeafOf(host) }
 
 // LeafOf returns the leaf a host attaches to ("" for unknown hosts).
-func (ls *LeafSpine) LeafOf(host string) string { return ls.leafOf[host] }
+func (ls *LeafSpine) LeafOf(host string) string {
+	if li, ok := ls.leafOf[host]; ok {
+		return ls.leaves[li]
+	}
+	return ""
+}
 
 // Leaves returns leaf names in registration order.
 func (ls *LeafSpine) Leaves() []string { return append([]string(nil), ls.leaves...) }
 
-// SpineFor returns the spine index a src→dst flow is pinned to: an FNV hash
-// of the endpoint pair, stable across runs and processes (ECMP with a
-// deterministic hash function).
+// SpineFor returns the spine index a src→dst flow is pinned to: the 32-bit
+// FNV-1a hash of src, a zero byte and dst, stable across runs and processes
+// (ECMP with a deterministic hash function). It is computed inline because
+// every path lookup pays for it.
 func (ls *LeafSpine) SpineFor(src, dst string) int {
-	h := fnv.New32a()
-	h.Write([]byte(src))
-	h.Write([]byte{0})
-	h.Write([]byte(dst))
-	return int(h.Sum32() % uint32(ls.spines))
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(src); i++ {
+		h = (h ^ uint32(src[i])) * prime32
+	}
+	h *= prime32 // the separator: h ^ 0 is h
+	for i := 0; i < len(dst); i++ {
+		h = (h ^ uint32(dst[i])) * prime32
+	}
+	return int(h % uint32(ls.spines))
 }
 
 // FlowLinks implements Fabric: source NIC, uplink to the hashed spine,
@@ -211,15 +227,13 @@ func (ls *LeafSpine) SpineFor(src, dst string) int {
 // backends.
 func (ls *LeafSpine) FlowLinks(src, dst string, buf []LinkKey) []LinkKey {
 	buf = append(buf, LinkKey{Kind: LinkEgress, Name: src}, LinkKey{Kind: LinkIngress, Name: dst})
-	srcLeaf, dstLeaf := ls.leafOf[src], ls.leafOf[dst]
-	if srcLeaf == dstLeaf || srcLeaf == "" || dstLeaf == "" {
+	srcLeaf, srcOK := ls.leafOf[src]
+	dstLeaf, dstOK := ls.leafOf[dst]
+	if !srcOK || !dstOK || srcLeaf == dstLeaf {
 		return buf
 	}
 	spine := ls.SpineFor(src, dst)
-	buf = append(buf,
-		LinkKey{Kind: LinkUp, Name: spineLinkName(srcLeaf, spine)},
-		LinkKey{Kind: LinkDown, Name: spineLinkName(dstLeaf, spine)})
-	return buf
+	return append(buf, ls.up[srcLeaf*ls.spines+spine].Key, ls.down[dstLeaf*ls.spines+spine].Key)
 }
 
 // LinkCapacity implements Fabric.
@@ -234,9 +248,13 @@ func (ls *LeafSpine) LinkCapacity(k LinkKey) unit.Rate {
 			return h.Ingress
 		}
 	case LinkUp:
-		return ls.up[k]
+		if i, ok := ls.spineLink[k.Name]; ok {
+			return ls.up[i].Capacity
+		}
 	case LinkDown:
-		return ls.down[k]
+		if i, ok := ls.spineLink[k.Name]; ok {
+			return ls.down[i].Capacity
+		}
 	}
 	return 0
 }
@@ -252,19 +270,7 @@ func (ls *LeafSpine) Links() []Link {
 	for _, name := range ls.names {
 		out = append(out, Link{Key: LinkKey{Kind: LinkIngress, Name: name}, Capacity: ls.hosts[name].Ingress})
 	}
-	for _, leaf := range ls.leaves {
-		for k := 0; k < ls.spines; k++ {
-			key := LinkKey{Kind: LinkUp, Name: spineLinkName(leaf, k)}
-			out = append(out, Link{Key: key, Capacity: ls.up[key]})
-		}
-	}
-	for _, leaf := range ls.leaves {
-		for k := 0; k < ls.spines; k++ {
-			key := LinkKey{Kind: LinkDown, Name: spineLinkName(leaf, k)}
-			out = append(out, Link{Key: key, Capacity: ls.down[key]})
-		}
-	}
-	return out
+	return append(append(out, ls.up...), ls.down...)
 }
 
 // Feasible implements Fabric.

@@ -13,7 +13,7 @@ import (
 // on-disk state after a mid-append failure is a genuinely torn frame.
 type faultyWS struct {
 	inner      WriteSyncer
-	writeAfter int   // fail writes once this many bytes went through (-1 never)
+	writeAfter int // fail writes once this many bytes went through (-1 never)
 	written    int
 	writeErr   error
 	syncErr    error

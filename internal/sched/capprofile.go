@@ -10,6 +10,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 
 	"echelonflow/internal/unit"
@@ -24,10 +25,6 @@ type profile struct {
 	free  []unit.Rate
 }
 
-func newProfile(start unit.Time, cap unit.Rate) *profile {
-	return &profile{times: []unit.Time{start}, free: []unit.Rate{cap}}
-}
-
 func (p *profile) clone() *profile {
 	return &profile{
 		times: append([]unit.Time(nil), p.times...),
@@ -36,8 +33,8 @@ func (p *profile) clone() *profile {
 }
 
 // reset rewinds the profile to a single full-capacity segment starting at
-// start, reusing the backing arrays. It restores the newProfile state
-// without allocating, so port profiles can be pooled across Schedule calls.
+// start, reusing the backing arrays, so a link table's profiles allocate
+// nothing once warm.
 func (p *profile) reset(start unit.Time, cap unit.Rate) {
 	p.times = append(p.times[:0], start)
 	p.free = append(p.free[:0], cap)
@@ -177,7 +174,7 @@ func mergeBreaks(src, dst *profile, from, to unit.Time) []unit.Time {
 // place — the same set-of-times semantics the planners relied on when
 // breakpoints were collected in a map, without the per-call map.
 func sortedBreaks(ts []unit.Time) []unit.Time {
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	out := ts[:0]
 	for i, t := range ts {
 		if i == 0 || t != out[len(out)-1] {

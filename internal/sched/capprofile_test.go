@@ -6,6 +6,12 @@ import (
 	"echelonflow/internal/unit"
 )
 
+func newProfile(start unit.Time, cap unit.Rate) *profile {
+	p := &profile{}
+	p.reset(start, cap)
+	return p
+}
+
 func TestProfileReserveAndFreeAt(t *testing.T) {
 	p := newProfile(0, 10)
 	p.reserve(2, 5, 4)

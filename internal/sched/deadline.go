@@ -228,11 +228,13 @@ func (d *Deadline) Schedule(snap *Snapshot, net fabric.Fabric) (map[string]unit.
 	shadow := copySnapshot(snap)
 	stall := d.stallFor()
 	go func() {
-		defer func() { <-d.slot }()
 		if stall > 0 {
 			time.Sleep(stall)
 		}
 		rates, err := d.inner.Schedule(shadow, net)
+		// Release before reporting: a caller with the result in hand may
+		// start its next pass at once and must find the slot free.
+		<-d.slot
 		done <- result{rates, err}
 	}()
 	timer := time.NewTimer(d.budget)
@@ -352,11 +354,11 @@ func (d *DeadlineDelta) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (m
 	shadow := copySnapshot(snap)
 	stall := d.stallFor()
 	go func() {
-		defer func() { <-d.slot }()
 		if stall > 0 {
 			time.Sleep(stall)
 		}
 		rates, ok, err := d.delta.Apply(shadow, net, delta)
+		<-d.slot // before reporting, as in Schedule
 		done <- result{rates, ok, err}
 	}()
 	timer := time.NewTimer(d.budget)

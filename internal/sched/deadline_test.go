@@ -242,3 +242,30 @@ func TestDeadlinePlainSchedulerDoesNotExposeDelta(t *testing.T) {
 		t.Error("a plain scheduler's deadline wrapper must not satisfy DeltaScheduler")
 	}
 }
+
+// A pass that has reported its result must already have given the slot back:
+// a caller that starts its next pass at once may never find it "busy". Both
+// the Schedule and the Apply path are driven back to back, with a budget no
+// healthy pass comes near.
+func TestDeadlineBackToBackPassesNeverBusy(t *testing.T) {
+	inner := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	degraded := make(map[string]int)
+	d := WithDeadline(inner, DeadlineOptions{
+		Budget:   time.Minute,
+		Observer: func(out DegradeOutcome) { degraded[out.Reason]++ },
+	})
+	dd := d.(DeltaScheduler)
+	snap, net := instrumentSnapshot(t)
+	const passes = 20000
+	for i := 0; i < passes; i++ {
+		if _, err := d.Schedule(snap, net); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := dd.Apply(snap, net, Delta{Groups: []string{"g"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := degraded[""]; n != 2*passes || len(degraded) != 1 {
+		t.Errorf("outcomes by degrade reason = %v, want all %d clean", degraded, 2*passes)
+	}
+}

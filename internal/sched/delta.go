@@ -80,11 +80,12 @@ type deltaState struct {
 // Every step reads and writes only the links the involved flows touch (as
 // enumerated by the fabric's FlowLinks), so two groups whose flows share no
 // link never influence each other's rates. Apply therefore replans exactly
-// the transitive closure of link-sharing groups around the changed ones
-// (against fresh sparse profiles, in the same rank order the full sort would
-// give them) and holds everything else. Held flows keep rates from a pass
-// where they were feasible on the same fabric generation, and no replanned
-// flow shares a link with them — the merged map stays feasible.
+// the transitive closure of link-sharing groups around the changed ones —
+// the same allocate pass Schedule runs, over a link table of the component's
+// flows alone (see linkTable) — and holds everything else. Held flows keep
+// rates from a pass where they were feasible on the same fabric generation,
+// and no replanned flow shares a link with them — the merged map stays
+// feasible.
 type DeltaEchelon struct {
 	inner EchelonMADD
 
@@ -164,7 +165,6 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 		return fall("time-regression")
 	}
 
-	rates := zeroFill(snap)
 	ids, byGroup := groupedFlows(snap)
 	inDelta := make(map[string]bool, len(delta.Groups))
 	for _, id := range delta.Groups {
@@ -241,14 +241,17 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 		}
 	}
 	if len(compIDs) == len(ids) && len(ids) > 1 {
-		// The event touches everything; the pooled full pass is cheaper.
+		// The event touches everything: a full pass does the same work and
+		// recaptures the incremental state.
 		return fall("component-spans-all")
 	}
 
 	// Hold every flow outside the component at its previous rate.
-	held := 0
+	rates := make(map[string]unit.Rate, len(snap.Flows))
+	compFlows := make([]*FlowState, 0, len(snap.Flows))
 	for _, fs := range snap.Flows {
 		if comp[fs.GroupID] {
+			compFlows = append(compFlows, fs)
 			continue
 		}
 		r, ok := st.rates[fs.Flow.ID]
@@ -256,74 +259,23 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 			return fall("missing-held-rate")
 		}
 		rates[fs.Flow.ID] = r
-		held++
 	}
+	held := len(snap.Flows) - len(compFlows)
 
-	// Rank the component exactly as Schedule ranks the full set: cached
-	// solo tardiness where provably equivalent, fresh solo plans otherwise.
-	// A solo plan only reads the group's own links, so planning it against
-	// sparse profiles is bit-equal to the full-fabric pass. Note: no prune —
-	// the component is not the full live-group set, so pruning here would
-	// evict live entries (the hazard PlanCache.prune now guards against).
-	classes := make(map[string][]deadlineClass, len(compIDs))
-	floors := make(map[string]unit.Time, len(compIDs))
-	solo := make(map[string]unit.Time, len(compIDs))
-	for _, id := range compIDs {
-		classes[id] = classesOf(snap, byGroup[id])
-		floors[id] = unit.MaxTime(0, snap.Groups[id].AchievedTardiness)
-		if tau, ok := d.inner.Cache.lookup(snap, net, id, byGroup[id], floors[id]); ok {
-			solo[id] = tau
-			continue
-		}
-		spp := sparseProfiles(net, snap.Now, byGroup[id])
-		plans, tau, err := planGroup(snap, spp, classes[id], floors[id])
-		if err != nil {
-			return fall("solo-plan-error")
-		}
-		d.inner.Cache.store(snap, net, id, byGroup[id], floors[id], tau, plans)
-		solo[id] = tau
+	// Replan the component exactly as Schedule plans the full set — the same
+	// allocate pass, over a link table of the component's flows only. Note:
+	// no prune — the component is not the full live-group set, so pruning
+	// here would evict live entries (the hazard PlanCache.prune guards
+	// against).
+	lt := acquireLinkTable(snap, net, compFlows)
+	defer lt.release()
+	if err := d.inner.allocate(lt, snap, lt.groups(snap)); err != nil {
+		return fall("plan-error")
 	}
-	if d.inner.Weighted {
-		for _, id := range compIDs {
-			solo[id] = unit.Time(float64(solo[id]) / snap.Groups[id].Group.EffectiveWeight())
-		}
-	}
-	sort.SliceStable(compIDs, func(i, j int) bool {
-		a, b := solo[compIDs[i]], solo[compIDs[j]]
-		if !a.ApproxEq(b) {
-			if d.inner.Order == LargestTardinessFirst {
-				return a > b
-			}
-			return a < b
-		}
-		return compIDs[i] < compIDs[j]
-	})
-
-	// Plan the component groups in rank order against sparse profiles of
-	// the component's links only.
-	compFlows := make([]*FlowState, 0, len(snap.Flows)-held)
-	for _, fs := range snap.Flows {
-		if comp[fs.GroupID] {
-			compFlows = append(compFlows, fs)
-		}
-	}
-	pp := sparseProfiles(net, snap.Now, compFlows)
-	for _, id := range compIDs {
-		plans, _, err := planGroup(snap, pp, classes[id], floors[id])
-		if err != nil {
-			return fall("plan-error")
-		}
-		for _, fs := range byGroup[id] {
-			rates[fs.Flow.ID] += rateAt(plans[fs.Flow.ID], snap.Now)
-		}
-	}
-
-	if d.inner.Backfill {
-		backfillComponent(snap, net, compFlows, rates)
-	}
-	if !clampComponent(snap, net, compFlows, rates) {
+	if !lt.feasible() {
 		return fall("infeasible-patch")
 	}
+	lt.writeRates(rates)
 
 	// Incremental state update: only the declared groups' membership (and so
 	// footprint) changed since the last pass; every other group's record
@@ -419,144 +371,4 @@ func equalFlowIDs(prev []string, flows []*FlowState) bool {
 		}
 	}
 	return true
-}
-
-// sparseProfiles builds full-capacity timelines for exactly the links the
-// given flows touch. Planning against them is bit-equal to planning against
-// the pooled full-fabric profiles, which start from the same
-// newProfile(now, capacity) state for every link.
-func sparseProfiles(net fabric.Fabric, now unit.Time, flows []*FlowState) *portProfiles {
-	pp := &portProfiles{
-		net:     net,
-		topoGen: net.TopoGeneration(),
-		ports:   make(map[fabric.LinkKey]*profile),
-		vol:     make(map[*profile]unit.Bytes),
-	}
-	var lbuf []fabric.LinkKey
-	for _, fs := range flows {
-		lbuf = net.FlowLinks(fs.Flow.Src, fs.Flow.Dst, lbuf[:0])
-		for _, k := range lbuf {
-			if pp.ports[k] == nil {
-				pp.ports[k] = newProfile(now, net.LinkCapacity(k))
-			}
-		}
-	}
-	return pp
-}
-
-// backfillComponent mirrors EchelonMADD.backfill over the component's flows
-// and links only. Non-component flows never touch a component link, so the
-// residual arithmetic — including the per-link subtraction order, which
-// follows snapshot flow order exactly as the full pass does — is bit-equal.
-func backfillComponent(snap *Snapshot, net fabric.Fabric, flows []*FlowState, rates map[string]unit.Rate) {
-	res := newSparseResidual(net, flows)
-	for _, fs := range flows {
-		res.take(fs.Flow.Src, fs.Flow.Dst, rates[fs.Flow.ID])
-	}
-	ordered := sortedCopy(flows, func(a, b *FlowState) bool {
-		return snap.Deadline(a).Before(snap.Deadline(b))
-	})
-	for _, fs := range ordered {
-		extra := res.available(fs.Flow.Src, fs.Flow.Dst)
-		if extra <= unit.Rate(unit.Eps) {
-			continue
-		}
-		rates[fs.Flow.ID] += extra
-		res.take(fs.Flow.Src, fs.Flow.Dst, extra)
-	}
-}
-
-// clampComponent mirrors clampFeasible over the component's flows, then
-// verifies the component's links stay within capacity at fabric.Feasible's
-// tolerance. It reports false when the patch is not provably feasible.
-func clampComponent(snap *Snapshot, net fabric.Fabric, flows []*FlowState, rates map[string]unit.Rate) bool {
-	used := make(map[fabric.LinkKey]unit.Rate)
-	var lbuf []fabric.LinkKey
-	accumulate := func() {
-		clear(used)
-		for _, fs := range flows {
-			lbuf = net.FlowLinks(fs.Flow.Src, fs.Flow.Dst, lbuf[:0])
-			for _, k := range lbuf {
-				used[k] += rates[fs.Flow.ID]
-			}
-		}
-	}
-	accumulate()
-	scale := func(used, cap unit.Rate) float64 {
-		if used <= cap || used == 0 {
-			return 1
-		}
-		return float64(cap) / float64(used)
-	}
-	for _, fs := range flows {
-		s := 1.0
-		lbuf = net.FlowLinks(fs.Flow.Src, fs.Flow.Dst, lbuf[:0])
-		for _, k := range lbuf {
-			if v := scale(used[k], net.LinkCapacity(k)); v < s {
-				s = v
-			}
-		}
-		if s < 1 {
-			rates[fs.Flow.ID] = unit.Rate(float64(rates[fs.Flow.ID]) * s)
-		}
-	}
-	for _, fs := range flows {
-		if rates[fs.Flow.ID] < 0 {
-			return false
-		}
-	}
-	accumulate()
-	const tol = 1e-6
-	for k, u := range used {
-		if float64(u) > float64(net.LinkCapacity(k))+tol {
-			return false
-		}
-	}
-	return true
-}
-
-// sparseResidual is fabric.Residual restricted to the links of one
-// component, with identical available/take arithmetic.
-type sparseResidual struct {
-	net  fabric.Fabric
-	free map[fabric.LinkKey]unit.Rate
-	buf  []fabric.LinkKey
-}
-
-func newSparseResidual(net fabric.Fabric, flows []*FlowState) *sparseResidual {
-	r := &sparseResidual{
-		net:  net,
-		free: make(map[fabric.LinkKey]unit.Rate),
-	}
-	for _, fs := range flows {
-		r.buf = net.FlowLinks(fs.Flow.Src, fs.Flow.Dst, r.buf[:0])
-		for _, k := range r.buf {
-			if _, ok := r.free[k]; !ok {
-				r.free[k] = net.LinkCapacity(k)
-			}
-		}
-	}
-	return r
-}
-
-func (r *sparseResidual) available(src, dst string) unit.Rate {
-	r.buf = r.net.FlowLinks(src, dst, r.buf[:0])
-	a := unit.Rate(1e300)
-	for _, k := range r.buf {
-		a = unit.MinRate(a, r.free[k])
-	}
-	if a < 0 {
-		return 0
-	}
-	return a
-}
-
-func (r *sparseResidual) take(src, dst string, rate unit.Rate) {
-	r.buf = r.net.FlowLinks(src, dst, r.buf[:0])
-	for _, k := range r.buf {
-		r.free[k] -= rate
-		if r.free[k] < 0 {
-			r.free[k] = 0
-		}
-	}
 }

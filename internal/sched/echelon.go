@@ -2,10 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/unit"
@@ -95,135 +92,98 @@ func (e EchelonMADD) Name() string {
 // and coordinator can invalidate it eagerly when scheduling inputs change.
 func (e EchelonMADD) PlanCache() *PlanCache { return e.Cache }
 
-// portProfiles tracks the free-capacity timeline of every link during a
-// planning pass — host NICs plus whatever interior links the fabric backend
-// defines (rack uplinks, per-spine leaf-spine links). Instances are pooled:
-// acquirePortProfiles hands out a reset copy whose maps and per-profile
-// arrays are reused across Schedule calls, since rebuilding them dominated
-// the seed scheduler's allocation count.
-type portProfiles struct {
-	net     fabric.Fabric
-	topoGen uint64
-	ports   map[fabric.LinkKey]*profile
-	// Scratch space reused by classBreaks/classLambda/commitClass within one
-	// planning pass (a portProfiles is only ever used by one goroutine at a
-	// time).
-	breaks []unit.Time
-	vol    map[*profile]unit.Bytes
-	lbuf   []fabric.LinkKey
-}
-
-func newPortProfiles(net fabric.Fabric, now unit.Time) *portProfiles {
-	pp := &portProfiles{}
-	pp.rebuild(net, now)
-	return pp
-}
-
-// rebuild recreates the profile map from the fabric's current topology.
-func (pp *portProfiles) rebuild(net fabric.Fabric, now unit.Time) {
-	pp.net = net
-	pp.topoGen = net.TopoGeneration()
-	links := net.Links()
-	pp.ports = make(map[fabric.LinkKey]*profile, len(links))
-	for _, l := range links {
-		pp.ports[l.Key] = newProfile(now, l.Capacity)
-	}
-	if pp.vol == nil {
-		pp.vol = make(map[*profile]unit.Bytes)
-	}
-}
-
-// ensure makes pp a fresh full-capacity timeline for net at now. When the
-// pooled instance already mirrors net's topology it only rewinds the
-// existing profiles — re-reading current link capacities, so SetCapacity
-// needs no rebuild — and otherwise it rebuilds from scratch.
-func (pp *portProfiles) ensure(net fabric.Fabric, now unit.Time) {
-	if pp.net != net || pp.topoGen != net.TopoGeneration() {
-		pp.rebuild(net, now)
-		return
-	}
-	for k, p := range pp.ports {
-		p.reset(now, pp.net.LinkCapacity(k))
-	}
-}
-
-// ppPool recycles portProfiles across Schedule calls and across the
-// goroutines of a parallel ranking pass.
-var ppPool = sync.Pool{New: func() any { return new(portProfiles) }}
-
-func acquirePortProfiles(net fabric.Fabric, now unit.Time) *portProfiles {
-	pp := ppPool.Get().(*portProfiles)
-	pp.ensure(net, now)
-	return pp
-}
-
-func releasePortProfiles(pp *portProfiles) { ppPool.Put(pp) }
-
-// flowPorts resolves a flow's links into pp's scratch key buffer. The
-// returned slice is valid until the next flowPorts call on the same pp.
-func (pp *portProfiles) flowPorts(src, dst string) []fabric.LinkKey {
-	pp.lbuf = pp.net.FlowLinks(src, dst, pp.lbuf[:0])
-	return pp.lbuf
-}
-
-// deadlineClass is a set of group flows sharing one ideal finish time; its
-// members must finish simultaneously (a Coflow stage inside the group).
+// deadlineClass is a set of group flows (link-table indices) sharing one
+// ideal finish time; its members must finish simultaneously (a Coflow stage
+// inside the group).
 type deadlineClass struct {
 	deadline unit.Time
-	flows    []*FlowState
+	flows    []int32
+}
+
+// passGroup is one EchelonFlow's share of a planning pass.
+type passGroup struct {
+	id      string
+	flows   []*FlowState // snapshot order; the plan cache's view of the group
+	idx     []int32      // the same flows as link-table indices
+	classes []deadlineClass
+	floor   unit.Time // achieved tardiness: the group cannot do better
+	solo    unit.Time // ranking metric, see rank
+}
+
+// groups partitions the table's flows into their EchelonFlows, ordered by
+// group ID for determinism, each with its deadline classes resolved.
+func (lt *linkTable) groups(snap *Snapshot) []*passGroup {
+	byID := make(map[string]*passGroup)
+	var out []*passGroup
+	for i, fs := range lt.flows {
+		g := byID[fs.GroupID]
+		if g == nil {
+			g = &passGroup{id: fs.GroupID, floor: unit.MaxTime(0, snap.Groups[fs.GroupID].AchievedTardiness)}
+			byID[fs.GroupID] = g
+			out = append(out, g)
+		}
+		g.flows = append(g.flows, fs)
+		g.idx = append(g.idx, int32(i))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	for _, g := range out {
+		g.classes = lt.classesOf(g.idx)
+	}
+	return out
 }
 
 // classesOf partitions a group's flows by deadline, ascending.
-func classesOf(snap *Snapshot, flows []*FlowState) []deadlineClass {
-	sorted := sortedCopy(flows, func(a, b *FlowState) bool {
-		da, db := snap.Deadline(a), snap.Deadline(b)
+func (lt *linkTable) classesOf(flows []int32) []deadlineClass {
+	sorted := lt.sorted(flows, func(a, b int32) bool {
+		da, db := lt.deadline[a], lt.deadline[b]
 		if !da.ApproxEq(db) {
 			return da < db
 		}
-		return a.Flow.Stage < b.Flow.Stage
+		return lt.flows[a].Flow.Stage < lt.flows[b].Flow.Stage
 	})
+	// A class is a run of sorted whose deadlines match its first member's.
 	var classes []deadlineClass
-	for _, fs := range sorted {
-		d := snap.Deadline(fs)
-		if len(classes) > 0 && classes[len(classes)-1].deadline.ApproxEq(d) {
-			classes[len(classes)-1].flows = append(classes[len(classes)-1].flows, fs)
-			continue
+	start := 0
+	for n := 1; n <= len(sorted); n++ {
+		if first := lt.deadline[sorted[start]]; n == len(sorted) || !first.ApproxEq(lt.deadline[sorted[n]]) {
+			classes = append(classes, deadlineClass{deadline: first, flows: sorted[start:n]})
+			start = n
 		}
-		classes = append(classes, deadlineClass{deadline: d, flows: []*FlowState{fs}})
 	}
 	return classes
 }
 
 // classFill plans a simultaneous-finish transmission for one deadline class
 // inside [from, to]: at every instant each flow's rate is proportional to
-// its remaining volume, scaled to the tightest port (classic MADD), over the
+// its remaining volume, scaled to the tightest link (classic MADD), over the
 // time-varying free capacities. With paced set, rates are additionally
 // capped at the minimum pace that still reaches the target — the "minimum
 // allocation for desired duration" that leaves slack to other groups; the
 // greedy (unpaced) mode transmits as early as possible and is used to test
 // feasibility, since deferring work can only lose against a fixed capacity
-// profile. It returns per-flow segments and whether the class finishes by
-// the target. Nothing is committed.
-func classFill(pp *portProfiles, cls deadlineClass, from, to unit.Time, paced bool) (map[string][]fillSegment, bool) {
-	plans := make(map[string][]fillSegment, len(cls.flows))
-	remaining := make(map[string]unit.Bytes, len(cls.flows))
+// profile. It returns per-flow segments, parallel to cls.flows, and whether
+// the class finishes by the target. Nothing is committed.
+func (lt *linkTable) classFill(cls deadlineClass, from, to unit.Time, paced bool) ([][]fillSegment, bool) {
+	plans := make([][]fillSegment, len(cls.flows))
+	remaining := lt.rem[:0]
 	var total unit.Bytes
-	for _, fs := range cls.flows {
-		remaining[fs.Flow.ID] = fs.Remaining
-		total += fs.Remaining
+	for _, i := range cls.flows {
+		remaining = append(remaining, lt.flows[i].Remaining)
+		total += lt.flows[i].Remaining
 	}
+	lt.rem = remaining
 	if total.Zeroish() {
 		return plans, true
 	}
 	if to <= from {
 		return nil, false
 	}
-	cuts := classBreaks(pp, cls, from, to)
-	for i := 0; i+1 <= len(cuts)-1; i++ {
-		a, b := cuts[i], cuts[i+1]
+	cuts := lt.classBreaks(cls, from, to)
+	for c := 0; c+1 < len(cuts); c++ {
+		a, b := cuts[c], cuts[c+1]
 		// λ scales per-flow rates (rate_j = λ·v_j): the largest λ keeping
-		// every port within its free capacity for this segment.
-		lambda := classLambda(pp, cls, remaining, a)
+		// every link within its free capacity for this segment.
+		lambda := lt.classLambda(cls, remaining, a)
 		if paced && to > a {
 			// Never exceed the pace that finishes exactly at the target:
 			// the remaining fraction needs 1/λ more time, so λ = 1/(to−a).
@@ -243,14 +203,13 @@ func classFill(pp *portProfiles, cls deadlineClass, from, to unit.Time, paced bo
 			segEnd = a + finishSpan
 			done = true
 		}
-		for _, fs := range cls.flows {
-			v := remaining[fs.Flow.ID]
+		for j, v := range remaining {
 			if v.Zeroish() {
 				continue
 			}
 			r := unit.Rate(lambda * float64(v))
-			plans[fs.Flow.ID] = append(plans[fs.Flow.ID], fillSegment{from: a, to: segEnd, rate: r})
-			remaining[fs.Flow.ID] = v - r.Over(segEnd-a)
+			plans[j] = append(plans[j], fillSegment{from: a, to: segEnd, rate: r})
+			remaining[j] = v - r.Over(segEnd-a)
 		}
 		if done {
 			return plans, true
@@ -261,57 +220,57 @@ func classFill(pp *portProfiles, cls deadlineClass, from, to unit.Time, paced bo
 
 // classLambda computes the largest proportional-rate scale for a class at
 // time t: min over links of free capacity divided by the volume crossing it.
-func classLambda(pp *portProfiles, cls deadlineClass, remaining map[string]unit.Bytes, t unit.Time) float64 {
-	vol := pp.vol
-	clear(vol)
-	for _, fs := range cls.flows {
-		v := remaining[fs.Flow.ID]
+func (lt *linkTable) classLambda(cls deadlineClass, remaining []unit.Bytes, t unit.Time) float64 {
+	for j, i := range cls.flows {
+		v := remaining[j]
 		if v.Zeroish() {
 			continue
 		}
-		for _, k := range pp.flowPorts(fs.Flow.Src, fs.Flow.Dst) {
-			vol[pp.ports[k]] += v
+		for _, l := range lt.links(i) {
+			if lt.vol[l] == 0 {
+				lt.hot = append(lt.hot, l)
+			}
+			lt.vol[l] += v
 		}
 	}
 	lambda := 1e300
-	for p, v := range vol {
-		if l := float64(p.freeAt(t)) / float64(v); l < lambda {
-			lambda = l
+	for _, l := range lt.hot {
+		if x := float64(lt.profs[l].freeAt(t)) / float64(lt.vol[l]); x < lambda {
+			lambda = x
 		}
+		lt.vol[l] = 0
 	}
+	lt.hot = lt.hot[:0]
 	return lambda
 }
 
 // classBreaks merges the breakpoints of every link a class touches within
-// [from, to].
-// The returned slice aliases pp's scratch buffer; it is valid until the next
-// classBreaks call on the same pp.
-func classBreaks(pp *portProfiles, cls deadlineClass, from, to unit.Time) []unit.Time {
-	out := append(pp.breaks[:0], from, to)
-	add := func(p *profile) {
-		for _, t := range p.times {
-			if t > from && t < to {
-				out = append(out, t)
+// [from, to]. The returned slice aliases the table's scratch buffer; it is
+// valid until the next classBreaks call.
+func (lt *linkTable) classBreaks(cls deadlineClass, from, to unit.Time) []unit.Time {
+	out := append(lt.breaks[:0], from, to)
+	for _, i := range cls.flows {
+		for _, l := range lt.links(i) {
+			for _, t := range lt.profs[l].times {
+				if t > from && t < to {
+					out = append(out, t)
+				}
 			}
 		}
 	}
-	for _, fs := range cls.flows {
-		for _, k := range pp.flowPorts(fs.Flow.Src, fs.Flow.Dst) {
-			add(pp.ports[k])
-		}
-	}
 	out = sortedBreaks(out)
-	pp.breaks = out[:0]
+	lt.breaks = out[:0]
 	return out
 }
 
-// commitClass reserves a class plan on the port profiles.
-func commitClass(pp *portProfiles, cls deadlineClass, plans map[string][]fillSegment) {
-	for _, fs := range cls.flows {
-		links := pp.flowPorts(fs.Flow.Src, fs.Flow.Dst)
-		for _, seg := range plans[fs.Flow.ID] {
-			for _, k := range links {
-				pp.ports[k].reserve(seg.from, seg.to, seg.rate)
+// commitClass reserves a class plan on the link profiles and records it as
+// each member's plan.
+func (lt *linkTable) commitClass(cls deadlineClass, plans [][]fillSegment) {
+	for j, i := range cls.flows {
+		lt.segs[i] = plans[j]
+		for _, seg := range plans[j] {
+			for _, l := range lt.links(i) {
+				lt.profs[l].reserve(seg.from, seg.to, seg.rate)
 			}
 		}
 	}
@@ -321,7 +280,7 @@ func commitClass(pp *portProfiles, cls deadlineClass, plans map[string][]fillSeg
 // greedy fills.
 const planHorizon = unit.Time(1e15)
 
-// planGroup reserves a whole group on the port profiles, class by class in
+// planGroup reserves a whole group on the link profiles, class by class in
 // deadline order. Each class is paced to finish at
 //
 //	target = max(deadline + floor, earliest feasible finish)
@@ -333,128 +292,163 @@ const planHorizon = unit.Time(1e15)
 // already-achieved tardiness, which keeps the remaining flows aligned with
 // the shifted echelon formation (§3.1) instead of over-serving them.
 //
-// It returns the per-flow plans and the group's planned tardiness (the
-// worst planned finish minus deadline), or an error when a required port
-// has no capacity at all.
-func planGroup(snap *Snapshot, pp *portProfiles, classes []deadlineClass, floor unit.Time) (map[string][]fillSegment, unit.Time, error) {
-	all := make(map[string][]fillSegment)
-	tardiness := floor
-	for _, cls := range classes {
-		plans, planned, err := planClass(snap, pp, cls, floor)
+// It leaves each member's plan in lt.segs and returns the group's planned
+// tardiness (the worst planned finish minus deadline), or an error when a
+// required link has no capacity at all.
+func (lt *linkTable) planGroup(g *passGroup) (unit.Time, error) {
+	tardiness := g.floor
+	for _, cls := range g.classes {
+		planned, err := lt.planClass(cls, g.floor)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		tardiness = unit.MaxTime(tardiness, planned-cls.deadline)
-		for id, segs := range plans {
-			all[id] = segs
+	}
+	return tardiness, nil
+}
+
+// latestFinish is the latest end of any member's plan, no earlier than now.
+func (lt *linkTable) latestFinish(plans [][]fillSegment) unit.Time {
+	latest := lt.now
+	for _, segs := range plans {
+		if len(segs) > 0 {
+			latest = unit.MaxTime(latest, finishOf(segs))
 		}
 	}
-	return all, tardiness, nil
+	return latest
 }
 
 // planClass plans and commits one deadline class against the profiles,
-// returning the per-flow plans and the class's planned finish.
-func planClass(snap *Snapshot, pp *portProfiles, cls deadlineClass, floor unit.Time) (map[string][]fillSegment, unit.Time, error) {
-	greedy, ok := classFill(pp, cls, snap.Now, planHorizon, false)
+// returning the class's planned finish.
+func (lt *linkTable) planClass(cls deadlineClass, floor unit.Time) (unit.Time, error) {
+	plans, ok := lt.classFill(cls, lt.now, planHorizon, false)
 	if !ok {
-		return nil, 0, fmt.Errorf("sched: class at deadline %v cannot finish (zero-capacity port?)", cls.deadline)
+		return 0, fmt.Errorf("sched: class at deadline %v cannot finish (zero-capacity port?)", cls.deadline)
 	}
-	earliest := snap.Now
-	for _, segs := range greedy {
-		earliest = unit.MaxTime(earliest, finishOf(segs))
-	}
-	target := unit.MaxTime(cls.deadline+floor, earliest)
-	plans := greedy
-	if target.After(earliest) {
+	earliest := lt.latestFinish(plans)
+	if target := unit.MaxTime(cls.deadline+floor, earliest); target.After(earliest) {
 		// Deferring to the target may hit spans other groups already
 		// reserved; keep the greedy plan if pacing cannot fit.
-		if paced, ok := classFill(pp, cls, snap.Now, target, true); ok {
+		if paced, ok := lt.classFill(cls, lt.now, target, true); ok {
 			plans = paced
 		}
 	}
-	planned := snap.Now
-	for _, segs := range plans {
-		planned = unit.MaxTime(planned, finishOf(segs))
-	}
-	commitClass(pp, cls, plans)
-	return plans, planned, nil
+	lt.commitClass(cls, plans)
+	return lt.latestFinish(plans), nil
 }
 
-// soloTardiness estimates the tardiness a group would achieve alone on the
-// full fabric — the inter-EchelonFlow ranking metric of Property 4. It also
-// returns the solo plan, which PlanCache uses as the fluid-model pace that
-// decides whether the ranking may be reused at a later event.
-func soloTardiness(snap *Snapshot, net fabric.Fabric, classes []deadlineClass, floor unit.Time) (map[string][]fillSegment, unit.Time, error) {
-	pp := acquirePortProfiles(net, snap.Now)
-	plans, tau, err := planGroup(snap, pp, classes, floor)
-	releasePortProfiles(pp)
-	return plans, tau, err
-}
-
-// rankGroups computes the solo-tardiness ordering metric for every group,
-// serving what it can from the cache and computing the rest — in parallel
-// when more than one group misses, since each solo plan runs against its own
-// pooled profile copy. Results and errors are merged in sorted group-id
-// order, so the outcome (including which error surfaces first) matches the
-// sequential seed loop exactly.
-func (e EchelonMADD) rankGroups(snap *Snapshot, net fabric.Fabric, ids []string, byGroup map[string][]*FlowState, classes map[string][]deadlineClass, floors map[string]unit.Time) (map[string]unit.Time, error) {
-	solo := make(map[string]unit.Time, len(ids))
-	missing := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if tau, ok := e.Cache.lookup(snap, net, id, byGroup[id], floors[id]); ok {
-			solo[id] = tau
+// rank computes the inter-EchelonFlow ordering metric of Property 4 — the
+// tardiness each group would achieve alone on the full fabric — and sorts
+// groups (ascending by ID on entry) into planning order. Rankings come from
+// the cache where provably equivalent; otherwise the group is planned solo
+// on the table, whose profiles are pristine before and rewound after, and
+// the solo plan is cached as the fluid-model pace that decides later reuse.
+func (e EchelonMADD) rank(lt *linkTable, snap *Snapshot, groups []*passGroup) error {
+	for _, g := range groups {
+		if tau, ok := e.Cache.lookup(snap, lt.net, g.id, g.flows, g.floor); ok {
+			g.solo = tau
 			continue
 		}
-		missing = append(missing, id)
-	}
-	type soloResult struct {
-		plans map[string][]fillSegment
-		tau   unit.Time
-		err   error
-	}
-	results := make([]soloResult, len(missing))
-	compute := func(i int) {
-		id := missing[i]
-		plans, tau, err := soloTardiness(snap, net, classes[id], floors[id])
-		results[i] = soloResult{plans: plans, tau: tau, err: err}
-	}
-	if workers := min(runtime.GOMAXPROCS(0), len(missing)); workers > 1 {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= len(missing) {
-						return
-					}
-					compute(i)
+		tau, err := lt.planGroup(g)
+		if err != nil {
+			return fmt.Errorf("sched: group %q: %w", g.id, err)
+		}
+		g.solo = tau
+		if e.Cache != nil {
+			plans := make(map[string][]fillSegment, len(g.idx))
+			for _, i := range g.idx {
+				if len(lt.segs[i]) > 0 {
+					plans[lt.flows[i].Flow.ID] = lt.segs[i]
 				}
-			}()
+			}
+			e.Cache.store(snap, lt.net, g.id, g.flows, g.floor, tau, plans)
 		}
-		wg.Wait()
-	} else {
-		for i := range missing {
-			compute(i)
-		}
+		lt.rewind(g.idx)
 	}
-	for i, id := range missing {
-		if results[i].err != nil {
-			return nil, fmt.Errorf("sched: group %q: %w", id, results[i].err)
-		}
-		e.Cache.store(snap, net, id, byGroup[id], floors[id], results[i].tau, results[i].plans)
-		solo[id] = results[i].tau
-	}
-	e.Cache.prune(ids)
 	if e.Weighted {
-		for _, id := range ids {
-			solo[id] = unit.Time(float64(solo[id]) / snap.Groups[id].Group.EffectiveWeight())
+		for _, g := range groups {
+			g.solo = unit.Time(float64(g.solo) / snap.Groups[g.id].Group.EffectiveWeight())
 		}
 	}
-	return solo, nil
+	sort.SliceStable(groups, func(i, j int) bool {
+		a, b := groups[i].solo, groups[j].solo
+		if !a.ApproxEq(b) {
+			if e.Order == LargestTardinessFirst {
+				return a > b
+			}
+			return a < b
+		}
+		return groups[i].id < groups[j].id
+	})
+	return nil
+}
+
+// addPlannedRates adds each flow's planned rate at the pass instant to its
+// allocation.
+func (lt *linkTable) addPlannedRates(flows []int32) {
+	for _, i := range flows {
+		lt.rate[i] += rateAt(lt.segs[i], lt.now)
+	}
+}
+
+// planGlobalEDF reserves every group's deadline classes in one global
+// earliest-(floored)-deadline order, ties broken by rank then group ID.
+func (lt *linkTable) planGlobalEDF(groups []*passGroup) error {
+	type gcls struct {
+		g   *passGroup
+		cls deadlineClass
+	}
+	var all []gcls
+	for _, g := range groups {
+		for _, cls := range g.classes {
+			all = append(all, gcls{g: g, cls: cls})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i].cls.deadline+all[i].g.floor, all[j].cls.deadline+all[j].g.floor
+		if !a.ApproxEq(b) {
+			return a < b
+		}
+		if !all[i].g.solo.ApproxEq(all[j].g.solo) {
+			return all[i].g.solo < all[j].g.solo
+		}
+		return all[i].g.id < all[j].g.id
+	})
+	for _, gc := range all {
+		if _, err := lt.planClass(gc.cls, gc.g.floor); err != nil {
+			return fmt.Errorf("sched: group %q: %w", gc.g.id, err)
+		}
+		lt.addPlannedRates(gc.cls.flows)
+	}
+	return nil
+}
+
+// allocate runs the planning pass over the table's flows and leaves the
+// allocation in lt.rate: rank the groups, reserve them on the shared
+// capacity timeline group by group in rank order (or, under GlobalEDF, all
+// deadline classes in one global EDF order), backfill, and clamp float fuzz
+// so the allocation is exactly feasible.
+func (e EchelonMADD) allocate(lt *linkTable, snap *Snapshot, groups []*passGroup) error {
+	if err := e.rank(lt, snap, groups); err != nil {
+		return err
+	}
+	if e.GlobalEDF {
+		if err := lt.planGlobalEDF(groups); err != nil {
+			return err
+		}
+	} else {
+		for _, g := range groups {
+			if _, err := lt.planGroup(g); err != nil {
+				return fmt.Errorf("sched: group %q: %w", g.id, err)
+			}
+			lt.addPlannedRates(g.idx)
+		}
+	}
+	if e.Backfill {
+		lt.backfill()
+	}
+	lt.clamp()
+	return nil
 }
 
 // Schedule implements Scheduler.
@@ -462,140 +456,29 @@ func (e EchelonMADD) Schedule(snap *Snapshot, net fabric.Fabric) (map[string]uni
 	if err := snap.Validate(); err != nil {
 		return nil, err
 	}
-	rates := zeroFill(snap)
+	rates := make(map[string]unit.Rate, len(snap.Flows))
 	if len(snap.Flows) == 0 {
 		return rates, nil
 	}
-	ids, byGroup := groupedFlows(snap)
-
-	// Rank groups by the tardiness each could achieve alone on the full
-	// fabric (the inter-EchelonFlow metric of Property 4).
-	classes := make(map[string][]deadlineClass, len(ids))
-	floors := make(map[string]unit.Time, len(ids))
-	for _, id := range ids {
-		classes[id] = classesOf(snap, byGroup[id])
-		floors[id] = unit.MaxTime(0, snap.Groups[id].AchievedTardiness)
+	lt := acquireLinkTable(snap, net, snap.Flows)
+	defer lt.release()
+	groups := lt.groups(snap)
+	if e.Cache != nil {
+		ids := make([]string, len(groups))
+		for i, g := range groups {
+			ids[i] = g.id
+		}
+		e.Cache.prune(ids)
 	}
-	solo, err := e.rankGroups(snap, net, ids, byGroup, classes, floors)
-	if err != nil {
+	if err := e.allocate(lt, snap, groups); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(ids, func(i, j int) bool {
-		a, b := solo[ids[i]], solo[ids[j]]
-		if !a.ApproxEq(b) {
-			if e.Order == LargestTardinessFirst {
-				return a > b
-			}
-			return a < b
+	lt.writeRates(rates)
+	if !lt.feasible() {
+		// Let the fabric phrase the violation, in its canonical link order.
+		if err := net.Feasible(requestsOf(snap.Flows), rates); err != nil {
+			return nil, err
 		}
-		return ids[i] < ids[j]
-	})
-
-	// Allocate against the shared capacity timeline: group by group in rank
-	// order (default), or all deadline classes in one global EDF order.
-	pp := acquirePortProfiles(net, snap.Now)
-	defer releasePortProfiles(pp)
-	if e.GlobalEDF {
-		type gcls struct {
-			gid   string
-			cls   deadlineClass
-			floor unit.Time
-		}
-		var all []gcls
-		for _, id := range ids {
-			for _, cls := range classes[id] {
-				all = append(all, gcls{gid: id, cls: cls, floor: floors[id]})
-			}
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			a, b := all[i].cls.deadline+all[i].floor, all[j].cls.deadline+all[j].floor
-			if !a.ApproxEq(b) {
-				return a < b
-			}
-			if !solo[all[i].gid].ApproxEq(solo[all[j].gid]) {
-				return solo[all[i].gid] < solo[all[j].gid]
-			}
-			return all[i].gid < all[j].gid
-		})
-		for _, gc := range all {
-			plans, _, err := planClass(snap, pp, gc.cls, gc.floor)
-			if err != nil {
-				return nil, fmt.Errorf("sched: group %q: %w", gc.gid, err)
-			}
-			for id, segs := range plans {
-				rates[id] += rateAt(segs, snap.Now)
-			}
-		}
-	} else {
-		for _, id := range ids {
-			plans, _, err := planGroup(snap, pp, classes[id], floors[id])
-			if err != nil {
-				return nil, fmt.Errorf("sched: group %q: %w", id, err)
-			}
-			for _, fs := range byGroup[id] {
-				rates[fs.Flow.ID] += rateAt(plans[fs.Flow.ID], snap.Now)
-			}
-		}
-	}
-
-	if e.Backfill {
-		e.backfill(snap, net, rates)
-	}
-
-	// Clamp float fuzz so the allocation is exactly feasible.
-	return clampFeasible(snap, net, rates)
-}
-
-// backfill hands leftover instantaneous capacity to flows in deadline order.
-func (e EchelonMADD) backfill(snap *Snapshot, net fabric.Fabric, rates map[string]unit.Rate) {
-	res := net.NewResidual()
-	for _, fs := range snap.Flows {
-		res.Take(fs.Flow.Src, fs.Flow.Dst, rates[fs.Flow.ID])
-	}
-	ordered := sortedCopy(snap.Flows, func(a, b *FlowState) bool {
-		return snap.Deadline(a).Before(snap.Deadline(b))
-	})
-	for _, fs := range ordered {
-		extra := res.Available(fs.Flow.Src, fs.Flow.Dst)
-		if extra <= unit.Rate(unit.Eps) {
-			continue
-		}
-		rates[fs.Flow.ID] += extra
-		res.Take(fs.Flow.Src, fs.Flow.Dst, extra)
-	}
-}
-
-// clampFeasible scales down any port's allocations that exceed capacity by
-// accumulated floating-point fuzz, then validates.
-func clampFeasible(snap *Snapshot, net fabric.Fabric, rates map[string]unit.Rate) (map[string]unit.Rate, error) {
-	used := make(map[fabric.LinkKey]unit.Rate)
-	var lbuf []fabric.LinkKey
-	for _, fs := range snap.Flows {
-		lbuf = net.FlowLinks(fs.Flow.Src, fs.Flow.Dst, lbuf[:0])
-		for _, k := range lbuf {
-			used[k] += rates[fs.Flow.ID]
-		}
-	}
-	scale := func(used, cap unit.Rate) float64 {
-		if used <= cap || used == 0 {
-			return 1
-		}
-		return float64(cap) / float64(used)
-	}
-	for _, fs := range snap.Flows {
-		s := 1.0
-		lbuf = net.FlowLinks(fs.Flow.Src, fs.Flow.Dst, lbuf[:0])
-		for _, k := range lbuf {
-			if v := scale(used[k], net.LinkCapacity(k)); v < s {
-				s = v
-			}
-		}
-		if s < 1 {
-			rates[fs.Flow.ID] = unit.Rate(float64(rates[fs.Flow.ID]) * s)
-		}
-	}
-	if err := net.Feasible(requestsOf(snap.Flows), rates); err != nil {
-		return nil, err
 	}
 	return rates, nil
 }

@@ -12,7 +12,7 @@ import (
 func TestClassesOf(t *testing.T) {
 	g := pipelineGroup(t, "p", 2, 1, 1, 1)
 	snap := buildSnapshot(t, 0, map[string]*core.EchelonFlow{"p": g}, nil)
-	classes := classesOf(snap, snap.Flows)
+	classes := acquireLinkTable(snap, singleLinkNet(t), snap.Flows).groups(snap)[0].classes
 	if len(classes) != 3 {
 		t.Fatalf("pipeline classes = %d, want 3", len(classes))
 	}
@@ -24,7 +24,7 @@ func TestClassesOf(t *testing.T) {
 
 	cg := coflowGroup(t, "c", 1, 2, 3)
 	snapC := buildSnapshot(t, 0, map[string]*core.EchelonFlow{"c": cg}, nil)
-	classesC := classesOf(snapC, snapC.Flows)
+	classesC := acquireLinkTable(snapC, singleLinkNet(t), snapC.Flows).groups(snapC)[0].classes
 	if len(classesC) != 1 || len(classesC[0].flows) != 3 {
 		t.Errorf("coflow classes = %+v", classesC)
 	}

@@ -30,13 +30,13 @@ const (
 
 	// Overload-protection lifecycle (scheduler deadline budgets, event
 	// backpressure, gray-failure quarantine).
-	EventDegrade       = "sched-degrade"    // scheduler pass fell back (overrun/error/breaker)
-	EventRecover       = "sched-recover"    // primary scheduler back in force
-	EventShed          = "submission-shed"  // job submission refused above the high-water mark
-	EventSendOverflow  = "send-overflow"    // session outbound buffer full; session torn down
-	EventSoftQuar      = "soft-quarantine"  // straggling agent RTT above threshold; reports deadline-bounded
-	EventSoftRelease   = "soft-release"     // straggler's RTT recovered below hysteresis
-	EventJournalBroken = "journal-broken"   // WAL append failed; journaling latched off (fail-fast)
+	EventDegrade       = "sched-degrade"   // scheduler pass fell back (overrun/error/breaker)
+	EventRecover       = "sched-recover"   // primary scheduler back in force
+	EventShed          = "submission-shed" // job submission refused above the high-water mark
+	EventSendOverflow  = "send-overflow"   // session outbound buffer full; session torn down
+	EventSoftQuar      = "soft-quarantine" // straggling agent RTT above threshold; reports deadline-bounded
+	EventSoftRelease   = "soft-release"    // straggler's RTT recovered below hysteresis
+	EventJournalBroken = "journal-broken"  // WAL append failed; journaling latched off (fail-fast)
 )
 
 // Event is one structured lifecycle record. At is scheduler/simulation time

@@ -35,7 +35,7 @@ func sampleMessages(t *testing.T) []Message {
 			{GroupID: "g", FlowID: "f0", Event: EventFinished},
 			{GroupID: "g", FlowID: "f1", Event: EventResumed, Offset: 7},
 		}}},
-		{Type: TypeAllocation, Allocation: &Allocation{}},                          // nil map
+		{Type: TypeAllocation, Allocation: &Allocation{}},                              // nil map
 		{Type: TypeAllocation, Allocation: &Allocation{Rates: map[string]unit.Rate{}}}, // empty map
 		{Type: TypeAllocation, Allocation: &Allocation{Rates: map[string]unit.Rate{"f0": 12.5, "f1": 0}}},
 		{Type: TypeHeartbeat},                                    // bare keepalive

@@ -51,8 +51,8 @@ func FuzzRecv(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Add([]byte{binaryMagic, 99, 0, 0, 0, 0, 0, 0})             // unknown kind
-	f.Add([]byte{binaryMagic, kindFlowEvent, 0, 0, 0, 0, 0, 3})  // truncated body
+	f.Add([]byte{binaryMagic, 99, 0, 0, 0, 0, 0, 0})                  // unknown kind
+	f.Add([]byte{binaryMagic, kindFlowEvent, 0, 0, 0, 0, 0, 3})       // truncated body
 	f.Add([]byte{binaryMagic, kindUnregister, 0, 0, 0, 0, 0, 1, 200}) // string overrun
 	// Truncated frame: header promises more than the stream holds.
 	f.Add(frame([]byte(`{"type":"heartbeat"}`))[:12])

@@ -386,9 +386,9 @@ type Codec struct {
 	body   bytes.Buffer     // reused across frames; valid while inBody
 	lr     io.LimitedReader // reused body-read cursor (io.CopyN allocates one per call)
 	want   uint32           // body length, valid while inBody
-	kind   byte         // binary frame kind, valid while inBody on a binary frame
-	flags  uint16       // binary frame flags, likewise
-	isBin  bool         // current partial frame uses the binary framing
+	kind   byte             // binary frame kind, valid while inBody on a binary frame
+	flags  uint16           // binary frame flags, likewise
+	isBin  bool             // current partial frame uses the binary framing
 }
 
 // NewCodec wraps a stream.
