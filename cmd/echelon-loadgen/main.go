@@ -382,8 +382,9 @@ func executeJob(ctx context.Context, s *session, spec wire.JobSpec, hosts []stri
 	if err != nil {
 		return fmt.Errorf("compile admitted job %s: %w", spec.ID, err)
 	}
-	// On v4 sessions amortize framing: release/finish pairs ride in FlowBatch
-	// chunks, which the coordinator applies in order exactly like loose events.
+	// On v4 sessions release/finish pairs ride in FlowBatch chunks; the
+	// coordinator applies each chunk in order as one frame (one instant, one
+	// journal record, one reschedule decision).
 	const batchMax = 32
 	var batch []wire.FlowEvent
 	flush := func() error {

@@ -16,6 +16,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,18 +208,14 @@ type Coordinator struct {
 	// pending accumulates the group IDs touched by coalesced flow events
 	// awaiting one batched reschedule; nil means no batch is open.
 	// pendingGen invalidates a stale drain timer after an early flush.
-	// flushing suppresses journal compaction while the batch boundary's
-	// resched record is being written and applied — a snapshot taken there
-	// would capture the batch's mutations while its reschedule is in neither
-	// the snapshot nor the tail.
 	pending    map[string]bool
 	pendingGen int
-	flushing   bool
 
 	// journal, when set (via Restore), receives an append for every
-	// state-mutating event; journalEvents counts appends since the last
-	// snapshot, and replaying suppresses appends while the log is being
-	// re-applied. All three are guarded by mu.
+	// state-mutating event; journalEvents counts the events journaled since
+	// the last snapshot (a frame record counts each flow event it carries),
+	// and replaying suppresses appends while the log is being re-applied.
+	// All three are guarded by mu.
 	journal       *journal.Journal
 	journalEvents int
 	replaying     bool
@@ -527,6 +524,7 @@ func (c *Coordinator) register(owner string, g *core.EchelonFlow, adoptLive bool
 		}
 		return nil
 	}
+	c.advanceLocked()
 	if err := c.addGroupLocked(owner, g); err != nil {
 		return err
 	}
@@ -534,7 +532,7 @@ func (c *Coordinator) register(owner string, g *core.EchelonFlow, adoptLive bool
 		if reg, err := wire.RegisterOf(g); err != nil {
 			c.opts.Logf("coordinator: journal: cannot serialize group %q: %v", g.ID, err)
 		} else {
-			c.appendJournalLocked(journalEvent{Kind: jRegister, At: c.now(), Owner: owner, Register: &reg})
+			c.appendJournalLocked(journalEvent{Kind: jRegister, At: c.lastAdvance, Owner: owner, Register: &reg})
 		}
 	}
 	return nil
@@ -556,7 +554,7 @@ func (c *Coordinator) addGroupLocked(owner string, g *core.EchelonFlow) error {
 	}
 	c.groups[g.ID] = rt
 	c.setGroupTardinessLocked(rt)
-	c.event(telemetry.Event{Kind: telemetry.EventRegister, At: float64(c.now()),
+	c.event(telemetry.Event{Kind: telemetry.EventRegister, At: float64(c.lastAdvance),
 		Group: g.ID, Agent: owner})
 	return nil
 }
@@ -579,13 +577,23 @@ func (c *Coordinator) UnregisterGroup(groupID string) (map[string]unit.Rate, err
 	return c.rescheduleDeltaLocked([]string{groupID})
 }
 
-// FlowEvent applies a lifecycle transition and returns the fresh allocation.
-// With coalescing enabled the mutation is applied and journaled immediately
-// but the reschedule is deferred into the open batch and the returned map is
-// nil — the allocation in force is unchanged, and assembling it per event
-// would cost O(all flows) on the hot path (Drain reports it on demand).
+// FlowEvent applies a lifecycle transition — a one-event frame — and returns
+// the fresh allocation. With coalescing enabled the mutation is applied and
+// journaled immediately but the reschedule is deferred into the open batch and
+// the returned map is nil — the allocation in force is unchanged, and
+// assembling it per event would cost O(all flows) on the hot path (Drain
+// reports it on demand).
 func (c *Coordinator) FlowEvent(ev wire.FlowEvent) (map[string]unit.Rate, error) {
 	return c.flowEvent(ev, false)
+}
+
+// flowEvent is FlowEvent with the session's soft-quarantine flag plumbed in.
+func (c *Coordinator) flowEvent(ev wire.FlowEvent, soft bool) (map[string]unit.Rate, error) {
+	rates, errs := c.flowFrame([]wire.FlowEvent{ev}, soft)
+	if len(errs) > 0 {
+		return nil, errs[0]
+	}
+	return rates, nil
 }
 
 // softCoalesceWindow is the batching window forced on events that must be
@@ -593,7 +601,7 @@ func (c *Coordinator) FlowEvent(ev wire.FlowEvent) (map[string]unit.Rate, error)
 // Coalesce window is configured.
 const softCoalesceWindow = 50 * time.Millisecond
 
-// coalesceWindowLocked picks the batching window for one flow event. The
+// coalesceWindowLocked picks the batching window for one frame. The
 // configured window widens 4x while the scheduler is degraded (one of the
 // overload levers: drain event storms into fewer passes); a soft-quarantined
 // straggler's reports — and any event during a degraded episode — are batched
@@ -609,60 +617,96 @@ func (c *Coordinator) coalesceWindowLocked(soft bool) time.Duration {
 	return win
 }
 
-// flowEvent is FlowEvent with the session's soft-quarantine flag plumbed in.
-func (c *Coordinator) flowEvent(ev wire.FlowEvent, soft bool) (map[string]unit.Rate, error) {
+// flowFrame applies one frame of flow events (a flow_batch, or a single
+// flow_event) as one unit of work: one lock hold, one clock reading, one
+// advance of the fluid model, every event applied at that instant, one
+// journal record, one reschedule decision. A refused event is reported (one
+// error each, in order) and does not stop the rest; a failed reschedule is
+// the last error. Jobs the frame completed depart after it, in completion
+// order, so nothing can be journaled between a frame's mutations and its
+// record.
+func (c *Coordinator) flowFrame(evs []wire.FlowEvent, soft bool) (map[string]unit.Rate, []error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.groups[ev.GroupID]; !ok {
-		return nil, fmt.Errorf("coordinator: unknown group %q", ev.GroupID)
-	}
+	before := c.lastAdvance
 	c.advanceLocked()
-	now := c.now()
-	if err := c.applyFlowLocked(ev, now); err != nil {
-		return nil, err
+	applied, done, errs := c.applyFrameLocked(evs, c.lastAdvance)
+	if len(applied) == 0 {
+		if c.lastAdvance != before {
+			// Nothing took effect but the model moved: an empty record keeps
+			// replay's integration steps equal to the live ones.
+			c.appendJournalLocked(journalEvent{Kind: jFlow, At: c.lastAdvance})
+		}
+		return nil, errs
 	}
-	if win := c.coalesceWindowLocked(soft); win > 0 {
-		c.appendJournalLocked(journalEvent{Kind: jFlow, At: now, Flow: &ev, Defer: true})
-		c.cache.InvalidateGroup(ev.GroupID)
-		c.deferRescheduleLocked(ev.GroupID, win)
-		c.maybeDepartJobLocked(ev)
-		return nil, nil
+	win := c.coalesceWindowLocked(soft)
+	c.appendJournalLocked(journalEvent{Kind: jFlow, At: c.lastAdvance, Flows: applied, Defer: win > 0})
+	var rates map[string]unit.Rate
+	if win > 0 {
+		c.deferRescheduleLocked(applied, win)
+	} else {
+		var err error
+		if rates, err = c.rescheduleDeltaLocked(frameGroups(applied)); err != nil {
+			rates, errs = nil, append(errs, err)
+		}
 	}
-	c.appendJournalLocked(journalEvent{Kind: jFlow, At: now, Flow: &ev})
-	c.cache.InvalidateGroup(ev.GroupID) // the group's released flow set changed
-	rates, err := c.rescheduleDeltaLocked([]string{ev.GroupID})
-	if err != nil {
-		return nil, err
+	for _, jobID := range done {
+		c.departJobLocked(jobID)
 	}
-	c.maybeDepartJobLocked(ev)
-	return rates, nil
+	return rates, errs
 }
 
-// maybeDepartJobLocked is the live departure decision: the finish that
-// emptied a queue-admitted job's unfinished-flow count completes the job.
-// Replay never decides — it applies the recorded job-departed record.
-func (c *Coordinator) maybeDepartJobLocked(ev wire.FlowEvent) {
-	if c.queue == nil || c.replaying || ev.Event != wire.EventFinished {
-		return
+// applyFrameLocked applies a frame's events at one scheduler time, live and
+// in journal replay alike. It returns the events that took effect (aliasing
+// evs when all did), the queue-admitted jobs whose last flow finished (live
+// only: replay applies the recorded job-departed record), and one error per
+// refused event.
+func (c *Coordinator) applyFrameLocked(evs []wire.FlowEvent, now unit.Time) (applied []wire.FlowEvent, done []string, errs []error) {
+	applied = evs
+	for i, ev := range evs {
+		if err := c.applyFlowLocked(ev, now); err != nil {
+			if errs == nil {
+				applied = append([]wire.FlowEvent(nil), evs[:i]...)
+			}
+			errs = append(errs, err)
+			continue
+		}
+		if errs != nil {
+			applied = append(applied, ev)
+		}
+		c.cache.InvalidateGroup(ev.GroupID) // the group's released flow set changed
+		if jobID, owned := c.groupJob[ev.GroupID]; owned && ev.Event == wire.EventFinished &&
+			c.jobFlowsLeft[jobID] == 0 && !c.replaying {
+			done = append(done, jobID)
+		}
 	}
-	jobID, ok := c.groupJob[ev.GroupID]
-	if !ok || c.jobFlowsLeft[jobID] > 0 {
-		return
-	}
-	c.departJobLocked(jobID)
+	return applied, done, errs
 }
 
-// deferRescheduleLocked adds a group to the open coalescing batch, opening
-// one (and arming its drain timer for the given window) when none is.
-func (c *Coordinator) deferRescheduleLocked(gid string, win time.Duration) {
+// frameGroups is the sorted union of a frame's groups: what one reschedule
+// for the whole frame is confined to.
+func frameGroups(evs []wire.FlowEvent) []string {
+	gids := make([]string, len(evs))
+	for i := range evs {
+		gids[i] = evs[i].GroupID
+	}
+	sort.Strings(gids)
+	return slices.Compact(gids)
+}
+
+// deferRescheduleLocked adds a frame's groups to the open coalescing batch,
+// opening one (and arming its drain timer for the given window) when none is.
+func (c *Coordinator) deferRescheduleLocked(evs []wire.FlowEvent, win time.Duration) {
 	if c.pending == nil {
 		c.pending = make(map[string]bool)
 		c.pendingGen++
 		gen := c.pendingGen
 		time.AfterFunc(win, func() { c.drainBatch(gen) })
 	}
-	c.pending[gid] = true
-	c.tel.coalesced.Inc()
+	for i := range evs {
+		c.pending[evs[i].GroupID] = true
+	}
+	c.tel.coalesced.Add(uint64(len(evs)))
 }
 
 // drainBatch is the coalescing window's timer callback.
@@ -693,18 +737,11 @@ func (c *Coordinator) flushCoalescedLocked() (map[string]unit.Rate, error) {
 	c.pending = nil
 	c.pendingGen++
 	c.advanceLocked()
-	c.flushing = true
 	c.appendJournalLocked(journalEvent{Kind: jResched, At: c.lastAdvance, Groups: gids})
 	c.tel.batches.Inc()
 	rates, err := c.rescheduleDeltaLocked(gids)
-	c.flushing = false
 	if err != nil {
 		c.opts.Logf("coordinator: coalesced reschedule (%d groups): %v", len(gids), err)
-	}
-	// Compaction deferred during the batch (and during the flush itself) runs
-	// now, at a boundary where state and journal agree.
-	if c.journal != nil && c.opts.SnapshotEvery > 0 && c.journalEvents >= c.opts.SnapshotEvery {
-		c.snapshotLocked()
 	}
 	return rates, err
 }
@@ -860,15 +897,16 @@ func (c *Coordinator) advanceToLocked(now unit.Time) {
 	}
 }
 
-// buildSnapshotLocked assembles the scheduling input at the current model
-// time. Assembly is deterministic — groups in sorted ID order, flows in
-// their group's arrangement order — because fill arithmetic is
-// order-sensitive at the last bit: map-order iteration would make two
+// buildSnapshotLocked assembles the scheduling input at the model's time
+// (lastAdvance, never a fresh clock reading: replay must plan at the instant
+// the live pass planned at). Assembly is deterministic — groups in sorted ID
+// order, flows in their group's arrangement order — because fill arithmetic
+// is order-sensitive at the last bit: map-order iteration would make two
 // identical coordinators disagree in the final ulp of each rate, which the
 // differential harness (internal/check) flags against the journal replay's
 // bit-equality guarantee.
 func (c *Coordinator) buildSnapshotLocked() *sched.Snapshot {
-	snap := &sched.Snapshot{Now: c.now(), Groups: make(map[string]*sched.GroupState, len(c.groups))}
+	snap := &sched.Snapshot{Now: c.lastAdvance, Groups: make(map[string]*sched.GroupState, len(c.groups))}
 	gids := make([]string, 0, len(c.groups))
 	for gid := range c.groups {
 		gids = append(gids, gid)
@@ -966,6 +1004,13 @@ func (c *Coordinator) rescheduleSnapLocked(deltaGroups []string) (map[string]uni
 	if c.opts.Events != nil && !c.replaying {
 		c.event(telemetry.Event{Kind: telemetry.EventResched, At: float64(snap.Now),
 			Detail: fmt.Sprintf("%d flows across %d groups", len(snap.Flows), len(snap.Groups))})
+	}
+	// Compaction runs here and nowhere else on the live path: right after a
+	// reschedule the stored rates, the scheduler's incremental state and the
+	// journal agree. An open coalescing batch has mutations whose reschedule
+	// is still owed, so it waits for the batch's own pass.
+	if c.journal != nil && c.opts.SnapshotEvery > 0 && c.journalEvents >= c.opts.SnapshotEvery && c.pending == nil {
+		c.snapshotLocked()
 	}
 	return rates, nil
 }
@@ -1439,15 +1484,12 @@ func (c *Coordinator) handleMessage(s *session, msg wire.Message) error {
 		_, err := c.flowEvent(*msg.FlowEvent, s.soft.Load())
 		return err
 	case wire.TypeFlowBatch:
-		// Apply in order, exactly as if each event arrived as its own
-		// message: a bad event is reported per event and does not abort the
-		// rest of the batch. The allocation ack conflates in the writer
-		// (pendingAlloc), so the whole batch costs one outbound push.
-		for i := range msg.FlowBatch.Events {
-			if _, err := c.flowEvent(msg.FlowBatch.Events[i], s.soft.Load()); err != nil {
-				c.opts.Logf("coordinator: agent %s: %v", s.agent, err)
-				_ = s.send(wire.Message{Type: wire.TypeError, Error: &wire.Error{Msg: err.Error()}})
-			}
+		// One frame, one unit of work; a refused event is reported per event
+		// and does not abort the rest of the frame.
+		_, errs := c.flowFrame(msg.FlowBatch.Events, s.soft.Load())
+		for _, err := range errs {
+			c.opts.Logf("coordinator: agent %s: %v", s.agent, err)
+			_ = s.send(wire.Message{Type: wire.TypeError, Error: &wire.Error{Msg: err.Error()}})
 		}
 		return nil
 	case wire.TypeSubmitJob:

@@ -117,7 +117,9 @@ func (c *Coordinator) submitJobLocked(owner string, spec wire.JobSpec) error {
 		c.jtel.throttled.Inc()
 		return fmt.Errorf("%w (tenant %q)", ErrThrottled, tenant)
 	}
-	now := c.now()
+	// One clock reading; the model moves to it only once the submission is
+	// accepted, because a refused one leaves no record for replay to advance at.
+	now := max(c.now(), c.lastAdvance)
 	j, err := c.queue.Submit(owner, spec, now)
 	if err != nil {
 		var rej *queue.RejectError
@@ -126,6 +128,7 @@ func (c *Coordinator) submitJobLocked(owner string, spec wire.JobSpec) error {
 		}
 		return err
 	}
+	c.advanceToLocked(now)
 	c.appendJournalLocked(journalEvent{Kind: jJobQueued, At: now, Owner: owner, Job: &spec})
 	c.jtel.submitted.Inc()
 	c.jobGaugesLocked()
@@ -170,14 +173,16 @@ func (c *Coordinator) jobViewLocked() *queue.View {
 // admitJobsLocked drains the queue's admissible head: each admission is
 // placed, compiled, registered and journaled; an unplaceable head is
 // rejected and the next job tried. Runs after every submission and
-// departure; never during replay (the journal carries the recorded
-// decisions).
+// departure, at the instant (lastAdvance) of the record that triggered it;
+// never during replay (the journal carries the recorded decisions).
 func (c *Coordinator) admitJobsLocked() {
 	if c.queue == nil || c.replaying {
 		return
 	}
-	for {
-		now := c.now()
+	now := c.lastAdvance
+	// The placement view costs O(all flows + hosts); assemble it only for a
+	// turn whose Next can use it.
+	for c.queue.Ready() {
 		a, err := c.queue.Next(c.jobViewLocked(), now)
 		if err != nil {
 			var rej *queue.RejectError
@@ -189,8 +194,7 @@ func (c *Coordinator) admitJobsLocked() {
 			return
 		}
 		if a == nil {
-			c.jobGaugesLocked()
-			return
+			break
 		}
 		if err := c.installJobLocked(a, now); err != nil {
 			// The placement was accepted but the compiled groups could not be
@@ -202,6 +206,7 @@ func (c *Coordinator) admitJobsLocked() {
 				Code: wire.ErrCodeBadJob, Reason: err.Error()}, now)
 		}
 	}
+	c.jobGaugesLocked()
 }
 
 // rejectJobLocked journals and reports a dropped job. The job-departed

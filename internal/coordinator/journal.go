@@ -11,6 +11,7 @@ package coordinator
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -33,7 +34,7 @@ const (
 	jGenesis    = "genesis"    // coordinator born: records the wall start time
 	jRegister   = "register"   // new group registered
 	jUnregister = "unregister" // group departed
-	jFlow       = "flow"       // flow lifecycle event (released/finished/resumed)
+	jFlow       = "flow"       // one frame of flow lifecycle events (released/finished/resumed)
 	jCapacity   = "capacity"   // fabric capacity override
 	jPark       = "park"       // owner died, groups quarantined
 	jRevive     = "revive"     // owner rejoined, groups resumed
@@ -48,24 +49,27 @@ const (
 	jJobDeparted = "job-departed" // job completed (Groups removed) or rejected
 )
 
-// journalEvent is one WAL record. At is the scheduler time of the mutation;
-// replay advances the fluid model to At before re-applying, so integration
-// intervals match the live run exactly.
+// journalEvent is one WAL record. At is the scheduler time of the mutation:
+// the live path reads the clock once per journaled mutation, advances the
+// fluid model to that reading and records the resulting lastAdvance, and
+// replay advances to At before re-applying — so integration intervals,
+// release times and planning instants match the live run exactly.
 type journalEvent struct {
-	Kind     string          `json:"kind"`
-	At       unit.Time       `json:"at"`
-	Wall     int64           `json:"wall,omitempty"` // genesis: start time, UnixNano
-	Owner    string          `json:"owner,omitempty"`
-	Register *wire.Register  `json:"register,omitempty"`
-	Flow     *wire.FlowEvent `json:"flow,omitempty"`
-	Defer    bool            `json:"defer,omitempty"` // flow record absorbed into a coalesced batch: no reschedule here
-	Groups   []string        `json:"groups,omitempty"`
-	Host     string          `json:"host,omitempty"`
-	Egress   unit.Rate       `json:"egress,omitempty"`
-	Ingress  unit.Rate       `json:"ingress,omitempty"`
-	Job      *wire.JobSpec   `json:"job,omitempty"`    // job-queued: the submitted spec
-	JobID    string          `json:"job_id,omitempty"` // job-admitted/departed
-	Hosts    []string        `json:"hosts,omitempty"`  // job-admitted: the placement
+	Kind     string           `json:"kind"`
+	At       unit.Time        `json:"at"`
+	Wall     int64            `json:"wall,omitempty"` // genesis: start time, UnixNano
+	Owner    string           `json:"owner,omitempty"`
+	Register *wire.Register   `json:"register,omitempty"`
+	Flows    []wire.FlowEvent `json:"flows,omitempty"` // flow: the frame's applied events, in order
+	Flow     *wire.FlowEvent  `json:"flow,omitempty"`  // flow, read only: journals from before frames held one event per record
+	Defer    bool             `json:"defer,omitempty"` // flow record absorbed into a coalesced batch: no reschedule here
+	Groups   []string         `json:"groups,omitempty"`
+	Host     string           `json:"host,omitempty"`
+	Egress   unit.Rate        `json:"egress,omitempty"`
+	Ingress  unit.Rate        `json:"ingress,omitempty"`
+	Job      *wire.JobSpec    `json:"job,omitempty"`    // job-queued: the submitted spec
+	JobID    string           `json:"job_id,omitempty"` // job-admitted/departed
+	Hosts    []string         `json:"hosts,omitempty"`  // job-admitted: the placement
 }
 
 // snapshotState is the compacted control-plane state: everything needed to
@@ -170,15 +174,11 @@ func (c *Coordinator) appendJournalLocked(ev journalEvent) {
 		c.event(telemetry.Event{Kind: telemetry.EventFsync, At: float64(ev.At),
 			Detail: fmt.Sprintf("%s append took %v", ev.Kind, elapsed)})
 	}
-	c.journalEvents++
-	// Compaction waits out open coalescing batches: a snapshot taken while
-	// deferred mutations await their resched record would strand that batch's
-	// reschedule outside both the snapshot and the tail.
-	// flushCoalescedLocked re-checks this condition at the batch boundary.
-	if c.opts.SnapshotEvery > 0 && c.journalEvents >= c.opts.SnapshotEvery &&
-		c.pending == nil && !c.flushing {
-		c.snapshotLocked()
-	}
+	// SnapshotEvery counts journaled events, not records: a frame of N flow
+	// events moves the compaction threshold (and the recovery bound) by N.
+	// Compaction itself waits for the reschedule that follows the record
+	// (rescheduleSnapLocked).
+	c.journalEvents += max(1, len(ev.Flows))
 }
 
 // noteJournalBrokenLocked announces a broken journal exactly once — the
@@ -406,21 +406,20 @@ func (c *Coordinator) applyJournalLocked(ev journalEvent) error {
 		_, err := c.rescheduleLocked()
 		return err
 	case jFlow:
-		if ev.Flow == nil {
-			return fmt.Errorf("coordinator: flow record without payload")
+		if ev.Flow != nil {
+			ev.Flows = []wire.FlowEvent{*ev.Flow}
 		}
 		c.advanceToLocked(ev.At)
-		if err := c.applyFlowLocked(*ev.Flow, ev.At); err != nil {
-			return err
+		applied, _, errs := c.applyFrameLocked(ev.Flows, ev.At)
+		// A deferred record only applied its mutations live; the batch's
+		// jResched record carries the reschedule. An empty record only pins
+		// an advance.
+		if !ev.Defer && len(applied) > 0 {
+			if _, err := c.rescheduleDeltaLocked(frameGroups(applied)); err != nil {
+				errs = append(errs, err)
+			}
 		}
-		c.cache.InvalidateGroup(ev.Flow.GroupID)
-		if ev.Defer {
-			// Coalesced record: the live path only applied the mutation; the
-			// batch's jResched record carries the reschedule.
-			return nil
-		}
-		_, err := c.rescheduleDeltaLocked([]string{ev.Flow.GroupID})
-		return err
+		return errors.Join(errs...)
 	case jResched:
 		c.advanceToLocked(ev.At)
 		_, err := c.rescheduleDeltaLocked(ev.Groups)

@@ -139,7 +139,7 @@ func TestDeltaAllocationPushes(t *testing.T) {
 // A new session receives full state on its first allocation, not a delta
 // against some other session's history.
 func TestPerSessionDeltaState(t *testing.T) {
-	_, addr, stop := startServer(t)
+	coord, addr, stop := startServer(t)
 	defer stop()
 	a := dialRaw(t, addr, "a1")
 	defer a.conn.Close()
@@ -161,6 +161,19 @@ func TestPerSessionDeltaState(t *testing.T) {
 	// deliver f0's unchanged rate to it as well, since it has never seen it.
 	b := dialRaw(t, addr, "a2")
 	defer b.conn.Close()
+	// The handshake completes on the server's goroutine: a reschedule that
+	// runs before a2 is adopted has no session to push to.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		coord.mu.Lock()
+		adopted := coord.byName["a2"] != nil
+		coord.mu.Unlock()
+		if adopted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a2 never adopted")
+		}
+	}
 	if err := a.codec.Send(wire.Message{Type: wire.TypeFlowEvent,
 		FlowEvent: &wire.FlowEvent{GroupID: "job/pp", FlowID: "f1", Event: wire.EventReleased}}); err != nil {
 		t.Fatal(err)

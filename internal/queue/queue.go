@@ -117,6 +117,13 @@ func (q *Queue) head() *Job {
 	return best
 }
 
+// Ready reports whether Next would consult a view: a job is pending and the
+// job-count limit leaves room for it. Callers for whom assembling the view is
+// expensive check it first; Next makes the same two checks itself.
+func (q *Queue) Ready() bool {
+	return len(q.pending) > 0 && (q.opts.MaxJobs <= 0 || len(q.admitted) < q.opts.MaxJobs)
+}
+
 // Next attempts one admission against the view. It returns:
 //   - (*Admitted, nil): the head job was placed and admitted;
 //   - (nil, nil): nothing pending, or the head is blocked by the budget —
@@ -129,13 +136,10 @@ func (q *Queue) head() *Job {
 // state, view, now); during journal replay the coordinator bypasses Next
 // and applies the recorded outcomes via ForceAdmit/Depart.
 func (q *Queue) Next(v *View, now unit.Time) (*Admitted, error) {
+	if !q.Ready() {
+		return nil, nil
+	}
 	j := q.head()
-	if j == nil {
-		return nil, nil
-	}
-	if q.opts.MaxJobs > 0 && len(q.admitted) >= q.opts.MaxJobs {
-		return nil, nil
-	}
 	// The bandwidth budget blocks jobs whose predicted demand overshoots the
 	// fabric share — except when nothing is admitted, where blocking would
 	// starve a job the budget alone can never fit.

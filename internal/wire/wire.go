@@ -162,9 +162,11 @@ func (e *FlowEvent) validate() error {
 	return nil
 }
 
-// FlowBatch reports many flow lifecycle transitions at once, in order.
-// Applying a batch is observationally identical to applying its events as
-// individual FlowEvent messages back to back on the same session.
+// FlowBatch reports many flow lifecycle transitions at once, in order. The
+// coordinator applies a batch as one unit of work: every event at one
+// instant, in order, a refused event reported on its own without stopping
+// the rest, then one journal record and one reschedule decision for the
+// whole frame (DESIGN.md, "Wire protocol v4").
 type FlowBatch struct {
 	Events []FlowEvent `json:"events"`
 }
