@@ -212,16 +212,19 @@ func TestCoalesceCrashRestoreBitForBit(t *testing.T) {
 }
 
 // flakySched delegates to a real scheduler until *fail is flipped, then
-// errors on every Schedule call — the fixture for rejoin failure paths.
+// errors on every Schedule call (with once set: on the next one only) — the
+// fixture for rejoin failure paths.
 type flakySched struct {
 	inner sched.Scheduler
 	fail  *bool
+	once  bool
 }
 
 func (s flakySched) Name() string { return "flaky" }
 
 func (s flakySched) Schedule(snap *sched.Snapshot, net fabric.Fabric) (map[string]unit.Rate, error) {
 	if *s.fail {
+		*s.fail = !s.once
 		return nil, errors.New("induced scheduler failure")
 	}
 	return s.inner.Schedule(snap, net)

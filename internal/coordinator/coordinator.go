@@ -214,8 +214,9 @@ type Coordinator struct {
 	// journal, when set (via Restore), receives an append for every
 	// state-mutating event; journalEvents counts the events journaled since
 	// the last snapshot (a frame record counts each flow event it carries),
-	// and replaying suppresses appends while the log is being re-applied.
-	// All three are guarded by mu.
+	// and replaying suppresses outputs (appends, lifecycle events, degrade
+	// narration) while the log is being re-applied — it never selects a state
+	// change. All three are guarded by mu.
 	journal       *journal.Journal
 	journalEvents int
 	replaying     bool
@@ -433,14 +434,14 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// event appends a lifecycle event unless logging is off or the journal is
-// replaying (replay re-executes recorded history; re-emitting it would
-// duplicate the original run's events).
+// eventsOn reports whether lifecycle events are recorded: not with logging
+// off, and not in replay (re-emitting recorded history would duplicate it).
+func (c *Coordinator) eventsOn() bool { return c.opts.Events != nil && !c.replaying }
+
 func (c *Coordinator) event(e telemetry.Event) {
-	if c.opts.Events == nil || c.replaying {
-		return
+	if c.eventsOn() {
+		c.opts.Events.Append(e)
 	}
-	c.opts.Events.Append(e)
 }
 
 // setGroupTardinessLocked refreshes a group's tardiness gauges and the Eq. 4
@@ -473,6 +474,17 @@ func (c *Coordinator) now() unit.Time {
 	return unit.Time(c.opts.Clock().Sub(c.start).Seconds())
 }
 
+// clockLocked is the one clock reading a journaled mutation makes: the
+// instant its record carries, never behind the model.
+func (c *Coordinator) clockLocked() unit.Time { return max(c.now(), c.lastAdvance) }
+
+// instantLocked is clockLocked for a non-coalescible record: the open batch
+// is closed first, so its resched record precedes this one in the journal.
+func (c *Coordinator) instantLocked() unit.Time {
+	c.flushCoalescedLocked()
+	return c.clockLocked()
+}
+
 // Reschedules reports how many scheduling decisions have been made.
 func (c *Coordinator) Reschedules() int {
 	c.mu.Lock()
@@ -500,46 +512,35 @@ func (c *Coordinator) register(owner string, g *core.EchelonFlow, adoptLive bool
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if existing, dup := c.groups[g.ID]; dup {
-		if existing.owner != owner || (!existing.parked && !adoptLive) {
-			return fmt.Errorf("coordinator: group %q already registered", g.ID)
-		}
-		// A rejoining agent re-registers its groups. Adopt the surviving
-		// state — released/finished flags, remaining bytes, reference time
-		// and achieved tardiness all carry over — instead of erroring.
-		if existing.parked {
-			c.flushCoalescedLocked()
-			existing.parked = false
-			c.advanceLocked()
-			c.appendJournalLocked(journalEvent{Kind: jRevive, At: c.lastAdvance, Groups: []string{g.ID}})
-			if _, err := c.rescheduleLocked(); err != nil {
-				// Scheduling the revived group failed. Returning nil here
-				// would tell the agent its rejoin succeeded while it holds a
-				// stale allocation the scheduler never re-validated — so
-				// re-park the group (journaled, so replay re-parks it after
-				// its own failed reschedule) and surface the error.
-				c.parkLocked([]string{g.ID}, owner, "rejoin reschedule failed")
-				return fmt.Errorf("coordinator: reschedule after %q rejoined: %w", g.ID, err)
-			}
-		}
-		return nil
-	}
-	c.advanceLocked()
-	if err := c.addGroupLocked(owner, g); err != nil {
+	existing, dup := c.groups[g.ID]
+	if !dup {
+		_, err := c.commitLocked(&journalEvent{Kind: jRegister, At: c.clockLocked(), Owner: owner, group: g})
 		return err
 	}
-	if c.journal != nil {
-		if reg, err := wire.RegisterOf(g); err != nil {
-			c.opts.Logf("coordinator: journal: cannot serialize group %q: %v", g.ID, err)
-		} else {
-			c.appendJournalLocked(journalEvent{Kind: jRegister, At: c.lastAdvance, Owner: owner, Register: &reg})
-		}
+	if existing.owner != owner || (!existing.parked && !adoptLive) {
+		return fmt.Errorf("coordinator: group %q already registered", g.ID)
+	}
+	if !existing.parked {
+		return nil
+	}
+	// A rejoining agent re-registers its groups. Adopt the surviving state —
+	// released/finished flags, remaining bytes, reference time and achieved
+	// tardiness all carry over — instead of erroring.
+	gids := []string{g.ID}
+	if _, err := c.commitLocked(&journalEvent{Kind: jRevive, At: c.instantLocked(), Groups: gids}); err != nil {
+		// Scheduling the revived group failed. Returning nil here would tell
+		// the agent its rejoin succeeded while it holds a stale allocation the
+		// scheduler never re-validated — so re-park the group (a record of
+		// its own, at the revive's instant) and surface the error.
+		c.parkLocked(gids, owner, "rejoin reschedule failed", c.lastAdvance)
+		return fmt.Errorf("coordinator: reschedule after %q rejoined: %w", g.ID, err)
 	}
 	return nil
 }
 
-// addGroupLocked installs a fresh group's runtime state. It is the shared
-// tail of RegisterGroup and journal replay; duplicates are an error.
+// addGroupLocked installs a fresh group's runtime state: the register
+// mutation, also run per compiled group of an admitted job and per group of a
+// snapshot. Duplicates are an error.
 func (c *Coordinator) addGroupLocked(owner string, g *core.EchelonFlow) error {
 	if _, dup := c.groups[g.ID]; dup {
 		return fmt.Errorf("coordinator: group %q already registered", g.ID)
@@ -566,15 +567,11 @@ func (c *Coordinator) UnregisterGroup(groupID string) (map[string]unit.Rate, err
 	if _, ok := c.groups[groupID]; !ok {
 		return nil, fmt.Errorf("coordinator: unknown group %q", groupID)
 	}
-	c.flushCoalescedLocked()
-	c.advanceLocked()
-	c.detachGroupFromJobLocked(groupID)
-	delete(c.groups, groupID)
-	c.cache.InvalidateGroup(groupID)
-	c.dropGroupMetricsLocked(groupID)
-	c.event(telemetry.Event{Kind: telemetry.EventUnregister, At: float64(c.lastAdvance), Group: groupID})
-	c.appendJournalLocked(journalEvent{Kind: jUnregister, At: c.lastAdvance, Groups: []string{groupID}})
-	return c.rescheduleDeltaLocked([]string{groupID})
+	at := c.instantLocked()
+	c.event(telemetry.Event{Kind: telemetry.EventUnregister, At: float64(at), Group: groupID})
+	rates, err := c.commitLocked(&journalEvent{Kind: jUnregister, At: at, Groups: []string{groupID}})
+	c.admitJobsLocked() // the group may have been its job's last: offer the freed slot
+	return rates, err
 }
 
 // FlowEvent applies a lifecycle transition — a one-event frame — and returns
@@ -619,8 +616,8 @@ func (c *Coordinator) coalesceWindowLocked(soft bool) time.Duration {
 
 // flowFrame applies one frame of flow events (a flow_batch, or a single
 // flow_event) as one unit of work: one lock hold, one clock reading, one
-// advance of the fluid model, every event applied at that instant, one
-// journal record, one reschedule decision. A refused event is reported (one
+// record committed — one advance of the fluid model, every event applied at
+// that instant, one reschedule decision. A refused event is reported (one
 // error each, in order) and does not stop the rest; a failed reschedule is
 // the last error. Jobs the frame completed depart after it, in completion
 // order, so nothing can be journaled between a frame's mutations and its
@@ -628,40 +625,36 @@ func (c *Coordinator) coalesceWindowLocked(soft bool) time.Duration {
 func (c *Coordinator) flowFrame(evs []wire.FlowEvent, soft bool) (map[string]unit.Rate, []error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	before := c.lastAdvance
-	c.advanceLocked()
-	applied, done, errs := c.applyFrameLocked(evs, c.lastAdvance)
-	if len(applied) == 0 {
-		if c.lastAdvance != before {
-			// Nothing took effect but the model moved: an empty record keeps
-			// replay's integration steps equal to the live ones.
-			c.appendJournalLocked(journalEvent{Kind: jFlow, At: c.lastAdvance})
-		}
-		return nil, errs
-	}
 	win := c.coalesceWindowLocked(soft)
-	c.appendJournalLocked(journalEvent{Kind: jFlow, At: c.lastAdvance, Flows: applied, Defer: win > 0})
-	var rates map[string]unit.Rate
-	if win > 0 {
-		c.deferRescheduleLocked(applied, win)
-	} else {
-		var err error
-		if rates, err = c.rescheduleDeltaLocked(frameGroups(applied)); err != nil {
-			rates, errs = nil, append(errs, err)
+	ev := journalEvent{Kind: jFlow, At: c.clockLocked(), Flows: evs, Defer: win > 0}
+	rates, err := c.commitLocked(&ev) // leaves the events that applied in ev.Flows
+	if win > 0 && len(ev.Flows) > 0 {
+		c.deferRescheduleLocked(ev.Flows, win)
+	}
+	// A job completes at its last finish: walking back meets it there first.
+	var done []string
+	for i := len(ev.Flows) - 1; i >= 0; i-- {
+		if ev.Flows[i].Event != wire.EventFinished {
+			continue
+		}
+		if jobID, owned := c.groupJob[ev.Flows[i].GroupID]; owned && c.jobFlowsLeft[jobID] == 0 && !slices.Contains(done, jobID) {
+			done = append(done, jobID)
 		}
 	}
-	for _, jobID := range done {
-		c.departJobLocked(jobID)
+	for i := len(done) - 1; i >= 0; i-- {
+		c.departJobLocked(done[i])
+	}
+	var errs []error
+	if joined, ok := err.(interface{ Unwrap() []error }); ok {
+		errs = joined.Unwrap()
 	}
 	return rates, errs
 }
 
-// applyFrameLocked applies a frame's events at one scheduler time, live and
-// in journal replay alike. It returns the events that took effect (aliasing
-// evs when all did), the queue-admitted jobs whose last flow finished (live
-// only: replay applies the recorded job-departed record), and one error per
-// refused event.
-func (c *Coordinator) applyFrameLocked(evs []wire.FlowEvent, now unit.Time) (applied []wire.FlowEvent, done []string, errs []error) {
+// applyFrameLocked applies a frame's events at one scheduler time: the flow
+// record's mutation. It returns the events that took effect (aliasing evs
+// when all did) and one error per refused event.
+func (c *Coordinator) applyFrameLocked(evs []wire.FlowEvent, now unit.Time) (applied []wire.FlowEvent, errs []error) {
 	applied = evs
 	for i, ev := range evs {
 		if err := c.applyFlowLocked(ev, now); err != nil {
@@ -675,12 +668,8 @@ func (c *Coordinator) applyFrameLocked(evs []wire.FlowEvent, now unit.Time) (app
 			applied = append(applied, ev)
 		}
 		c.cache.InvalidateGroup(ev.GroupID) // the group's released flow set changed
-		if jobID, owned := c.groupJob[ev.GroupID]; owned && ev.Event == wire.EventFinished &&
-			c.jobFlowsLeft[jobID] == 0 && !c.replaying {
-			done = append(done, jobID)
-		}
 	}
-	return applied, done, errs
+	return applied, errs
 }
 
 // frameGroups is the sorted union of a frame's groups: what one reschedule
@@ -736,10 +725,8 @@ func (c *Coordinator) flushCoalescedLocked() (map[string]unit.Rate, error) {
 	sort.Strings(gids)
 	c.pending = nil
 	c.pendingGen++
-	c.advanceLocked()
-	c.appendJournalLocked(journalEvent{Kind: jResched, At: c.lastAdvance, Groups: gids})
 	c.tel.batches.Inc()
-	rates, err := c.rescheduleDeltaLocked(gids)
+	rates, err := c.commitLocked(&journalEvent{Kind: jResched, At: c.clockLocked(), Groups: gids})
 	if err != nil {
 		c.opts.Logf("coordinator: coalesced reschedule (%d groups): %v", len(gids), err)
 	}
@@ -776,8 +763,8 @@ func (c *Coordinator) currentRatesLocked() map[string]unit.Rate {
 }
 
 // applyFlowLocked mutates flow state for one lifecycle event at the given
-// scheduler time. FlowEvent calls it live; journal replay calls it with the
-// recorded event time so tardiness arithmetic reproduces exactly.
+// scheduler time — the record's, live and in replay, so tardiness arithmetic
+// reproduces exactly.
 func (c *Coordinator) applyFlowLocked(ev wire.FlowEvent, now unit.Time) error {
 	g, ok := c.groups[ev.GroupID]
 	if !ok {
@@ -842,7 +829,7 @@ func (c *Coordinator) applyFlowLocked(ev wire.FlowEvent, now unit.Time) error {
 			}
 		}
 		f.remaining = f.flow.Size - ev.Offset
-		if c.opts.Events != nil && !c.replaying {
+		if c.eventsOn() {
 			c.event(telemetry.Event{Kind: telemetry.EventResume, At: float64(now),
 				Group: ev.GroupID, Flow: ev.FlowID,
 				Detail: fmt.Sprintf("offset %v of %v", ev.Offset, f.flow.Size)})
@@ -858,9 +845,7 @@ func (c *Coordinator) applyFlowLocked(ev wire.FlowEvent, now unit.Time) error {
 func (c *Coordinator) Tick() (map[string]unit.Rate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushCoalescedLocked()
-	c.advanceLocked()
-	return c.rescheduleLocked()
+	return c.commitLocked(&journalEvent{Kind: jTick, At: c.instantLocked()})
 }
 
 // GroupStatus reports a group's reference time and achieved tardiness.
@@ -874,11 +859,8 @@ func (c *Coordinator) GroupStatus(groupID string) (reference, tardiness unit.Tim
 	return g.state.Reference, g.state.AchievedTardiness, nil
 }
 
-// advanceLocked integrates estimated progress since the last event.
-func (c *Coordinator) advanceLocked() { c.advanceToLocked(c.now()) }
-
-// advanceToLocked integrates up to an explicit time — journal replay drives
-// it with recorded event times instead of the live clock.
+// advanceToLocked integrates estimated progress since the last record up to
+// the given one's time: a clock reading live, the recorded one in replay.
 func (c *Coordinator) advanceToLocked(now unit.Time) {
 	dt := now - c.lastAdvance
 	if dt <= 0 {
@@ -943,20 +925,12 @@ func (c *Coordinator) buildSnapshotLocked() *sched.Snapshot {
 	return snap
 }
 
-// rescheduleLocked runs a full Schedule over active flows and stores the new
-// rates. The returned map covers every active flow.
-func (c *Coordinator) rescheduleLocked() (map[string]unit.Rate, error) {
-	return c.rescheduleSnapLocked(nil)
-}
-
-// rescheduleDeltaLocked reschedules after an event whose effect is confined
-// to the given groups, preferring the scheduler's incremental Apply and
-// falling back to a full Schedule when the patch is refused.
-func (c *Coordinator) rescheduleDeltaLocked(gids []string) (map[string]unit.Rate, error) {
-	return c.rescheduleSnapLocked(gids)
-}
-
-func (c *Coordinator) rescheduleSnapLocked(deltaGroups []string) (map[string]unit.Rate, error) {
+// rescheduleLocked runs a scheduling pass over active flows and stores the
+// new rates; the returned map covers every active flow. With deltaGroups nil
+// it is a full Schedule; otherwise the record's effect is confined to those
+// groups and the scheduler's incremental Apply is preferred, falling back to
+// a full Schedule when the patch is refused.
+func (c *Coordinator) rescheduleLocked(deltaGroups []string) (map[string]unit.Rate, error) {
 	t0 := time.Now()
 	snap := c.buildSnapshotLocked()
 	var rates map[string]unit.Rate
@@ -1001,7 +975,7 @@ func (c *Coordinator) rescheduleSnapLocked(deltaGroups []string) (map[string]uni
 		c.tel.groupsLive.Set(float64(len(c.groups)))
 		c.tel.groupsParked.Set(float64(parked))
 	}
-	if c.opts.Events != nil && !c.replaying {
+	if c.eventsOn() {
 		c.event(telemetry.Event{Kind: telemetry.EventResched, At: float64(snap.Now),
 			Detail: fmt.Sprintf("%d flows across %d groups", len(snap.Flows), len(snap.Groups))})
 	}
@@ -1099,7 +1073,7 @@ func (c *Coordinator) broadcastLocked(rates map[string]unit.Rate) {
 		for id, r := range delta {
 			s.sent[id] = r
 		}
-		if c.opts.Events != nil && !c.replaying {
+		if c.eventsOn() {
 			c.event(telemetry.Event{Kind: telemetry.EventAlloc, At: float64(c.lastAdvance), Agent: s.agent,
 				Detail: fmt.Sprintf("%d/%d entries after delta filtering", len(delta), len(rates))})
 		}
@@ -1663,7 +1637,6 @@ func (c *Coordinator) adoptSession(s *session) {
 	var revived []string
 	for gid, g := range c.groups {
 		if g.owner == s.agent && s.agent != "" && g.parked {
-			g.parked = false
 			revived = append(revived, gid)
 		}
 	}
@@ -1671,14 +1644,11 @@ func (c *Coordinator) adoptSession(s *session) {
 		return
 	}
 	c.opts.Logf("coordinator: agent %s rejoined, revived %d quarantined group(s)", s.agent, len(revived))
-	c.flushCoalescedLocked()
-	c.advanceLocked()
+	at := c.instantLocked()
 	for _, gid := range revived {
-		c.event(telemetry.Event{Kind: telemetry.EventRevive, At: float64(c.lastAdvance),
-			Group: gid, Agent: s.agent})
+		c.event(telemetry.Event{Kind: telemetry.EventRevive, At: float64(at), Group: gid, Agent: s.agent})
 	}
-	c.appendJournalLocked(journalEvent{Kind: jRevive, At: c.lastAdvance, Groups: revived})
-	if _, err := c.rescheduleLocked(); err != nil {
+	if _, err := c.commitLocked(&journalEvent{Kind: jRevive, At: at, Groups: revived}); err != nil {
 		c.opts.Logf("coordinator: reschedule after %s rejoined: %v", s.agent, err)
 	}
 }
@@ -1706,41 +1676,34 @@ func (c *Coordinator) dropSession(s *session) {
 	if len(orphaned) == 0 {
 		return
 	}
-	c.flushCoalescedLocked()
-	c.advanceLocked()
 	if c.opts.QuarantineTimeout == 0 {
-		c.evictLocked(orphaned, "agent "+s.agent+" departed")
+		c.evictLocked(orphaned, "agent "+s.agent+" departed", c.instantLocked())
 		return
 	}
-	c.parkLocked(orphaned, s.agent, "")
+	c.parkLocked(orphaned, s.agent, "", c.instantLocked())
 	c.opts.Logf("coordinator: agent %s died, parked %d group(s) for %v", s.agent, len(orphaned), c.opts.QuarantineTimeout)
-	if _, err := c.rescheduleLocked(); err != nil {
-		c.opts.Logf("coordinator: reschedule after %s departed: %v", s.agent, err)
-	}
 }
 
-// parkLocked quarantines groups: progress state retained, zero bandwidth,
-// eviction timer armed (when a quarantine window is configured), journaled.
-// Shared by session teardown and the rejoin-failure path.
-func (c *Coordinator) parkLocked(gids []string, agent, why string) {
+// parkLocked quarantines groups at the given instant: progress state
+// retained, zero bandwidth, one full pass handing their share on. Eviction
+// timers (when a quarantine window is configured) and the park generation
+// they check belong to this incarnation only, so they are armed here. Shared
+// by session teardown and the rejoin-failure path.
+func (c *Coordinator) parkLocked(gids []string, agent, why string, at unit.Time) {
 	parkedAt := c.opts.Clock()
 	for _, gid := range gids {
 		g := c.groups[gid]
-		g.parked = true
 		g.parkGen++
 		g.parkedAt = parkedAt
-		gen := g.parkGen
-		for _, f := range g.flows {
-			f.rate = 0 // parked flows make no fluid progress
-		}
 		if c.opts.QuarantineTimeout > 0 {
-			gid := gid
+			gid, gen := gid, g.parkGen
 			time.AfterFunc(c.opts.QuarantineTimeout, func() { c.evictIfStillParked(gid, gen) })
 		}
-		c.event(telemetry.Event{Kind: telemetry.EventPark, At: float64(c.lastAdvance),
-			Group: gid, Agent: agent, Detail: why})
+		c.event(telemetry.Event{Kind: telemetry.EventPark, At: float64(at), Group: gid, Agent: agent, Detail: why})
 	}
-	c.appendJournalLocked(journalEvent{Kind: jPark, At: c.lastAdvance, Groups: gids})
+	if _, err := c.commitLocked(&journalEvent{Kind: jPark, At: at, Groups: gids}); err != nil {
+		c.opts.Logf("coordinator: reschedule after parking %d group(s) of %s: %v", len(gids), agent, err)
+	}
 }
 
 // evictIfStillParked is the quarantine timer callback: the group is evicted
@@ -1761,26 +1724,21 @@ func (c *Coordinator) evictIfStillParked(gid string, gen int) {
 		time.AfterFunc(left, func() { c.evictIfStillParked(gid, gen) })
 		return
 	}
-	c.flushCoalescedLocked()
-	c.advanceLocked()
-	c.evictLocked([]string{gid}, "quarantine expired")
+	c.evictLocked([]string{gid}, "quarantine expired", c.instantLocked())
 }
 
-// evictLocked removes groups and reallocates once.
-func (c *Coordinator) evictLocked(gids []string, why string) {
+// evictLocked removes groups at the given instant, reallocates once, and
+// offers any admission slot a dissolved job freed.
+func (c *Coordinator) evictLocked(gids []string, why string, at unit.Time) {
 	for _, gid := range gids {
-		c.detachGroupFromJobLocked(gid)
-		delete(c.groups, gid)
-		c.cache.InvalidateGroup(gid)
-		c.dropGroupMetricsLocked(gid)
-		c.event(telemetry.Event{Kind: telemetry.EventEvict, At: float64(c.lastAdvance),
-			Group: gid, Detail: why})
+		c.event(telemetry.Event{Kind: telemetry.EventEvict, At: float64(at), Group: gid, Detail: why})
 	}
-	c.appendJournalLocked(journalEvent{Kind: jEvict, At: c.lastAdvance, Groups: gids})
+	_, err := c.commitLocked(&journalEvent{Kind: jEvict, At: at, Groups: gids})
 	c.opts.Logf("coordinator: evicted %d group(s): %s", len(gids), why)
-	if _, err := c.rescheduleLocked(); err != nil {
+	if err != nil {
 		c.opts.Logf("coordinator: reschedule after eviction: %v", err)
 	}
+	c.admitJobsLocked()
 }
 
 // GroupParked reports whether a group is quarantined (owner session dead,
@@ -1823,18 +1781,13 @@ func (c *Coordinator) totalTardinessLocked() unit.Time {
 func (c *Coordinator) SetCapacity(host string, egress, ingress unit.Rate) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushCoalescedLocked()
-	c.advanceLocked()
+	at := c.instantLocked()
 	if c.degrade != nil {
 		// An abandoned deadline pass may still be reading the fabric model;
 		// wait it out before mutating capacities under it.
 		c.degrade.Quiesce()
 	}
-	if err := c.opts.Net.SetCapacity(host, egress, ingress); err != nil {
-		return fmt.Errorf("coordinator: %w", err)
-	}
-	c.appendJournalLocked(journalEvent{Kind: jCapacity, At: c.lastAdvance, Host: host, Egress: egress, Ingress: ingress})
-	_, err := c.rescheduleLocked()
+	_, err := c.commitLocked(&journalEvent{Kind: jCapacity, At: at, Host: host, Egress: egress, Ingress: ingress})
 	return err
 }
 

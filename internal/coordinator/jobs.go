@@ -1,10 +1,10 @@
 // Online job arrivals: the coordinator front-ends an internal/queue.Queue.
 // Submissions arrive on the wire (submit_job), are throttled per tenant,
 // validated, and queued; admission binds workers to hosts via the configured
-// placement policy and registers the compiled groups. Every transition is
-// journaled (job-queued / job-admitted / job-departed records), so Restore
-// rebuilds the queue — pending jobs, admitted placements, sequence numbers —
-// bit-for-bit alongside the flow state.
+// placement policy and registers the compiled groups. Every transition is a
+// record committed through commitLocked (job-queued / job-admitted /
+// job-departed), so Restore rebuilds the queue — pending jobs, admitted
+// placements, sequence numbers — bit-for-bit alongside the flow state.
 package coordinator
 
 import (
@@ -69,10 +69,10 @@ func (c *Coordinator) jobGaugesLocked() {
 	c.jtel.running.Set(float64(c.queue.Running()))
 }
 
-// submitThrottledLocked applies the per-tenant submission rate limit. Replay
-// never throttles: journaled submissions were accepted by the live run.
+// submitThrottledLocked applies the per-tenant submission rate limit: a live
+// decision, made before a submission becomes a record.
 func (c *Coordinator) submitThrottledLocked(tenant string) bool {
-	if c.opts.SubmitRate <= 0 || c.replaying {
+	if c.opts.SubmitRate <= 0 {
 		return false
 	}
 	b := c.submitLimiters[tenant]
@@ -91,21 +91,17 @@ func (c *Coordinator) submitThrottledLocked(tenant string) bool {
 	return !b.Allow(1)
 }
 
-// SubmitJob validates, throttles and enqueues a job submission, then runs an
-// admission pass. The returned error, if any, carries a wire error code via
-// *queue.RejectError or the sentinel errors below.
 var errQueueDisabled = errors.New("coordinator: job queue not configured")
 
 // ErrThrottled marks a submission refused by the per-tenant rate limit.
 var ErrThrottled = errors.New("coordinator: job submission rate exceeded")
 
+// SubmitJob validates, throttles and enqueues a job submission, then runs an
+// admission pass. The returned error, if any, carries a wire error code via
+// *queue.RejectError or the sentinel errors above.
 func (c *Coordinator) SubmitJob(owner string, spec wire.JobSpec) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.submitJobLocked(owner, spec)
-}
-
-func (c *Coordinator) submitJobLocked(owner string, spec wire.JobSpec) error {
 	if c.queue == nil {
 		return errQueueDisabled
 	}
@@ -117,24 +113,14 @@ func (c *Coordinator) submitJobLocked(owner string, spec wire.JobSpec) error {
 		c.jtel.throttled.Inc()
 		return fmt.Errorf("%w (tenant %q)", ErrThrottled, tenant)
 	}
-	// One clock reading; the model moves to it only once the submission is
-	// accepted, because a refused one leaves no record for replay to advance at.
-	now := max(c.now(), c.lastAdvance)
-	j, err := c.queue.Submit(owner, spec, now)
-	if err != nil {
+	// A refused submission leaves no record and does not move the model.
+	if _, err := c.commitLocked(&journalEvent{Kind: jJobQueued, At: c.clockLocked(), Owner: owner, Job: &spec}); err != nil {
 		var rej *queue.RejectError
 		if errors.As(err, &rej) {
 			c.jtel.rejected.Inc()
 		}
 		return err
 	}
-	c.advanceToLocked(now)
-	c.appendJournalLocked(journalEvent{Kind: jJobQueued, At: now, Owner: owner, Job: &spec})
-	c.jtel.submitted.Inc()
-	c.jobGaugesLocked()
-	c.event(telemetry.Event{Kind: telemetry.EventJobQueued, At: float64(now),
-		Agent: owner, Detail: fmt.Sprintf("job %s (%s, %d workers, est %v)",
-			spec.ID, spec.Paradigm, spec.Workers, j.Est)})
 	c.pushJobUpdateLocked(owner, wire.JobUpdate{JobID: spec.ID, Status: wire.JobQueued})
 	c.admitJobsLocked()
 	return nil
@@ -170,13 +156,14 @@ func (c *Coordinator) jobViewLocked() *queue.View {
 	return v
 }
 
-// admitJobsLocked drains the queue's admissible head: each admission is
-// placed, compiled, registered and journaled; an unplaceable head is
-// rejected and the next job tried. Runs after every submission and
-// departure, at the instant (lastAdvance) of the record that triggered it;
-// never during replay (the journal carries the recorded decisions).
+// admitJobsLocked is the admission decision: it drains the queue's
+// admissible head, committing one job-admitted record per placement; an
+// unplaceable head is rejected and the next job tried. It runs after every
+// record that can free budget (submission, departure, a group's unregister or
+// eviction), at that record's instant. Replay never decides: the journal
+// carries the admissions that were made.
 func (c *Coordinator) admitJobsLocked() {
-	if c.queue == nil || c.replaying {
+	if c.queue == nil {
 		return
 	}
 	now := c.lastAdvance
@@ -184,47 +171,47 @@ func (c *Coordinator) admitJobsLocked() {
 	// turn whose Next can use it.
 	for c.queue.Ready() {
 		a, err := c.queue.Next(c.jobViewLocked(), now)
+		var rej *queue.RejectError
+		if errors.As(err, &rej) {
+			c.rejectJobLocked(rej, now)
+			continue
+		}
 		if err != nil {
-			var rej *queue.RejectError
-			if errors.As(err, &rej) {
-				c.rejectJobLocked(rej, now)
-				continue
-			}
 			c.opts.Logf("coordinator: admission: %v", err)
 			return
 		}
 		if a == nil {
 			break
 		}
-		if err := c.installJobLocked(a, now); err != nil {
+		id := a.Job.Spec.ID
+		if _, err := c.commitLocked(&journalEvent{Kind: jJobAdmitted, At: now, JobID: id, Hosts: a.Hosts, admitted: a}); err != nil {
 			// The placement was accepted but the compiled groups could not be
 			// registered (should not happen: placement hosts come from the
 			// fabric). Surface and drop the job.
-			c.opts.Logf("coordinator: install job %s: %v", a.Job.Spec.ID, err)
-			c.queue.Depart(a.Job.Spec.ID)
-			c.rejectJobLocked(&queue.RejectError{JobID: a.Job.Spec.ID, Owner: a.Job.Owner,
+			c.opts.Logf("coordinator: install job %s: %v", id, err)
+			c.rejectJobLocked(&queue.RejectError{JobID: id, Owner: a.Job.Owner,
 				Code: wire.ErrCodeBadJob, Reason: err.Error()}, now)
+			continue
 		}
+		c.pushJobUpdateLocked(a.Job.Owner, wire.JobUpdate{JobID: id, Status: wire.JobAdmitted, Hosts: a.Hosts})
 	}
-	c.jobGaugesLocked()
 }
 
-// rejectJobLocked journals and reports a dropped job. The job-departed
-// record with no groups replays as "remove from queue, no reschedule".
+// rejectJobLocked drops a job at admission time and reports it: a
+// job-departed record with no groups.
 func (c *Coordinator) rejectJobLocked(rej *queue.RejectError, now unit.Time) {
-	c.appendJournalLocked(journalEvent{Kind: jJobDeparted, At: now, JobID: rej.JobID})
-	c.jtel.rejected.Inc()
-	c.jobGaugesLocked()
+	// Never refused (the queue exists) and runs no pass: nothing to report.
+	_, _ = c.commitLocked(&journalEvent{Kind: jJobDeparted, At: now, JobID: rej.JobID})
 	c.event(telemetry.Event{Kind: telemetry.EventJobReject, At: float64(now),
 		Agent: rej.Owner, Detail: fmt.Sprintf("job %s: %s", rej.JobID, rej.Reason)})
 	c.pushJobUpdateLocked(rej.Owner,
 		wire.JobUpdate{JobID: rej.JobID, Status: wire.JobRejected, Reason: rej.Reason})
 }
 
-// installJobLocked registers an admission's compiled groups and journals the
-// placement. Shared between live admission and journal replay (which arrives
-// here via ForceAdmit with the recorded hosts).
+// installJobLocked is the job-admitted mutation: it compiles the admission
+// and registers its groups, undoing a partial registration on failure.
 func (c *Coordinator) installJobLocked(a *queue.Admitted, now unit.Time) error {
+	id := a.Job.Spec.ID
 	w, err := queue.Build(a.Job.Spec, a.Hosts)
 	if err != nil {
 		return err
@@ -235,37 +222,24 @@ func (c *Coordinator) installJobLocked(a *queue.Admitted, now unit.Time) error {
 	}
 	for i, g := range groups {
 		if err := c.addGroupLocked(a.Job.Owner, g); err != nil {
-			// Roll back the partial registration so state matches the journal
-			// (which will carry no admitted record for this job).
 			for _, done := range groups[:i] {
-				delete(c.groups, done.ID)
-				delete(c.groupJob, done.ID)
-				c.cache.InvalidateGroup(done.ID)
-				c.dropGroupMetricsLocked(done.ID)
+				c.removeGroupLocked(done.ID) // the last one takes the job with it
 			}
-			delete(c.jobGroups, a.Job.Spec.ID)
-			delete(c.jobFlowsLeft, a.Job.Spec.ID)
 			return err
 		}
-		if c.jobGroups[a.Job.Spec.ID] == nil {
-			c.jobGroups[a.Job.Spec.ID] = make(map[string]bool, len(groups))
+		if c.jobGroups[id] == nil {
+			c.jobGroups[id] = make(map[string]bool, len(groups))
 		}
-		c.jobGroups[a.Job.Spec.ID][g.ID] = true
-		c.groupJob[g.ID] = a.Job.Spec.ID
-		c.jobFlowsLeft[a.Job.Spec.ID] += len(g.Flows)
+		c.jobGroups[id][g.ID] = true
+		c.groupJob[g.ID] = id
+		c.jobFlowsLeft[id] += len(g.Flows)
 	}
-	c.appendJournalLocked(journalEvent{Kind: jJobAdmitted, At: now,
-		JobID: a.Job.Spec.ID, Hosts: a.Hosts})
 	c.jtel.admitted.Inc()
 	if c.opts.Metrics != nil {
 		c.jtel.wait.Observe(float64(now - a.Job.Arrival))
 	}
-	c.jobGaugesLocked()
 	c.event(telemetry.Event{Kind: telemetry.EventJobAdmit, At: float64(now),
-		Agent: a.Job.Owner, Detail: fmt.Sprintf("job %s on %v after %v queued",
-			a.Job.Spec.ID, a.Hosts, now-a.Job.Arrival)})
-	c.pushJobUpdateLocked(a.Job.Owner,
-		wire.JobUpdate{JobID: a.Job.Spec.ID, Status: wire.JobAdmitted, Hosts: a.Hosts})
+		Agent: a.Job.Owner, Detail: fmt.Sprintf("job %s on %v after %v queued", id, a.Hosts, now-a.Job.Arrival)})
 	return nil
 }
 
@@ -284,40 +258,42 @@ func submitErrCode(err error) string {
 	}
 }
 
-// departJobLocked is the live departure path: flush any open batch, journal
-// the departure, remove the job, and re-run admission on the freed budget.
+// departJobLocked is the departure decision for a job whose last flow
+// finished: close any open batch, commit the departure, notify the owner, and
+// offer the freed budget to the queue.
 func (c *Coordinator) departJobLocked(jobID string) {
-	c.flushCoalescedLocked()
-	c.advanceLocked()
-	now := c.lastAdvance
 	gids := make([]string, 0, len(c.jobGroups[jobID]))
 	for gid := range c.jobGroups[jobID] {
 		gids = append(gids, gid)
 	}
 	sort.Strings(gids)
-	c.appendJournalLocked(journalEvent{Kind: jJobDeparted, At: now, JobID: jobID, Groups: gids})
-	c.finishJobLocked(jobID, gids, now)
+	owner := c.jobOwnerLocked(jobID)
+	if _, err := c.commitLocked(&journalEvent{Kind: jJobDeparted, At: c.instantLocked(), JobID: jobID, Groups: gids}); err != nil {
+		c.opts.Logf("coordinator: reschedule after job %s departed: %v", jobID, err)
+	}
+	c.pushJobUpdateLocked(owner, wire.JobUpdate{JobID: jobID, Status: wire.JobDeparted})
 	c.admitJobsLocked()
 }
 
-// finishJobLocked removes a completed job's groups and queue entry,
-// reschedules, and records its tardiness against the placement policy. It
-// is the shared tail of the live departure and the job-departed replay.
+// finishJobLocked is the job-departed mutation. With groups, a completed job
+// leaves: its groups go (the last taking the job's indexes with it) and its
+// tardiness is recorded against the placement policy. With none it is an
+// admission-time rejection: the job leaves the queue having registered
+// nothing.
 func (c *Coordinator) finishJobLocked(jobID string, gids []string, now unit.Time) {
-	var tard float64
 	owner := c.jobOwnerLocked(jobID)
+	c.queue.Depart(jobID)
+	if len(gids) == 0 {
+		c.jtel.rejected.Inc()
+		return
+	}
+	var tard float64
 	for _, gid := range gids {
 		if g := c.groups[gid]; g != nil {
 			tard += g.state.Group.EffectiveWeight() * float64(g.state.AchievedTardiness)
-			delete(c.groups, gid)
-			c.cache.InvalidateGroup(gid)
-			c.dropGroupMetricsLocked(gid)
 		}
-		delete(c.groupJob, gid)
+		c.removeGroupLocked(gid)
 	}
-	delete(c.jobGroups, jobID)
-	delete(c.jobFlowsLeft, jobID)
-	c.queue.Depart(jobID)
 	c.jtel.departed.Inc()
 	if c.opts.Metrics != nil {
 		placer, _ := c.queue.Policy()
@@ -325,31 +301,18 @@ func (c *Coordinator) finishJobLocked(jobID string, gids []string, now unit.Time
 			"Weighted tardiness of a departed job, labeled by placement policy.",
 			"policy", placer).Observe(tard)
 	}
-	c.jobGaugesLocked()
 	c.event(telemetry.Event{Kind: telemetry.EventJobDepart, At: float64(now),
 		Agent: owner, Tardiness: tard, Detail: fmt.Sprintf("job %s (%d groups)", jobID, len(gids))})
-	if len(gids) > 0 {
-		if _, err := c.rescheduleDeltaLocked(gids); err != nil {
-			c.opts.Logf("coordinator: reschedule after job %s departed: %v", jobID, err)
-		}
-	}
-	c.pushJobUpdateLocked(owner, wire.JobUpdate{JobID: jobID, Status: wire.JobDeparted})
 }
 
-// detachGroupFromJobLocked dissolves a group's job membership when the group
-// leaves through a non-job path (unregister, eviction). When the job's last
-// group goes, the job leaves the admitted set silently — the record that
-// removed the group already implies it, so replay stays aligned without a
-// separate job-departed record.
-func (c *Coordinator) detachGroupFromJobLocked(gid string) {
-	jobID, ok := c.groupJob[gid]
-	if !ok {
-		return
-	}
-	delete(c.groupJob, gid)
-	if set := c.jobGroups[jobID]; set != nil {
-		// Unfinished flows of the departing group no longer count toward the
-		// job's completion.
+// removeGroupLocked is a group leaving, by any record: its runtime state,
+// plan-cache entries, gauges and job membership go. Unfinished flows of a
+// job's group stop counting toward the job's completion, and when the group
+// was the job's last the job leaves the admitted set with it — silently: the
+// record that removed the group already implies it.
+func (c *Coordinator) removeGroupLocked(gid string) {
+	if jobID, owned := c.groupJob[gid]; owned {
+		delete(c.groupJob, gid)
 		if g := c.groups[gid]; g != nil {
 			for _, f := range g.flows {
 				if !f.finished {
@@ -357,36 +320,32 @@ func (c *Coordinator) detachGroupFromJobLocked(gid string) {
 				}
 			}
 		}
+		set := c.jobGroups[jobID]
 		delete(set, gid)
 		if len(set) == 0 {
 			delete(c.jobGroups, jobID)
 			delete(c.jobFlowsLeft, jobID)
-			if c.queue != nil {
-				c.queue.Depart(jobID)
-				c.jobGaugesLocked()
-			}
+			c.queue.Depart(jobID)
 		}
 	}
+	delete(c.groups, gid)
+	c.cache.InvalidateGroup(gid)
+	c.dropGroupMetricsLocked(gid)
 }
 
 // jobOwnerLocked resolves a job's submitting session name, "" if unknown.
 func (c *Coordinator) jobOwnerLocked(jobID string) string {
-	if c.queue == nil {
-		return ""
-	}
 	if j := c.queue.Job(jobID); j != nil {
 		return j.Owner
 	}
 	return ""
 }
 
-// pushJobUpdateLocked notifies the submitting session of a job transition.
-// A disconnected owner just misses the update — job state is queryable on
+// pushJobUpdateLocked notifies the submitting session of a job transition,
+// after its record is committed (only the live deciders call it). A
+// disconnected owner just misses the update — job state is queryable on
 // reconnect via the admin surface, and the journal has the full history.
 func (c *Coordinator) pushJobUpdateLocked(owner string, u wire.JobUpdate) {
-	if owner == "" || c.replaying {
-		return
-	}
 	s := c.byName[owner]
 	if s == nil {
 		return

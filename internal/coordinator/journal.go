@@ -1,9 +1,9 @@
 // Coordinator durability: every state-mutating event is appended to a
 // write-ahead journal (internal/journal) and the whole control-plane state
-// is periodically compacted into a snapshot. Restore rebuilds a crashed
-// coordinator by replaying snapshot + tail: replay re-runs the same
-// advance/apply/reschedule sequence the live coordinator executed — the
-// scheduler is deterministic, so fluid-model remaining volumes, reference
+// is periodically compacted into a snapshot. The live path and Restore run
+// one state machine (commitLocked): the live side decides a record, Restore
+// reads it back, and the same function advances, mutates and reschedules —
+// the scheduler is deterministic, so fluid-model remaining volumes, reference
 // times and achieved tardiness come back bit-for-bit. Recovered groups
 // re-enter quarantine until their agents redial; the existing reconnect +
 // wire-v2 resume machinery then adopts them in place.
@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"echelonflow/internal/core"
 	"echelonflow/internal/journal"
 	"echelonflow/internal/queue"
 	"echelonflow/internal/telemetry"
@@ -40,6 +41,7 @@ const (
 	jRevive     = "revive"     // owner rejoined, groups resumed
 	jEvict      = "evict"      // quarantine expired or disabled, groups removed
 	jResched    = "resched"    // coalesced batch boundary: one reschedule over Groups
+	jTick       = "tick"       // interval tick: advance and one full pass (At only)
 
 	// Job-arrival pipeline records. A departed record with Groups is a
 	// completed job; with no Groups it is an admission-time rejection (the
@@ -70,6 +72,12 @@ type journalEvent struct {
 	Job      *wire.JobSpec    `json:"job,omitempty"`    // job-queued: the submitted spec
 	JobID    string           `json:"job_id,omitempty"` // job-admitted/departed
 	Hosts    []string         `json:"hosts,omitempty"`  // job-admitted: the placement
+
+	// In-memory forms the live side already holds, never serialised: the
+	// group Register encodes, and the admission queue.Next made (replay
+	// re-makes it from JobID and Hosts).
+	group    *core.EchelonFlow
+	admitted *queue.Admitted
 }
 
 // snapshotState is the compacted control-plane state: everything needed to
@@ -150,6 +158,14 @@ func (c *Coordinator) appendJournalLocked(ev journalEvent) {
 		c.noteJournalBrokenLocked(err, ev.At)
 		return
 	}
+	if ev.group != nil && ev.Register == nil {
+		reg, err := wire.RegisterOf(ev.group)
+		if err != nil {
+			c.opts.Logf("coordinator: journal: cannot serialize group %q: %v", ev.group.ID, err)
+			return
+		}
+		ev.Register = &reg
+	}
 	body, err := json.Marshal(ev)
 	if err != nil {
 		c.opts.Logf("coordinator: journal marshal %s: %v", ev.Kind, err)
@@ -177,7 +193,7 @@ func (c *Coordinator) appendJournalLocked(ev journalEvent) {
 	// SnapshotEvery counts journaled events, not records: a frame of N flow
 	// events moves the compaction threshold (and the recovery bound) by N.
 	// Compaction itself waits for the reschedule that follows the record
-	// (rescheduleSnapLocked).
+	// (rescheduleLocked).
 	c.journalEvents += max(1, len(ev.Flows))
 }
 
@@ -368,140 +384,155 @@ func (c *Coordinator) applySnapshotLocked(payload []byte) error {
 	return nil
 }
 
-// applyJournalLocked replays one WAL record: advance the fluid model to the
-// recorded time, re-apply the mutation, and reschedule wherever the live
-// path did. Deterministic scheduling makes the replayed trajectory equal
-// the original.
-func (c *Coordinator) applyJournalLocked(ev journalEvent) error {
+// commitLocked is the coordinator's one state transition. The live path
+// decides a record (validates the request, closes the open batch where the
+// kind is non-coalescible, reads the clock once), Restore reads one from the
+// journal, and both hand it here:
+//
+//	refuse → advance to ev.At → mutate → record → reschedule
+//
+// A refused record changes nothing and does not move the model: it leaves no
+// record for replay to advance at. The append follows the mutation (a flow
+// record carries only the events that applied) and precedes the reschedule
+// (compaction's single site is the end of a successful pass). Follow-up
+// decisions — departing a job the frame completed, admitting into a freed
+// slot, re-parking after a failed revive — are the live callers' and arrive
+// here as records of their own, which is all replay needs.
+func (c *Coordinator) commitLocked(ev *journalEvent) (map[string]unit.Rate, error) {
+	// Refusals. The fabric and the queue validate inside their own mutations;
+	// neither reads the fluid model, so those run ahead of the advance.
+	var err error
 	switch ev.Kind {
 	case jGenesis:
 		c.start = time.Unix(0, ev.Wall)
-		return nil
+		return nil, nil
 	case jRegister:
-		if ev.Register == nil {
-			return fmt.Errorf("coordinator: register record without payload")
+		if ev.group == nil {
+			return nil, fmt.Errorf("coordinator: register record without payload")
 		}
-		g, err := ev.Register.Group()
-		if err != nil {
-			return err
+		if _, dup := c.groups[ev.group.ID]; dup {
+			return nil, fmt.Errorf("coordinator: group %q already registered", ev.group.ID)
 		}
-		c.advanceToLocked(ev.At)
-		return c.addGroupLocked(ev.Owner, g)
-	case jUnregister, jEvict:
-		c.advanceToLocked(ev.At)
+	case jUnregister, jEvict, jPark, jRevive:
 		for _, gid := range ev.Groups {
 			if _, ok := c.groups[gid]; !ok {
-				return fmt.Errorf("coordinator: %s record for unknown group %q", ev.Kind, gid)
-			}
-			delete(c.groups, gid)
-			c.cache.InvalidateGroup(gid)
-			c.dropGroupMetricsLocked(gid)
-		}
-		if ev.Kind == jUnregister {
-			// Live unregister routes through the delta path; eviction uses a
-			// full pass. Replay must take the same branch for bit-equality.
-			_, err := c.rescheduleDeltaLocked(ev.Groups)
-			return err
-		}
-		_, err := c.rescheduleLocked()
-		return err
-	case jFlow:
-		if ev.Flow != nil {
-			ev.Flows = []wire.FlowEvent{*ev.Flow}
-		}
-		c.advanceToLocked(ev.At)
-		applied, _, errs := c.applyFrameLocked(ev.Flows, ev.At)
-		// A deferred record only applied its mutations live; the batch's
-		// jResched record carries the reschedule. An empty record only pins
-		// an advance.
-		if !ev.Defer && len(applied) > 0 {
-			if _, err := c.rescheduleDeltaLocked(frameGroups(applied)); err != nil {
-				errs = append(errs, err)
+				return nil, fmt.Errorf("coordinator: %s record for unknown group %q", ev.Kind, gid)
 			}
 		}
-		return errors.Join(errs...)
-	case jResched:
-		c.advanceToLocked(ev.At)
-		_, err := c.rescheduleDeltaLocked(ev.Groups)
-		return err
-	case jJobQueued:
-		if c.queue == nil {
-			return fmt.Errorf("coordinator: job record without a configured queue")
-		}
-		if ev.Job == nil {
-			return fmt.Errorf("coordinator: job-queued record without payload")
-		}
-		c.advanceToLocked(ev.At)
-		_, err := c.queue.Submit(ev.Owner, *ev.Job, ev.At)
-		return err
-	case jJobAdmitted:
-		if c.queue == nil {
-			return fmt.Errorf("coordinator: job record without a configured queue")
-		}
-		c.advanceToLocked(ev.At)
-		a, err := c.queue.ForceAdmit(ev.JobID, ev.Hosts, ev.At)
-		if err != nil {
-			return err
-		}
-		// installJobLocked registers the compiled groups exactly as the live
-		// admission did; journaling and owner pushes are replay-suppressed.
-		return c.installJobLocked(a, ev.At)
-	case jJobDeparted:
-		if c.queue == nil {
-			return fmt.Errorf("coordinator: job record without a configured queue")
-		}
-		c.advanceToLocked(ev.At)
-		if len(ev.Groups) == 0 {
-			// Admission-time rejection: the job left the queue before
-			// registering anything; no reschedule happened.
-			c.queue.Depart(ev.JobID)
-			c.jtel.rejected.Inc()
-			c.jobGaugesLocked()
-			return nil
-		}
-		c.finishJobLocked(ev.JobID, ev.Groups, ev.At)
-		return nil
 	case jCapacity:
-		c.advanceToLocked(ev.At)
-		if err := c.opts.Net.SetCapacity(ev.Host, ev.Egress, ev.Ingress); err != nil {
-			return err
+		if err = c.opts.Net.SetCapacity(ev.Host, ev.Egress, ev.Ingress); err != nil {
+			return nil, fmt.Errorf("coordinator: %w", err)
 		}
-		_, err := c.rescheduleLocked()
-		return err
-	case jPark, jRevive:
-		c.advanceToLocked(ev.At)
+	case jJobQueued, jJobAdmitted, jJobDeparted:
+		switch {
+		case c.queue == nil:
+			err = errQueueDisabled
+		case ev.Kind == jJobQueued && ev.Job == nil:
+			err = fmt.Errorf("coordinator: job-queued record without payload")
+		case ev.Kind == jJobQueued:
+			_, err = c.queue.Submit(ev.Owner, *ev.Job, ev.At)
+		case ev.Kind == jJobAdmitted && ev.admitted == nil:
+			ev.admitted, err = c.queue.ForceAdmit(ev.JobID, ev.Hosts, ev.At)
+		}
+		if err != nil {
+			return nil, err
+		}
+	case jFlow, jResched, jTick:
+	default:
+		return nil, fmt.Errorf("coordinator: unknown journal record kind %q", ev.Kind)
+	}
+
+	before := c.lastAdvance
+	c.advanceToLocked(ev.At)
+
+	// The mutation, and the pass it implies: full, a delta pass confined to
+	// some groups, or none.
+	record, full := true, false
+	var delta []string
+	var errs []error
+	switch ev.Kind {
+	case jRegister:
+		_ = c.addGroupLocked(ev.Owner, ev.group) // not a duplicate: refused above
+	case jUnregister, jEvict:
 		for _, gid := range ev.Groups {
-			g, ok := c.groups[gid]
-			if !ok {
-				return fmt.Errorf("coordinator: %s record for unknown group %q", ev.Kind, gid)
-			}
-			g.parked = ev.Kind == jPark
-			if g.parked {
+			c.removeGroupLocked(gid)
+		}
+		full, delta = ev.Kind == jEvict, ev.Groups
+	case jFlow:
+		// Only what applied is recorded; a frame in which nothing did still
+		// pins the advance, so replay integrates the steps the live model did.
+		ev.Flows, errs = c.applyFrameLocked(ev.Flows, ev.At)
+		record = len(ev.Flows) > 0 || c.lastAdvance != before
+		if !ev.Defer && len(ev.Flows) > 0 {
+			delta = frameGroups(ev.Flows)
+		} // else the batch's resched record carries the pass
+	case jResched:
+		delta = ev.Groups
+	case jPark, jRevive:
+		for _, gid := range ev.Groups {
+			g := c.groups[gid]
+			if g.parked = ev.Kind == jPark; g.parked {
 				for _, f := range g.flows {
-					f.rate = 0
+					f.rate = 0 // parked flows make no fluid progress
 				}
 			}
 		}
-		_, err := c.rescheduleLocked()
-		return err
-	default:
-		return fmt.Errorf("coordinator: unknown journal record kind %q", ev.Kind)
+		full = true
+	case jCapacity, jTick:
+		full = true
+	case jJobQueued:
+		c.jtel.submitted.Inc()
+		if c.eventsOn() {
+			c.event(telemetry.Event{Kind: telemetry.EventJobQueued, At: float64(ev.At),
+				Agent: ev.Owner, Detail: fmt.Sprintf("job %s (%s, %d workers, est %v)",
+					ev.Job.ID, ev.Job.Paradigm, ev.Job.Workers, c.queue.Job(ev.Job.ID).Est)})
+		}
+	case jJobAdmitted:
+		if err = c.installJobLocked(ev.admitted, ev.At); err != nil {
+			return nil, err
+		}
+	case jJobDeparted:
+		c.finishJobLocked(ev.JobID, ev.Groups, ev.At)
+		delta = ev.Groups // none for an admission-time rejection
 	}
+	c.jobGaugesLocked()
+	if record {
+		c.appendJournalLocked(*ev)
+	}
+	var rates map[string]unit.Rate
+	if full {
+		rates, err = c.rescheduleLocked(nil)
+	} else if len(delta) > 0 {
+		rates, err = c.rescheduleLocked(delta)
+	}
+	if err != nil {
+		errs = append(errs, err)
+	}
+	return rates, errors.Join(errs...) // nil when nothing was refused or failed
 }
 
-// primeDeltaLocked rebuilds the incremental scheduler's internal state from
-// snapshot-restored flow rates, so tail replay takes the same delta-vs-full
-// branches the live run took. Without priming, the first replayed delta
-// event would fall back to a full pass ("cold-state") — still a valid
-// allocation, but potentially a different one for flows the live delta pass
-// held, breaking bit-for-bit recovery. Compaction only runs at reschedule
-// boundaries (never mid-batch), so the restored rates are exactly the
-// allocation the live scheduler's state was captured against.
-func (c *Coordinator) primeDeltaLocked() {
-	if c.delta == nil {
+// applyJournalLocked replays one WAL record: decode it, bring it to the form
+// the live side commits, and run the same transition. An individually
+// inconsistent record is logged and skipped rather than aborting recovery.
+func (c *Coordinator) applyJournalLocked(raw []byte) {
+	var ev journalEvent
+	err := json.Unmarshal(raw, &ev)
+	if err != nil {
+		c.opts.Logf("coordinator: skipping corrupt journal record: %v", err)
 		return
 	}
-	c.delta.Prime(c.buildSnapshotLocked(), c.opts.Net, c.currentRatesLocked())
+	if ev.Flow != nil { // journals from before frames: one event per record
+		ev.Flows = []wire.FlowEvent{*ev.Flow}
+	}
+	if ev.Register != nil {
+		ev.group, err = ev.Register.Group()
+	}
+	if err == nil {
+		_, err = c.commitLocked(&ev)
+	}
+	if err != nil {
+		c.opts.Logf("coordinator: skipping journal record %s@%v: %v", ev.Kind, ev.At, err)
+	}
 }
 
 // parkRestoredLocked quarantines every recovered group until its agent
@@ -529,6 +560,41 @@ func (c *Coordinator) parkRestoredLocked() int {
 	return parked
 }
 
+// replayLocked rebuilds the state a journal directory recorded: the snapshot,
+// then every tail record through commitLocked with outputs suppressed.
+func (c *Coordinator) replayLocked(rec *journal.Recovery) error {
+	c.replaying = true
+	defer func() { c.replaying = false }()
+	if c.degrade != nil {
+		// Replay must re-run the recorded passes unbounded: a budget overrun
+		// here would substitute fallback allocations where the live run used
+		// the primary, silently breaking bit-for-bit recovery.
+		c.degrade.Bypass(true)
+		defer c.degrade.Bypass(false)
+	}
+	if rec.Snapshot != nil {
+		if err := c.applySnapshotLocked(rec.Snapshot); err != nil {
+			return err
+		}
+		if c.delta != nil {
+			// Rebuild the incremental scheduler's state from the restored rates
+			// so the tail takes the delta-vs-full branches the live run took: a
+			// cold first delta would fall back to a full pass and could differ
+			// in flows the live pass held. Compaction only runs at reschedule
+			// boundaries, so these rates are the allocation that state was
+			// captured against.
+			c.delta.Prime(c.buildSnapshotLocked(), c.opts.Net, c.currentRatesLocked())
+		}
+	}
+	for _, raw := range rec.Tail {
+		c.applyJournalLocked(raw)
+	}
+	if rec.Torn {
+		c.opts.Logf("coordinator: journal had a torn final record (crash mid-append); dropped")
+	}
+	return nil
+}
+
 // Restore builds a Coordinator from a journal directory, replaying any
 // prior state, and enables journaling for the new incarnation. An empty or
 // missing directory is a fresh start: behavior is identical to New plus
@@ -545,34 +611,8 @@ func Restore(opts Options, dir string) (*Coordinator, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.replaying = true
-	if c.degrade != nil {
-		// Replay must re-run the recorded passes unbounded: a budget overrun
-		// here would substitute fallback allocations where the live run used
-		// the primary, silently breaking bit-for-bit recovery.
-		c.degrade.Bypass(true)
-		defer c.degrade.Bypass(false)
-	}
-	if rec.Snapshot != nil {
-		if err := c.applySnapshotLocked(rec.Snapshot); err != nil {
-			c.replaying = false
-			return nil, err
-		}
-		c.primeDeltaLocked()
-	}
-	for _, raw := range rec.Tail {
-		var ev journalEvent
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			c.opts.Logf("coordinator: skipping corrupt journal record: %v", err)
-			continue
-		}
-		if err := c.applyJournalLocked(ev); err != nil {
-			c.opts.Logf("coordinator: skipping journal record %s@%v: %v", ev.Kind, ev.At, err)
-		}
-	}
-	c.replaying = false
-	if rec.Torn {
-		c.opts.Logf("coordinator: journal had a torn final record (crash mid-append); dropped")
+	if err := c.replayLocked(rec); err != nil {
+		return nil, err
 	}
 	parked := c.parkRestoredLocked()
 
