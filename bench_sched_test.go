@@ -11,6 +11,7 @@ package echelonflow
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,16 +180,81 @@ func BenchmarkSchedule_256Hosts8Jobs_Instrumented(b *testing.B) {
 	benchSchedule(b, 256, 8, echelonInstrumented)
 }
 
-// echelonDeadline wraps the production configuration in the overload-budget
-// layer with a deliberately generous budget, so the breaker never trips and
-// the benchmark isolates the wrapper's steady-state cost: the snapshot copy
-// handed to the abandonable pass plus the slot/timer bookkeeping.
+// budgetedScheduler arms every pass's Snapshot.Stop the way a coordinator
+// with a SchedDeadline does — time since the pass began, against the budget.
+type budgetedScheduler struct {
+	sched.EchelonMADD
+	budget time.Duration
+}
+
+func (s budgetedScheduler) Schedule(snap *sched.Snapshot, net fabric.Fabric) (map[string]unit.Rate, error) {
+	start := time.Now()
+	snap.Stop = func() bool { return time.Since(start) > s.budget }
+	defer func() { snap.Stop = nil }()
+	return s.EchelonMADD.Schedule(snap, net)
+}
+
+// echelonDeadline is the production configuration under a one-minute
+// budget, which no pass comes near: the benchmark prices the budget's
+// steady-state cost, one clock reading per group boundary.
 func echelonDeadline() sched.Scheduler {
-	return sched.WithDeadline(echelonCached(), sched.DeadlineOptions{Budget: time.Minute})
+	return budgetedScheduler{EchelonMADD: sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}, budget: time.Minute}
 }
 
 func BenchmarkSchedule_256Hosts8Jobs_Deadline(b *testing.B) {
 	benchSchedule(b, 256, 8, echelonDeadline)
+}
+
+// BenchmarkSchedule_4096Hosts64Jobs_Overshoot measures how late a budgeted
+// pass can return. A pass stops only at a group boundary, so the stretches
+// it cannot cut short are: the setup before the first boundary (validation,
+// link table, grouping — ns/setup), the longest single group's plan, solo
+// or allocated (ns/group), and the backfill, clamp and feasibility check
+// after the last boundary (ns/tail). The overshoot past an expired budget is
+// the larger of the last two (ns/overshoot). Measured on a cold (cache-less)
+// full pass over the 64-job steady state, the worst case: every group is
+// planned twice. Each metric is the median over the b.N passes of that
+// pass's longest stretch, so a GC pause in one pass does not set it.
+func BenchmarkSchedule_4096Hosts64Jobs_Overshoot(b *testing.B) {
+	snap, net, _, err := buildEventWorld(4096, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := sched.EchelonMADD{Backfill: true}
+	var setup, group, tail, total []time.Duration
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		last, longest := start, time.Duration(0)
+		snap.Stop = func() bool {
+			now := time.Now()
+			if last == start {
+				setup = append(setup, now.Sub(last))
+			} else {
+				longest = max(longest, now.Sub(last))
+			}
+			last = now
+			return false
+		}
+		if _, err := s.Schedule(snap, net); err != nil {
+			b.Fatal(err)
+		}
+		now := time.Now()
+		group, tail, total = append(group, longest), append(tail, now.Sub(last)), append(total, now.Sub(start))
+	}
+	snap.Stop = nil
+	median := func(ds []time.Duration) float64 {
+		slices.Sort(ds)
+		return float64(ds[len(ds)/2].Nanoseconds())
+	}
+	over := make([]time.Duration, len(group))
+	for i := range group {
+		over[i] = max(group[i], tail[i])
+	}
+	b.ReportMetric(median(setup), "ns/setup")
+	b.ReportMetric(median(group), "ns/group")
+	b.ReportMetric(median(tail), "ns/tail")
+	b.ReportMetric(median(over), "ns/overshoot")
+	b.ReportMetric(median(total), "ns/schedcall")
 }
 
 func BenchmarkSchedule_512Hosts12Jobs(b *testing.B) {

@@ -255,7 +255,7 @@ func main() {
 // nightly soak: POST /chaos?fault=KIND&d=DURATION injects (or, with d=0,
 // clears) one fault.
 //
-//	fault=sched-stall   d=500ms            slow every scheduling pass by d
+//	fault=sched-stall   d=500ms            count every scheduling pass d slower against -sched-deadline
 //	fault=agent-stall   d=2s&agent=lg0     stall writes to one agent's socket
 //	fault=fsync-stall   d=20ms             slow every journal fsync
 func chaosHandler(coord *coordinator.Coordinator) http.HandlerFunc {

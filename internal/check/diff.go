@@ -170,8 +170,13 @@ type replayHooks struct {
 	// to arm the scheduler deadline.
 	tweak func(*coordinator.Options)
 	// before runs immediately before event i is applied, against the live
-	// coordinator — the chaos injection point.
+	// coordinator — the chaos injection point. After a crash it runs on the
+	// restored coordinator before its groups are re-registered.
 	before func(co *coordinator.Coordinator, i int) error
+	// inPlace restores a crash at the instant of the last event before it
+	// rather than the crash event's own: no outage, so no flow in flight
+	// across the crash drifts.
+	inPlace bool
 }
 
 // replayRun drives the event script against a live coordinator with an
@@ -283,18 +288,22 @@ func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks
 	evs := buildReplayEvents(c, res)
 	for i, ev := range evs {
 		if crashSet[i] {
-			clk.setAt(ev.at)
+			if !hooks.inPlace {
+				clk.setAt(ev.at)
+			}
 			co = nil // the kill: no Close, no flush; only the journal survives
 			co, err = coordinator.Restore(mkOpts(), dir)
 			if err != nil {
 				return nil, err
 			}
-			if err := register(); err != nil {
-				return nil, err
-			}
 		}
 		if hooks.before != nil {
 			if err := hooks.before(co, i); err != nil {
+				return nil, err
+			}
+		}
+		if crashSet[i] {
+			if err := register(); err != nil {
 				return nil, err
 			}
 		}
@@ -462,12 +471,7 @@ func diffJournal(c *compiled, res *sim.Result) []Violation {
 	}
 	tc := evs[crashAt].at
 	drifted := driftedFlows(res, tc)
-	times := make([]unit.Time, 0, len(golden.ratesAt))
-	for t := range golden.ratesAt {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	for _, t := range times {
+	for _, t := range sortedTimes(golden.ratesAt) {
 		if t >= tc && driftActiveAt(res, drifted, t) {
 			continue
 		}
@@ -521,11 +525,10 @@ func driftedFlowsWindow(res *sim.Result, t1, t2 unit.Time) map[string]bool {
 	return drifted
 }
 
-// Degrade-episode parameters: the stall exceeds the budget so every
-// in-episode pass degrades (the first by overrun, the rest by a busy slot),
-// while the budget still leaves generous headroom for a legitimate primary
-// pass on a loaded CI machine, so the run outside the episode never degrades
-// spuriously. A seed costs about one budget wait plus a partial stall drain.
+// Degrade-episode parameters: the stall exceeds the budget, so every
+// in-episode pass overruns. Both count on the replay's frozen clock, on which
+// a pass takes no time at all: the outcome is decided by the stall alone,
+// never by how loaded the machine running the oracle is.
 const (
 	degradeBudget = 50 * time.Millisecond
 	degradeStall  = 75 * time.Millisecond
@@ -538,6 +541,10 @@ const (
 // accounting matches the unconstrained run bit-for-bit, and once the stall
 // clears the allocation trajectory re-converges bit-for-bit with the
 // non-degraded run at every instant not lawfully tainted by episode drift.
+// A second degraded run is killed in the middle of the episode and restored
+// from its journal in place; it must equal the uninterrupted degraded run at
+// every instant, with no drift shadow — the journal records which passes
+// fell back, and replay follows it.
 func diffDegrade(c *compiled, res *sim.Result) []Violation {
 	evs := buildReplayEvents(c, res)
 	if len(evs) < 3 {
@@ -553,24 +560,19 @@ func diffDegrade(c *compiled, res *sim.Result) []Violation {
 		tweak: func(o *coordinator.Options) {
 			o.SchedDeadline = degradeBudget
 			// The oracle watches the deadline fallback itself; keep the
-			// breaker out of the way (its cooldown is wall-clock and would
-			// make post-episode behavior timing-dependent).
+			// breaker out of the way.
 			o.DeadlineTripAfter = 1 << 20
 		},
+		// Every event sets the stall it falls under, so a coordinator
+		// restored mid-episode is stalled like the one that crashed.
 		before: func(co *coordinator.Coordinator, i int) error {
-			switch i {
-			case epStart:
-				return co.SetSchedStall(degradeStall)
-			case epEnd:
+			if i == epEnd {
 				sawDegrade = co.SchedDegraded()
-				if err := co.SetSchedStall(0); err != nil {
-					return err
-				}
-				// Wait out the abandoned stalled pass so the recovery pass is
-				// deterministic instead of racing the drain for the slot.
-				co.QuiesceScheduler()
 			}
-			return nil
+			if i >= epStart && i < epEnd {
+				return co.SetSchedStall(degradeStall)
+			}
+			return co.SetSchedStall(0)
 		},
 	}
 	degraded, err := replayRunExt(c, res, "", nil, hooks)
@@ -602,12 +604,7 @@ func diffDegrade(c *compiled, res *sim.Result) []Violation {
 	// degraded run's allocations are bit-equal to the non-degraded run's.
 	t1, t2 := evs[epStart].at, evs[epEnd].at
 	drifted := driftedFlowsWindow(res, t1, t2)
-	times := make([]unit.Time, 0, len(golden.ratesAt))
-	for t := range golden.ratesAt {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	for _, t := range times {
+	for _, t := range sortedTimes(golden.ratesAt) {
 		if t >= t1 && (t < t2 || driftActiveAt(res, drifted, t)) {
 			continue
 		}
@@ -615,7 +612,55 @@ func diffDegrade(c *compiled, res *sim.Result) []Violation {
 			out = append(out, vf(OracleDegrade, "allocations at t=%v: golden %v vs degraded %v", t, golden.ratesAt[t], degraded.ratesAt[t]))
 		}
 	}
+	if epEnd-epStart < 2 {
+		return out // no crash point with stalled events on both sides
+	}
+	return append(out, degradeRestore(c, res, hooks, degraded, epStart+(epEnd-epStart)/2)...)
+}
+
+// degradeRestore is the degrade oracle's crash arm: the degraded run again,
+// journaled and killed before event crashAt, restored in place; everything
+// it reports must equal the uninterrupted degraded run's, bit for bit. The
+// events on both sides of crashAt are in the episode, so the pass reviving
+// the restored groups is a fallback over the state the last one planned
+// over, as it is in the run that never crashed.
+func degradeRestore(c *compiled, res *sim.Result, hooks replayHooks, degraded *replayOutcome, crashAt int) []Violation {
+	dir, err := os.MkdirTemp("", "echelon-check-degrade-*")
+	if err != nil {
+		return []Violation{vf(OracleDegrade, "journal dir: %v", err)}
+	}
+	defer os.RemoveAll(dir)
+	hooks.inPlace = true
+	restored, err := replayRunExt(c, res, dir, []int{crashAt}, hooks)
+	if err != nil {
+		return []Violation{vf(OracleDegrade, "crash replay: %v", err)}
+	}
+	var out []Violation
+	for _, gid := range c.groupIDs() {
+		if degraded.refs[gid] != restored.refs[gid] || degraded.tards[gid] != restored.tards[gid] {
+			out = append(out, vf(OracleDegrade, "group %s ref/tardiness: degraded %v/%v vs restored mid-episode %v/%v",
+				gid, degraded.refs[gid], degraded.tards[gid], restored.refs[gid], restored.tards[gid]))
+		}
+	}
+	if degraded.total != restored.total {
+		out = append(out, vf(OracleDegrade, "total tardiness: degraded %v vs restored mid-episode %v", degraded.total, restored.total))
+	}
+	for _, t := range sortedTimes(degraded.ratesAt) {
+		if !reflect.DeepEqual(degraded.ratesAt[t], restored.ratesAt[t]) {
+			out = append(out, vf(OracleDegrade, "allocations at t=%v: degraded %v vs restored mid-episode %v", t, degraded.ratesAt[t], restored.ratesAt[t]))
+		}
+	}
 	return out
+}
+
+// sortedTimes lists a per-instant allocation map's instants in order.
+func sortedTimes(ratesAt map[unit.Time]map[string]unit.Rate) []unit.Time {
+	times := make([]unit.Time, 0, len(ratesAt))
+	for t := range ratesAt {
+		times = append(times, t)
+	}
+	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	return times
 }
 
 // feasibleAt checks per-instant allocation maps against the capacity
@@ -624,12 +669,7 @@ func diffDegrade(c *compiled, res *sim.Result) []Violation {
 func feasibleAt(oracle string, c *compiled, ratesAt map[unit.Time]map[string]unit.Rate) []Violation {
 	var out []Violation
 	ct := newCapTimeline(c.sc.Hosts, c.caps)
-	times := make([]unit.Time, 0, len(ratesAt))
-	for t := range ratesAt {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	for _, t := range times {
+	for _, t := range sortedTimes(ratesAt) {
 		rates := ratesAt[t]
 		ids := make([]string, 0, len(rates))
 		for id := range rates {

@@ -34,7 +34,9 @@ func bindingLeafSpine(hosts []HostSpec) fabric.Fabric {
 // coordinator's 1-byte remaining floor, diverging live rates from the
 // simulator at t=0; seed 110: a NIC degrade compacted out of the journal
 // tail, so the restored coordinator planned against construction-time
-// capacities — binding only on the leaf-spine replay); a regression would
+// capacities — binding only on the leaf-spine replay; seed 1: a
+// coordinator killed mid degrade episode replayed the primary scheduler
+// where live had pushed max-min fair fallback rates); a regression would
 // re-fire its oracle here.
 func TestCheckedInRepros(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "repros")

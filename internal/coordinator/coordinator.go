@@ -89,12 +89,14 @@ type Options struct {
 	SubmitRate  float64
 	SubmitBurst float64
 	// SchedDeadline, when positive, bounds every scheduling pass with this
-	// time budget (sched.WithDeadline): on overrun the pass is abandoned and
-	// a max-min fair fallback allocation is pushed instead, so a slow or
-	// wedged scheduler degrades the allocation quality rather than stalling
-	// event handling. DeadlineTripAfter consecutive overruns/errors open a
-	// circuit breaker that keeps the fallback in force for DeadlineCooldown
-	// before probing recovery (defaults: 3 and 10x the budget).
+	// time budget, measured on Clock: the pass stops at its next group
+	// boundary once over budget (sched.Snapshot.Stop) and a max-min fair
+	// fallback allocation is pushed instead, so a slow scheduler degrades the
+	// allocation quality rather than stalling event handling. The outcome is
+	// journaled, so Restore replays the fallback where live used it.
+	// DeadlineTripAfter consecutive overruns/errors open a circuit breaker
+	// that keeps the fallback in force for DeadlineCooldown before probing
+	// recovery (defaults: 3 and 10x the budget).
 	SchedDeadline     time.Duration
 	DeadlineTripAfter int
 	DeadlineCooldown  time.Duration
@@ -189,11 +191,15 @@ type Coordinator struct {
 	// wrapper). Nil means every reschedule is a full Schedule.
 	delta sched.DeltaScheduler
 
-	// degrade is the deadline wrapper's control handle when SchedDeadline is
-	// configured (resolved in New before instrumenting). degraded tracks the
-	// last pass's regime under mu, so transitions emit exactly one event.
-	degrade  sched.DegradeControl
-	degraded bool
+	// dirty is set by a pass that ran the max-min fair fallback and cleared
+	// by the next primary full pass; while set, delta reschedules run full
+	// and compaction waits. It is state: replay sets and clears it from the
+	// records' fallback field. strikes and breakerUntil are the deadline
+	// budget's circuit breaker, live-only (a restored incarnation starts
+	// closed). All three are guarded by mu.
+	dirty        bool
+	strikes      int
+	breakerUntil time.Time
 
 	// inboundDepth counts events received from agent sockets but not yet
 	// fully handled, across all sessions — the backlog the shed high-water
@@ -201,6 +207,9 @@ type Coordinator struct {
 	// latency (nanos) behind the faults.FsyncStall chaos hook.
 	inboundDepth atomic.Int64
 	fsyncStall   atomic.Int64
+	// schedStall is the injected scheduling time (nanos) behind the
+	// faults.SchedStall chaos hook, added to every budgeted pass's elapsed.
+	schedStall atomic.Int64
 
 	// pingNonce numbers coordinator-initiated RTT pings (under mu).
 	pingNonce uint64
@@ -355,18 +364,13 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.Scheduler == nil {
 		opts.Scheduler = sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}
 	}
-	// The deadline wrapper goes on before Instrument so the latency
-	// histograms see the bounded call; the control handle is resolved here
-	// because Instrument does not forward it.
-	var degrade sched.DegradeControl
 	if opts.SchedDeadline > 0 {
-		wrapped := sched.WithDeadline(opts.Scheduler, sched.DeadlineOptions{
-			Budget:    opts.SchedDeadline,
-			TripAfter: opts.DeadlineTripAfter,
-			Cooldown:  opts.DeadlineCooldown,
-		})
-		degrade, _ = wrapped.(sched.DegradeControl)
-		opts.Scheduler = wrapped
+		if opts.DeadlineTripAfter == 0 {
+			opts.DeadlineTripAfter = 3
+		}
+		if opts.DeadlineCooldown == 0 {
+			opts.DeadlineCooldown = 10 * opts.SchedDeadline
+		}
 	}
 	// Instrument is the identity when Metrics is nil, so the unconfigured
 	// scheduling path is untouched.
@@ -389,7 +393,6 @@ func New(opts Options) (*Coordinator, error) {
 		jobGroups:      make(map[string]map[string]bool),
 		groupJob:       make(map[string]string),
 		jobFlowsLeft:   make(map[string]int),
-		degrade:        degrade,
 	}
 	if pc, ok := opts.Scheduler.(interface{ PlanCache() *sched.PlanCache }); ok {
 		c.cache = pc.PlanCache()
@@ -605,10 +608,10 @@ const softCoalesceWindow = 50 * time.Millisecond
 // even when coalescing is otherwise off. Zero means reschedule immediately.
 func (c *Coordinator) coalesceWindowLocked(soft bool) time.Duration {
 	win := c.opts.Coalesce
-	if win > 0 && c.degraded {
+	if win > 0 && c.dirty {
 		win *= 4
 	}
-	if win == 0 && (soft || c.degraded) {
+	if win == 0 && (soft || c.dirty) {
 		win = softCoalesceWindow
 	}
 	return win
@@ -925,38 +928,134 @@ func (c *Coordinator) buildSnapshotLocked() *sched.Snapshot {
 	return snap
 }
 
-// rescheduleLocked runs a scheduling pass over active flows and stores the
-// new rates; the returned map covers every active flow. With deltaGroups nil
-// it is a full Schedule; otherwise the record's effect is confined to those
-// groups and the scheduler's incremental Apply is preferred, falling back to
-// a full Schedule when the patch is refused.
-func (c *Coordinator) rescheduleLocked(deltaGroups []string) (map[string]unit.Rate, error) {
+// plannedPass is a reschedule planned but not yet published: the snapshot it
+// planned over, the rates (or error) it produced, and how long that took.
+type plannedPass struct {
+	snap  *sched.Snapshot
+	rates map[string]unit.Rate
+	err   error
+	took  time.Duration
+}
+
+// planLocked is the transition's plan step: one pass over the active flows at
+// the model's time — with deltaGroups nil a full Schedule, otherwise confined
+// to those groups through the incremental Apply where it can prove the patch
+// — and the outcome the record carries. A record that says Fallback runs
+// max-min fair; with a SchedDeadline the live side runs the primary against
+// the budget and sets Fallback if it must; replay runs the primary unbounded.
+// Nothing leaves the coordinator here: that is publishLocked's, after the
+// record is written.
+func (c *Coordinator) planLocked(ev *journalEvent, deltaGroups []string) *plannedPass {
 	t0 := time.Now()
-	snap := c.buildSnapshotLocked()
-	var rates map[string]unit.Rate
-	var err error
-	usedDelta := false
+	p := &plannedPass{snap: c.buildSnapshotLocked()}
+	full, reason := true, ""
+	switch {
+	case ev.Fallback: // a replayed record whose live pass fell back
+	case c.opts.SchedDeadline > 0 && !c.replaying:
+		p.rates, full, reason = c.budgetedPassLocked(p.snap, deltaGroups)
+		ev.Fallback = reason != ""
+	default:
+		p.rates, full, p.err = c.primaryPassLocked(p.snap, deltaGroups)
+	}
+	was := c.dirty
+	if ev.Fallback {
+		p.rates, p.err = sched.Fair{}.Schedule(p.snap, c.opts.Net)
+		c.dirty = true
+	} else if full && p.err == nil {
+		c.dirty = false
+	}
+	if c.dirty != was && !c.replaying {
+		c.narrateDegradeLocked(reason, p.snap.Now)
+	}
+	p.took = time.Since(t0)
+	return p
+}
+
+// primaryPassLocked runs the configured scheduler: the incremental Apply for
+// a delta pass unless the allocation in force is a fallback's (dirty), and a
+// full Schedule when Apply refuses. It reports whether the pass was full. A
+// stopped Apply is not retried in full: it is over budget already.
+func (c *Coordinator) primaryPassLocked(snap *sched.Snapshot, deltaGroups []string) (map[string]unit.Rate, bool, error) {
 	if deltaGroups != nil && c.delta != nil {
-		var ok bool
-		rates, ok, err = c.delta.Apply(snap, c.opts.Net, sched.Delta{Groups: deltaGroups})
-		if err == nil && ok {
-			usedDelta = true
-			c.tel.deltaApplied.Inc()
-		} else {
-			// Any refusal (or Apply error) falls back to the full pass,
-			// which also rebuilds the incremental state.
-			c.tel.deltaFallback.Inc()
-			rates, err = nil, nil
+		if !c.dirty {
+			rates, ok, err := c.delta.Apply(snap, c.opts.Net, sched.Delta{Groups: deltaGroups})
+			if err == nil && ok {
+				c.tel.deltaApplied.Inc()
+				return rates, false, nil
+			}
+			if errors.Is(err, sched.ErrStopped) {
+				return nil, false, err
+			}
+		}
+		// Any refusal (or Apply error) falls back to the full pass, which
+		// also rebuilds the incremental state.
+		c.tel.deltaFallback.Inc()
+	}
+	rates, err := c.opts.Scheduler.Schedule(snap, c.opts.Net)
+	return rates, true, err
+}
+
+// budgetedPassLocked is the deadline budget's live decision for one pass, on
+// the injected clock: with the breaker open it is "breaker-open" outright;
+// otherwise the primary runs with Stop armed, and a pass that stopped,
+// returned past its budget ("overrun") or failed ("error") is a breaker
+// strike. A non-empty reason means the caller runs the fallback instead.
+func (c *Coordinator) budgetedPassLocked(snap *sched.Snapshot, deltaGroups []string) (rates map[string]unit.Rate, full bool, reason string) {
+	start := c.opts.Clock()
+	if start.Before(c.breakerUntil) {
+		reason = "breaker-open"
+	} else {
+		stall := time.Duration(c.schedStall.Load())
+		over := func() bool { return c.opts.Clock().Sub(start)+stall > c.opts.SchedDeadline }
+		snap.Stop = over
+		var err error
+		rates, full, err = c.primaryPassLocked(snap, deltaGroups)
+		snap.Stop = nil
+		switch {
+		case err == nil && !over():
+			c.strikes, c.breakerUntil = 0, time.Time{}
+			return rates, full, ""
+		case err == nil || errors.Is(err, sched.ErrStopped):
+			reason = "overrun"
+		default:
+			reason = "error"
+		}
+		if c.strikes++; c.strikes >= c.opts.DeadlineTripAfter {
+			c.breakerUntil = c.opts.Clock().Add(c.opts.DeadlineCooldown)
 		}
 	}
-	if !usedDelta {
-		rates, err = c.opts.Scheduler.Schedule(snap, c.opts.Net)
+	if c.opts.Metrics != nil {
+		c.opts.Metrics.Counter(MetricSchedDegraded,
+			"Scheduling passes served by the fallback scheduler.", "reason", reason).Inc()
 	}
-	c.noteDegradeLocked(snap.Now)
-	if err != nil {
+	return nil, true, reason
+}
+
+// narrateDegradeLocked announces an edge of the dirty bit: one event and log
+// line when a fallback allocation comes into force, one when a primary full
+// pass replaces it.
+func (c *Coordinator) narrateDegradeLocked(reason string, at unit.Time) {
+	if c.dirty {
+		c.event(telemetry.Event{Kind: telemetry.EventDegrade, At: float64(at),
+			Detail: reason + "; fallback allocations in force"})
+		c.opts.Logf("coordinator: scheduler degraded (%s); falling back to max-min fair", reason)
+		return
+	}
+	c.tel.schedRecovered.Inc()
+	c.event(telemetry.Event{Kind: telemetry.EventRecover, At: float64(at), Detail: "primary pass back in force"})
+	c.opts.Logf("coordinator: scheduler recovered; primary pass back in force")
+}
+
+// publishLocked is the transition's last step, after the record: store the
+// planned rates, push them, account for the pass, and compact. The returned
+// map covers every active flow.
+func (c *Coordinator) publishLocked(p *plannedPass) (map[string]unit.Rate, error) {
+	if p.err != nil {
 		c.tel.reschedErrors.Inc()
-		return nil, fmt.Errorf("coordinator: %w", err)
+		return nil, fmt.Errorf("coordinator: %w", p.err)
 	}
+	t0 := time.Now()
+	snap, rates := p.snap, p.rates
 	c.reschedules++
 	for _, fs := range snap.Flows {
 		c.groups[fs.GroupID].flows[fs.Flow.ID].rate = rates[fs.Flow.ID]
@@ -964,7 +1063,7 @@ func (c *Coordinator) rescheduleLocked(deltaGroups []string) (map[string]unit.Ra
 	c.broadcastLocked(rates)
 	if c.opts.Metrics != nil {
 		c.tel.reschedules.Inc()
-		c.tel.rescheduleLat.Observe(time.Since(t0).Seconds())
+		c.tel.rescheduleLat.Observe((p.took + time.Since(t0)).Seconds())
 		c.tel.flowsActive.Set(float64(len(snap.Flows)))
 		parked := 0
 		for _, g := range c.groups {
@@ -982,50 +1081,28 @@ func (c *Coordinator) rescheduleLocked(deltaGroups []string) (map[string]unit.Ra
 	// Compaction runs here and nowhere else on the live path: right after a
 	// reschedule the stored rates, the scheduler's incremental state and the
 	// journal agree. An open coalescing batch has mutations whose reschedule
-	// is still owed, so it waits for the batch's own pass.
-	if c.journal != nil && c.opts.SnapshotEvery > 0 && c.journalEvents >= c.opts.SnapshotEvery && c.pending == nil {
+	// is still owed, so it waits for the batch's own pass; fallback rates
+	// (dirty) are not an allocation the incremental state was captured
+	// against, so it waits for the primary pass that clears the bit.
+	if c.journal != nil && c.opts.SnapshotEvery > 0 && c.journalEvents >= c.opts.SnapshotEvery && c.compactableLocked() {
 		c.snapshotLocked()
 	}
 	return rates, nil
 }
 
-// noteDegradeLocked reconciles the coordinator's view of the scheduler's
-// degrade regime after a pass: per-reason counters on every degraded pass,
-// plus exactly one event/log line per transition in either direction. Replay
-// runs the wrapper bypassed and must not narrate.
-func (c *Coordinator) noteDegradeLocked(at unit.Time) {
-	if c.degrade == nil || c.replaying {
-		return
-	}
-	out := c.degrade.LastDegrade()
-	if out.Degraded {
-		if c.opts.Metrics != nil {
-			c.opts.Metrics.Counter(MetricSchedDegraded,
-				"Scheduling passes served by the fallback scheduler.", "reason", out.Reason).Inc()
-		}
-		if !c.degraded {
-			c.degraded = true
-			c.event(telemetry.Event{Kind: telemetry.EventDegrade, At: float64(at),
-				Detail: fmt.Sprintf("%s after %v; fallback allocations in force", out.Reason, out.Elapsed)})
-			c.opts.Logf("coordinator: scheduler degraded (%s after %v); falling back to max-min fair", out.Reason, out.Elapsed)
-		}
-		return
-	}
-	if c.degraded {
-		c.degraded = false
-		c.tel.schedRecovered.Inc()
-		c.event(telemetry.Event{Kind: telemetry.EventRecover, At: float64(at),
-			Detail: fmt.Sprintf("primary pass completed in %v", out.Elapsed)})
-		c.opts.Logf("coordinator: scheduler recovered; primary pass back in force")
-	}
-}
+// compactableLocked reports whether the current state may be compacted into
+// a snapshot: no batch owes a reschedule and no fallback allocation is in
+// force.
+func (c *Coordinator) compactableLocked() bool { return c.pending == nil && !c.dirty }
 
-// SchedDegraded reports whether the last scheduling pass fell back (or the
-// breaker is open). Always false without a configured SchedDeadline.
+// SchedDegraded reports whether the allocation in force came from the
+// max-min fair fallback of the scheduler deadline budget (the coordinator is
+// dirty until a primary full pass replaces it). Always false without a
+// configured SchedDeadline.
 func (c *Coordinator) SchedDegraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.degraded
+	return c.dirty
 }
 
 // broadcastLocked pushes an allocation to every connected session. Only
@@ -1781,36 +1858,21 @@ func (c *Coordinator) totalTardinessLocked() unit.Time {
 func (c *Coordinator) SetCapacity(host string, egress, ingress unit.Rate) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	at := c.instantLocked()
-	if c.degrade != nil {
-		// An abandoned deadline pass may still be reading the fabric model;
-		// wait it out before mutating capacities under it.
-		c.degrade.Quiesce()
-	}
-	_, err := c.commitLocked(&journalEvent{Kind: jCapacity, At: at, Host: host, Egress: egress, Ingress: ingress})
+	_, err := c.commitLocked(&journalEvent{Kind: jCapacity, At: c.instantLocked(), Host: host, Egress: egress, Ingress: ingress})
 	return err
 }
 
-// SetSchedStall injects d of artificial latency into every scheduling pass —
-// the faults.SchedStall live hook. Requires a configured SchedDeadline
-// (without one there is no wrapper to stall, and no protection to exercise).
+// SetSchedStall makes every budgeted scheduling pass count d more elapsed
+// time than it took — the faults.SchedStall live hook: a stall above the
+// budget drives every pass into the fallback exactly as a slow scheduler
+// would, without sleeping under the lock. Zero clears. Requires a configured
+// SchedDeadline (without one there is no budget to exceed).
 func (c *Coordinator) SetSchedStall(d time.Duration) error {
-	if c.degrade == nil {
+	if c.opts.SchedDeadline <= 0 {
 		return fmt.Errorf("coordinator: no scheduler deadline configured")
 	}
-	c.degrade.SetStall(d)
+	c.schedStall.Store(int64(max(d, 0)))
 	return nil
-}
-
-// QuiesceScheduler blocks until no abandoned deadline pass is still in
-// flight. Harnesses that need a deterministic end to an injected stall
-// episode (the degrade oracle) call it after clearing the stall, so the next
-// pass is guaranteed a free slot instead of racing the drain. No-op without
-// a configured SchedDeadline.
-func (c *Coordinator) QuiesceScheduler() {
-	if c.degrade != nil {
-		c.degrade.Quiesce()
-	}
 }
 
 // SetAgentStall delays the named agent's outbound frames by d each — the

@@ -72,6 +72,10 @@ type journalEvent struct {
 	Job      *wire.JobSpec    `json:"job,omitempty"`    // job-queued: the submitted spec
 	JobID    string           `json:"job_id,omitempty"` // job-admitted/departed
 	Hosts    []string         `json:"hosts,omitempty"`  // job-admitted: the placement
+	// Fallback: the record's pass ran the max-min fair fallback of the
+	// scheduler deadline budget, and replay runs it too. Absent, the primary
+	// ran — as in every record written before the field existed.
+	Fallback bool `json:"fallback,omitempty"`
 
 	// In-memory forms the live side already holds, never serialised: the
 	// group Register encodes, and the admission queue.Next made (replay
@@ -192,8 +196,8 @@ func (c *Coordinator) appendJournalLocked(ev journalEvent) {
 	}
 	// SnapshotEvery counts journaled events, not records: a frame of N flow
 	// events moves the compaction threshold (and the recovery bound) by N.
-	// Compaction itself waits for the reschedule that follows the record
-	// (rescheduleLocked).
+	// Compaction itself waits for the pass that follows the record to be
+	// published (publishLocked).
 	c.journalEvents += max(1, len(ev.Flows))
 }
 
@@ -389,12 +393,14 @@ func (c *Coordinator) applySnapshotLocked(payload []byte) error {
 // kind is non-coalescible, reads the clock once), Restore reads one from the
 // journal, and both hand it here:
 //
-//	refuse → advance to ev.At → mutate → record → reschedule
+//	refuse → advance to ev.At → mutate → plan → record → publish
 //
 // A refused record changes nothing and does not move the model: it leaves no
 // record for replay to advance at. The append follows the mutation (a flow
-// record carries only the events that applied) and precedes the reschedule
-// (compaction's single site is the end of a successful pass). Follow-up
+// record carries only the events that applied) and the plan (the record
+// carries the pass's outcome, Fallback), and precedes the publish: nothing
+// leaves the coordinator before its record, and compaction's single site is
+// the end of a successful publish. Follow-up
 // decisions — departing a job the frame completed, admitting into a freed
 // slot, re-parking after a failed revive — are the live callers' and arrive
 // here as records of their own, which is all replay needs.
@@ -496,14 +502,18 @@ func (c *Coordinator) commitLocked(ev *journalEvent) (map[string]unit.Rate, erro
 		delta = ev.Groups // none for an admission-time rejection
 	}
 	c.jobGaugesLocked()
+	var pass *plannedPass
+	if full {
+		pass = c.planLocked(ev, nil)
+	} else if len(delta) > 0 {
+		pass = c.planLocked(ev, delta)
+	}
 	if record {
 		c.appendJournalLocked(*ev)
 	}
 	var rates map[string]unit.Rate
-	if full {
-		rates, err = c.rescheduleLocked(nil)
-	} else if len(delta) > 0 {
-		rates, err = c.rescheduleLocked(delta)
+	if pass != nil {
+		rates, err = c.publishLocked(pass)
 	}
 	if err != nil {
 		errs = append(errs, err)
@@ -565,13 +575,6 @@ func (c *Coordinator) parkRestoredLocked() int {
 func (c *Coordinator) replayLocked(rec *journal.Recovery) error {
 	c.replaying = true
 	defer func() { c.replaying = false }()
-	if c.degrade != nil {
-		// Replay must re-run the recorded passes unbounded: a budget overrun
-		// here would substitute fallback allocations where the live run used
-		// the primary, silently breaking bit-for-bit recovery.
-		c.degrade.Bypass(true)
-		defer c.degrade.Bypass(false)
-	}
 	if rec.Snapshot != nil {
 		if err := c.applySnapshotLocked(rec.Snapshot); err != nil {
 			return err
@@ -580,9 +583,9 @@ func (c *Coordinator) replayLocked(rec *journal.Recovery) error {
 			// Rebuild the incremental scheduler's state from the restored rates
 			// so the tail takes the delta-vs-full branches the live run took: a
 			// cold first delta would fall back to a full pass and could differ
-			// in flows the live pass held. Compaction only runs at reschedule
-			// boundaries, so these rates are the allocation that state was
-			// captured against.
+			// in flows the live pass held. Compaction only runs after a
+			// published primary pass (never while dirty), so these rates are
+			// the allocation that state was captured against.
 			c.delta.Prime(c.buildSnapshotLocked(), c.opts.Net, c.currentRatesLocked())
 		}
 	}
@@ -633,8 +636,11 @@ func Restore(opts Options, dir string) (*Coordinator, error) {
 		c.appendJournalLocked(journalEvent{Kind: jGenesis, Wall: c.start.UnixNano()})
 	} else {
 		// Compact what was just replayed so the next crash recovers from
-		// one snapshot instead of re-replaying history.
-		c.snapshotLocked()
+		// one snapshot instead of re-replaying history — unless a fallback
+		// allocation is in force, which compaction waits out as live does.
+		if c.compactableLocked() {
+			c.snapshotLocked()
+		}
 		c.opts.Logf("coordinator: restored %d group(s) from %s (%d quarantined awaiting rejoin)",
 			len(c.groups), dir, parked)
 	}

@@ -350,13 +350,12 @@ func TestSchedulerDeadlineDegradeAndRecover(t *testing.T) {
 		t.Error("overrun-reason degrade counter not incremented")
 	}
 
-	// Clear the stall and wait out the abandoned pass, then drive one more
-	// event. While degraded it is batched (deadline-bounded), so force the
-	// flush; the unstalled primary completes and the regime recovers.
+	// Clear the stall, then drive one more event. While degraded it is
+	// batched (deadline-bounded), so force the flush; the unstalled primary
+	// completes and the regime recovers.
 	if err := c.SetSchedStall(0); err != nil {
 		t.Fatal(err)
 	}
-	c.degrade.Quiesce()
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/g", FlowID: "f1", Event: wire.EventReleased}); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +423,6 @@ func TestDegradedEventsAreBatched(t *testing.T) {
 	if err := c.SetSchedStall(0); err != nil {
 		t.Fatal(err)
 	}
-	c.degrade.Quiesce()
 	if _, err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,8 @@ import (
 // digest is the complete control-plane state: the model Restore brings back
 // (model) plus what Restore deliberately resets afterwards — stored rates and
 // parked flags, which a replay must still reproduce before the recovered
-// groups are quarantined — the job indexes, and the fabric's capacities.
+// groups are quarantined — the job indexes, the fabric's capacities, and
+// whether a fallback allocation is in force.
 type digest struct {
 	model
 	Rates     map[string]unit.Rate // "group/flow" → stored rate
@@ -35,6 +36,7 @@ type digest struct {
 	JobGroups map[string][]string
 	GroupJob  map[string]string
 	Capacity  map[string][2]unit.Rate // host → egress, ingress
+	Dirty     bool
 }
 
 func digestOf(c *Coordinator) digest {
@@ -42,6 +44,7 @@ func digestOf(c *Coordinator) digest {
 		JobGroups: make(map[string][]string), GroupJob: make(map[string]string), Capacity: make(map[string][2]unit.Rate)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	d.Dirty = c.dirty
 	for gid, g := range c.groups {
 		d.Parked[gid] = g.parked
 		for id, f := range g.flows {
@@ -75,7 +78,7 @@ func diffDigests(t *testing.T, live, replayed digest) {
 	}{
 		{"rates", live.Rates, replayed.Rates}, {"parked", live.Parked, replayed.Parked},
 		{"jobGroups", live.JobGroups, replayed.JobGroups}, {"groupJob", live.GroupJob, replayed.GroupJob},
-		{"capacity", live.Capacity, replayed.Capacity},
+		{"capacity", live.Capacity, replayed.Capacity}, {"dirty", live.Dirty, replayed.Dirty},
 	} {
 		if !reflect.DeepEqual(f.live, f.repl) {
 			t.Errorf("%s: live %v, replayed %v", f.name, f.live, f.repl)

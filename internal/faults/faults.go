@@ -58,10 +58,12 @@ const (
 	// CoordinatorRestart brings the coordinator back, recovering from its
 	// journal (coordinator.Restore) and awaiting agent re-adoption.
 	CoordinatorRestart Kind = "coordinator_restart"
-	// SchedStall injects For seconds of artificial latency into every
-	// scheduler pass — the gray-failure condition the deadline wrapper
-	// degrades under. For=0 clears the stall. The simulator's scheduler is
-	// instantaneous, so the sim driver treats it as a no-op.
+	// SchedStall adds For seconds to the elapsed time the coordinator's
+	// scheduler deadline budget measures for every pass — the gray-failure
+	// condition the budget degrades under, without sleeping: a stall above
+	// the budget sends every pass to the max-min fair fallback. For=0
+	// clears the stall. The simulator has no budget, so the sim driver
+	// treats it as a no-op.
 	SchedStall Kind = "sched_stall"
 	// AgentStall delays the named Agent's report/heartbeat path by For
 	// seconds per message, making it a straggler without killing it (the

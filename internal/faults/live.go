@@ -35,7 +35,7 @@ type LiveActions struct {
 	// RestartCoordinator brings the coordinator back, typically via
 	// coordinator.Restore on the same journal directory.
 	RestartCoordinator func() error
-	// StallScheduler injects d of artificial latency into every scheduler
+	// StallScheduler adds d to the elapsed time of every budgeted scheduler
 	// pass (sched_stall; zero clears).
 	StallScheduler func(d time.Duration) error
 	// StallAgent delays the named agent's outbound path by d per message

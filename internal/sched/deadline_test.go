@@ -1,271 +1,139 @@
 package sched
 
 import (
-	"fmt"
-	"sync"
+	"errors"
 	"testing"
-	"time"
 
+	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/unit"
 )
 
-// slowScheduler blocks each Schedule call until released (or for a fixed
-// delay), counting calls.
-type slowScheduler struct {
-	mu    sync.Mutex
-	calls int
-	delay time.Duration
-	fail  bool
+// stopAfter returns a Stop that reports true from its (n+1)-th call on, and
+// a pointer to the number of calls made.
+func stopAfter(n int) (func() bool, *int) {
+	calls := 0
+	return func() bool {
+		calls++
+		return calls > n
+	}, &calls
 }
 
-func (s *slowScheduler) Name() string { return "slow" }
-
-func (s *slowScheduler) Schedule(snap *Snapshot, net fabric.Fabric) (map[string]unit.Rate, error) {
-	s.mu.Lock()
-	s.calls++
-	d, fail := s.delay, s.fail
-	s.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
+// stopFixture is three disjoint two-stage pipelines: three groups per loop,
+// so a pass has six group boundaries (rank, then allocate).
+func stopFixture(t *testing.T) (*Snapshot, *fabric.Network) {
+	t.Helper()
+	net := fabric.NewNetwork()
+	net.AddUniformHosts(1, "a", "b", "c", "d", "e", "f")
+	groups := []*core.EchelonFlow{
+		pairGroup(t, "g1", "a", "b", 2, 2, 2),
+		pairGroup(t, "g2", "c", "d", 3, 1, 4),
+		pairGroup(t, "g3", "e", "f", 1, 3, 1),
 	}
-	if fail {
-		return nil, fmt.Errorf("slow failure")
-	}
-	rates := zeroFill(snap)
-	for id := range rates {
-		rates[id] = 42 // distinguishable from the Fair fallback
-	}
-	return rates, nil
+	return orderedSnapshot(t, 0, groups, nil), net
 }
 
-func (s *slowScheduler) setDelay(d time.Duration) {
-	s.mu.Lock()
-	s.delay = d
-	s.mu.Unlock()
-}
-
-func (s *slowScheduler) callCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls
-}
-
-func TestWithDeadlineZeroBudgetIsIdentity(t *testing.T) {
-	s := &slowScheduler{}
-	if got := WithDeadline(s, DeadlineOptions{}); got != Scheduler(s) {
-		t.Error("zero budget should return the scheduler unchanged")
-	}
-	if got := WithDeadline(nil, DeadlineOptions{Budget: time.Second}); got != nil {
-		t.Error("nil scheduler should pass through")
-	}
-}
-
+// An armed Stop that never fires changes nothing: every scheduler variant
+// returns bit-equal rates to the unarmed pass, and consults Stop at each of
+// the pass's group (or, under GlobalEDF, class) boundaries.
 func TestDeadlineIdentityWhenInBudget(t *testing.T) {
-	s := &slowScheduler{}
-	d := WithDeadline(s, DeadlineOptions{Budget: time.Second})
-	if d.Name() != "slow+deadline" {
-		t.Errorf("name = %q", d.Name())
-	}
-	snap, net := instrumentSnapshot(t)
-	rates, err := d.Schedule(snap, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rates["f"] != 42 {
-		t.Errorf("rates[f] = %v, want the primary scheduler's 42", rates["f"])
-	}
-	ctl := d.(DegradeControl)
-	if ctl.Degraded() {
-		t.Error("in-budget pass must not be degraded")
-	}
-	if out := ctl.LastDegrade(); out.Degraded || out.Reason != "" {
-		t.Errorf("outcome = %+v, want clean", out)
-	}
-}
-
-func TestDeadlineOverrunFallsBackToFair(t *testing.T) {
-	s := &slowScheduler{delay: 200 * time.Millisecond}
-	d := WithDeadline(s, DeadlineOptions{Budget: 10 * time.Millisecond, TripAfter: 100})
-	snap, net := instrumentSnapshot(t)
-	rates, err := d.Schedule(snap, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fair max-min on one 100-capacity pair gives the single flow 100.
-	if rates["f"] != 100 {
-		t.Errorf("rates[f] = %v, want max-min fallback 100", rates["f"])
-	}
-	ctl := d.(DegradeControl)
-	out := ctl.LastDegrade()
-	if !out.Degraded || out.Reason != "overrun" {
-		t.Errorf("outcome = %+v, want degraded overrun", out)
-	}
-	if !ctl.Degraded() {
-		t.Error("wrapper must report degraded after an overrun")
-	}
-	// The abandoned pass is still holding the slot: an immediate retry
-	// sheds with reason "busy" instead of queueing.
-	if _, err := d.Schedule(snap, net); err != nil {
-		t.Fatal(err)
-	}
-	if out := ctl.LastDegrade(); out.Reason != "busy" {
-		t.Errorf("retry reason = %q, want busy", out.Reason)
-	}
-	ctl.Quiesce() // drain the abandoned pass before the test exits
-}
-
-func TestDeadlineErrorFallsBack(t *testing.T) {
-	s := &slowScheduler{fail: true}
-	d := WithDeadline(s, DeadlineOptions{Budget: time.Second, TripAfter: 100})
-	snap, net := instrumentSnapshot(t)
-	rates, err := d.Schedule(snap, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rates["f"] != 100 {
-		t.Errorf("rates[f] = %v, want fallback 100", rates["f"])
-	}
-	if out := d.(DegradeControl).LastDegrade(); out.Reason != "error" {
-		t.Errorf("reason = %q, want error", out.Reason)
-	}
-}
-
-func TestDeadlineBreakerTripsAndRecovers(t *testing.T) {
-	s := &slowScheduler{}
-	var outcomes []DegradeOutcome
-	var omu sync.Mutex
-	d := WithDeadline(s, DeadlineOptions{
-		Budget:    20 * time.Millisecond,
-		TripAfter: 2,
-		Cooldown:  400 * time.Millisecond,
-		Observer: func(o DegradeOutcome) {
-			omu.Lock()
-			outcomes = append(outcomes, o)
-			omu.Unlock()
-		},
-	})
-	ctl := d.(DegradeControl)
-	snap, net := instrumentSnapshot(t)
-
-	ctl.SetStall(100 * time.Millisecond)
-	for i := 0; i < 2; i++ {
-		if _, err := d.Schedule(snap, net); err != nil {
+	for _, e := range []EchelonMADD{
+		{Backfill: true},
+		{Backfill: true, Cache: NewPlanCache()},
+		{Backfill: true, GlobalEDF: true},
+	} {
+		snap, net := stopFixture(t)
+		want, err := e.Schedule(snap, net)
+		if err != nil {
 			t.Fatal(err)
 		}
-		ctl.Quiesce() // let each abandoned pass drain so both count as overruns
+		stop, calls := stopAfter(1 << 30)
+		snap.Stop = stop
+		got, err := e.Schedule(snap, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRates(t, got, want, e.Name())
+		boundaries := 6 // three groups ranked, three allocated
+		if e.GlobalEDF {
+			boundaries = 3 + 6 // three groups ranked, six classes planned
+		}
+		if *calls != boundaries {
+			t.Errorf("%s: Stop consulted %d times, want %d", e.Name(), *calls, boundaries)
+		}
 	}
-	out := ctl.LastDegrade()
-	if !out.BreakerOpen {
-		t.Fatalf("breaker should be open after 2 overruns, outcome %+v", out)
+}
+
+// A Stop that fires cuts the pass short at the next boundary with ErrStopped
+// and no rates — at any boundary, in either loop — and the same snapshot is
+// still a valid input for the max-min fair fallback, which ignores Stop.
+func TestDeadlineOverrunFallsBackToFair(t *testing.T) {
+	for _, global := range []bool{false, true} {
+		e := EchelonMADD{Backfill: true, GlobalEDF: global}
+		for n := 0; n < 6; n++ {
+			snap, net := stopFixture(t)
+			snap.Stop, _ = stopAfter(n)
+			rates, err := e.Schedule(snap, net)
+			if !errors.Is(err, ErrStopped) || rates != nil {
+				t.Fatalf("%s stopping after %d boundaries: rates %v, err %v; want ErrStopped", e.Name(), n, rates, err)
+			}
+			fair, err := Fair{}.Schedule(snap, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := net.Feasible(requestsOf(snap.Flows), fair); err != nil || len(fair) != len(snap.Flows) {
+				t.Fatalf("fallback on the stopped snapshot: %v (%d rates)", err, len(fair))
+			}
+		}
 	}
-	// While open (and before the cooldown elapses) calls shed without
-	// touching the primary.
-	before := s.callCount()
+}
+
+// A stopped pass captures no incremental state: after a stopped full pass and
+// a stopped patch, an unbounded patch still applies against the last
+// completed pass, bit-equal to a cold full Schedule.
+func TestDeltaStoppedPassKeepsState(t *testing.T) {
+	snap, net := stopFixture(t)
+	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
 	if _, err := d.Schedule(snap, net); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.LastDegrade(); got.Reason != "breaker-open" {
-		t.Errorf("reason = %q, want breaker-open", got.Reason)
+	groups := []*core.EchelonFlow{snap.Groups["g1"].Group, snap.Groups["g2"].Group, snap.Groups["g3"].Group}
+	next := orderedSnapshot(t, 0, groups, map[string]unit.Bytes{"g1-f0": 0})
+
+	next.Stop, _ = stopAfter(0)
+	if _, err := d.Schedule(next, net); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped Schedule: err %v, want ErrStopped", err)
 	}
-	if s.callCount() != before {
-		t.Error("breaker-open call must not invoke the primary")
+	if _, ok, err := d.Apply(next, net, Delta{Groups: []string{"g1"}}); ok || !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped Apply: ok %v err %v, want ErrStopped", ok, err)
 	}
 
-	// After the cooldown the next call probes; with the stall cleared the
-	// probe succeeds and closes the breaker.
-	ctl.SetStall(0)
-	time.Sleep(420 * time.Millisecond)
-	rates, err := d.Schedule(snap, net)
+	next.Stop = nil
+	patch, ok, err := d.Apply(next, net, Delta{Groups: []string{"g1"}})
+	if err != nil || !ok {
+		t.Fatalf("Apply after the stopped passes: ok %v err %v (%+v)", ok, err, d.LastOutcome())
+	}
+	full, err := EchelonMADD{Backfill: true}.Schedule(next, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rates["f"] != 42 {
-		t.Errorf("probe rates[f] = %v, want primary 42", rates["f"])
-	}
-	if ctl.Degraded() {
-		t.Error("breaker should be closed after a successful probe")
-	}
-	omu.Lock()
-	last := outcomes[len(outcomes)-1]
-	omu.Unlock()
-	if last.Degraded {
-		t.Errorf("observer's last outcome = %+v, want recovery", last)
-	}
+	sameRates(t, patch, full, "patch after stopped passes vs cold full")
 }
 
-func TestDeadlineDeltaGatesApplyAfterDegrade(t *testing.T) {
-	inner := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
-	d := WithDeadline(inner, DeadlineOptions{Budget: 50 * time.Millisecond, TripAfter: 100})
-	dd, ok := d.(DeltaScheduler)
-	if !ok {
-		t.Fatal("wrapping a DeltaScheduler must preserve the incremental API")
-	}
-	if _, ok := d.(interface{ PlanCache() *PlanCache }); !ok {
-		t.Fatal("wrapper must forward PlanCache")
-	}
-	ctl := d.(DegradeControl)
-	snap, net := instrumentSnapshot(t)
-
-	// Clean full pass primes the delta path: Apply patches.
-	if _, err := d.Schedule(snap, net); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := dd.Apply(snap, net, Delta{Groups: []string{"g"}}); err != nil || !ok {
-		t.Fatalf("clean Apply: ok=%v err=%v, want applied", ok, err)
-	}
-
-	// A degraded full pass gates Apply until the next clean full pass.
-	ctl.SetStall(200 * time.Millisecond)
-	if _, err := d.Schedule(snap, net); err != nil {
-		t.Fatal(err)
-	}
-	ctl.Quiesce()
-	ctl.SetStall(0)
-	if _, ok, _ := dd.Apply(snap, net, Delta{Groups: []string{"g"}}); ok {
-		t.Fatal("Apply must be gated after a degraded pass")
-	}
-	if out := ctl.LastDegrade(); out.Reason != "apply-gated" {
-		t.Errorf("reason = %q, want apply-gated", out.Reason)
-	}
-	if _, err := d.Schedule(snap, net); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := dd.Apply(snap, net, Delta{Groups: []string{"g"}}); err != nil || !ok {
-		t.Fatalf("post-recovery Apply: ok=%v err=%v, want applied", ok, err)
-	}
-}
-
-func TestDeadlinePlainSchedulerDoesNotExposeDelta(t *testing.T) {
-	d := WithDeadline(&slowScheduler{}, DeadlineOptions{Budget: time.Second})
-	if _, ok := d.(DeltaScheduler); ok {
-		t.Error("a plain scheduler's deadline wrapper must not satisfy DeltaScheduler")
-	}
-}
-
-// A pass that has reported its result must already have given the slot back:
-// a caller that starts its next pass at once may never find it "busy". Both
-// the Schedule and the Apply path are driven back to back, with a budget no
-// healthy pass comes near.
+// Back-to-back passes armed with a budget no healthy pass comes near never
+// stop: there is no slot or helper goroutine left over from one pass for the
+// next to find busy.
 func TestDeadlineBackToBackPassesNeverBusy(t *testing.T) {
-	inner := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
-	degraded := make(map[string]int)
-	d := WithDeadline(inner, DeadlineOptions{
-		Budget:   time.Minute,
-		Observer: func(out DegradeOutcome) { degraded[out.Reason]++ },
-	})
-	dd := d.(DeltaScheduler)
+	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
 	snap, net := instrumentSnapshot(t)
+	snap.Stop, _ = stopAfter(1 << 30)
 	const passes = 20000
 	for i := 0; i < passes; i++ {
 		if _, err := d.Schedule(snap, net); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := dd.Apply(snap, net, Delta{Groups: []string{"g"}}); err != nil {
-			t.Fatal(err)
+		if _, ok, err := d.Apply(snap, net, Delta{Groups: []string{"g"}}); err != nil || !ok {
+			t.Fatalf("pass %d: ok %v err %v", i, ok, err)
 		}
-	}
-	if n := degraded[""]; n != 2*passes || len(degraded) != 1 {
-		t.Errorf("outcomes by degrade reason = %v, want all %d clean", degraded, 2*passes)
 	}
 }

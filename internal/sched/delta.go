@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"sort"
 	"sync"
 
@@ -270,6 +271,10 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 	lt := acquireLinkTable(snap, net, compFlows)
 	defer lt.release()
 	if err := d.inner.allocate(lt, snap, lt.groups(snap)); err != nil {
+		if errors.Is(err, ErrStopped) {
+			d.last = DeltaOutcome{Reason: "stopped"}
+			return nil, false, err
+		}
 		return fall("plan-error")
 	}
 	if !lt.feasible() {

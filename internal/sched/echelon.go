@@ -345,6 +345,9 @@ func (lt *linkTable) planClass(cls deadlineClass, floor unit.Time) (unit.Time, e
 // the solo plan is cached as the fluid-model pace that decides later reuse.
 func (e EchelonMADD) rank(lt *linkTable, snap *Snapshot, groups []*passGroup) error {
 	for _, g := range groups {
+		if snap.stopped() {
+			return ErrStopped
+		}
 		if tau, ok := e.Cache.lookup(snap, lt.net, g.id, g.flows, g.floor); ok {
 			g.solo = tau
 			continue
@@ -393,7 +396,7 @@ func (lt *linkTable) addPlannedRates(flows []int32) {
 
 // planGlobalEDF reserves every group's deadline classes in one global
 // earliest-(floored)-deadline order, ties broken by rank then group ID.
-func (lt *linkTable) planGlobalEDF(groups []*passGroup) error {
+func (lt *linkTable) planGlobalEDF(snap *Snapshot, groups []*passGroup) error {
 	type gcls struct {
 		g   *passGroup
 		cls deadlineClass
@@ -415,6 +418,9 @@ func (lt *linkTable) planGlobalEDF(groups []*passGroup) error {
 		return all[i].g.id < all[j].g.id
 	})
 	for _, gc := range all {
+		if snap.stopped() {
+			return ErrStopped
+		}
 		if _, err := lt.planClass(gc.cls, gc.g.floor); err != nil {
 			return fmt.Errorf("sched: group %q: %w", gc.g.id, err)
 		}
@@ -427,17 +433,21 @@ func (lt *linkTable) planGlobalEDF(groups []*passGroup) error {
 // allocation in lt.rate: rank the groups, reserve them on the shared
 // capacity timeline group by group in rank order (or, under GlobalEDF, all
 // deadline classes in one global EDF order), backfill, and clamp float fuzz
-// so the allocation is exactly feasible.
+// so the allocation is exactly feasible. It checks snap.Stop before every
+// group (every class under GlobalEDF) of both loops.
 func (e EchelonMADD) allocate(lt *linkTable, snap *Snapshot, groups []*passGroup) error {
 	if err := e.rank(lt, snap, groups); err != nil {
 		return err
 	}
 	if e.GlobalEDF {
-		if err := lt.planGlobalEDF(groups); err != nil {
+		if err := lt.planGlobalEDF(snap, groups); err != nil {
 			return err
 		}
 	} else {
 		for _, g := range groups {
+			if snap.stopped() {
+				return ErrStopped
+			}
 			if _, err := lt.planGroup(g); err != nil {
 				return fmt.Errorf("sched: group %q: %w", g.id, err)
 			}

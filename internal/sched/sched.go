@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -40,7 +41,20 @@ type Snapshot struct {
 	Now    unit.Time
 	Flows  []*FlowState
 	Groups map[string]*GroupState
+	// Stop, when non-nil, bounds the pass: EchelonMADD (and DeltaEchelon
+	// through it) calls it at every group boundary — every deadline class
+	// under GlobalEDF — and returns ErrStopped once it reports true, having
+	// captured no incremental state. Schedulers that plan in one step ignore
+	// it. A field rather than an interface method, so wrappers that forward
+	// Schedule and Apply carry it unawares.
+	Stop func() bool
 }
+
+// ErrStopped is returned by a pass that Snapshot.Stop cut short.
+var ErrStopped = errors.New("sched: pass stopped by its budget")
+
+// stopped reports whether the pass must stop at this boundary.
+func (s *Snapshot) stopped() bool { return s.Stop != nil && s.Stop() }
 
 // Validate checks internal consistency of the snapshot.
 func (s *Snapshot) Validate() error {
