@@ -127,7 +127,7 @@ func oracleQueue(c *compiled) []Violation {
 			if j.Arrival > now {
 				now = j.Arrival
 			}
-			if _, err := q.Submit("check", wireJob(j), now); err != nil {
+			if _, err := q.Submit("check", wireJob(j), nil, now); err != nil {
 				rejected++
 			} else {
 				arrival[j.Name] = now

@@ -642,3 +642,92 @@ func benchmarkFlowFrame(b *testing.B, events int) {
 // 5 ms group-commit, 2 ms coalescing, 64 hosts, a few admitted jobs.
 func BenchmarkCoordinator_FlowFrame1(b *testing.B)  { benchmarkFlowFrame(b, 1) }
 func BenchmarkCoordinator_FlowFrame32(b *testing.B) { benchmarkFlowFrame(b, 32) }
+
+// lifecycleDeck is the live-durable job deck (six paradigms x {2, 3} workers
+// x three shape variants) and, per job, its flow events as frames of at most
+// 32: every release, then every finish. Flow and group IDs carry no host
+// name, so the frames fit any placement, and a departed job's ID is free to
+// submit again.
+func lifecycleDeck(t testing.TB) ([]wire.JobSpec, [][][]wire.FlowEvent) {
+	t.Helper()
+	var specs []wire.JobSpec
+	var frames [][][]wire.FlowEvent
+	for _, p := range []string{"dp", "ps", "pp", "1f1b", "tp", "fsdp"} {
+		for _, w := range []int{2, 3} {
+			for v := 0; v < 3; v++ {
+				s := wire.JobSpec{ID: fmt.Sprintf("d%d", len(specs)), Tenant: "t0", Paradigm: p, Workers: w,
+					Layers: max(2+v, w), Params: 2e9, Acts: 2e9, Fwd: 0.1, Bwd: 0.1, Iterations: 1 + v%2,
+					Buckets: v, Micro: 2 + v, Prefetch: v, AggTime: 0.05, UpdateTime: 0.05}
+				plan, err := queue.Compile(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hosts := make([]string, queue.HostsNeeded(s))
+				for i := range hosts {
+					hosts[i] = fmt.Sprintf("w%d", i+1)
+				}
+				groups, err := plan.Groups(hosts, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var evs []wire.FlowEvent
+				for _, kind := range []string{wire.EventReleased, wire.EventFinished} {
+					for _, g := range groups {
+						for _, f := range g.Flows {
+							evs = append(evs, wire.FlowEvent{GroupID: g.ID, FlowID: f.ID, Event: kind})
+						}
+					}
+				}
+				var job [][]wire.FlowEvent
+				for len(evs) > 0 {
+					n := min(32, len(evs))
+					job, evs = append(job, evs[:n]), evs[n:]
+				}
+				specs, frames = append(specs, s), append(frames, job)
+			}
+		}
+	}
+	return specs, frames
+}
+
+// BenchmarkCoordinator_JobLifecycle is one job's whole stay on live-durable's
+// configuration (BENCH_journal.json): submit_job, admission, every flow
+// released and finished in frames, departure, all through handleMessage. One
+// op is one job.
+func BenchmarkCoordinator_JobLifecycle(b *testing.B) {
+	opts := frameOpts(b, nil, 64)
+	opts.Queue = queue.New(queue.Options{MaxJobs: 4})
+	opts.SnapshotEvery, opts.GroupCommit, opts.Coalesce = 256, 5*time.Millisecond, 2*time.Millisecond
+	opts.Logf = func(string, ...interface{}) {}
+	c, err := Restore(opts, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	s := attachSession(c, "a1")
+	specs, frames := lifecycleDeck(b)
+	seq := c.journal.Seq()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(specs)
+		if err := c.handleMessage(s, wire.Message{Type: wire.TypeSubmitJob, SubmitJob: &wire.SubmitJob{Job: specs[k]}}); err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range frames[k] {
+			if err := c.handleMessage(s, wire.Message{Type: wire.TypeFlowBatch, FlowBatch: &wire.FlowBatch{Events: f}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for len(s.out) > 0 { // the session's writer
+			if m := <-s.out; m.Type == wire.TypeError {
+				b.Fatalf("job %s: %s", specs[k].ID, m.Error.Msg)
+			}
+		}
+	}
+	b.StopTimer()
+	if pending, running := c.QueueDepth(); pending != 0 || running != 0 {
+		b.Fatalf("%d jobs pending and %d running after the last departure", pending, running)
+	}
+	b.ReportMetric(float64(c.journal.Seq()-seq)/float64(b.N), "records/job")
+}

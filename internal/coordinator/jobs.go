@@ -100,8 +100,6 @@ var ErrThrottled = errors.New("coordinator: job submission rate exceeded")
 // admission pass. The returned error, if any, carries a wire error code via
 // *queue.RejectError or the sentinel errors above.
 func (c *Coordinator) SubmitJob(owner string, spec wire.JobSpec) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.queue == nil {
 		return errQueueDisabled
 	}
@@ -109,21 +107,49 @@ func (c *Coordinator) SubmitJob(owner string, spec wire.JobSpec) error {
 	if tenant == "" {
 		tenant = owner
 	}
-	if c.submitThrottledLocked(tenant) {
-		c.jtel.throttled.Inc()
-		return fmt.Errorf("%w (tenant %q)", ErrThrottled, tenant)
+	// The cheap refusals come first, so a throttled, full, invalid or
+	// duplicate submission never pays for a compile. Compiling is pure and
+	// the costliest step of a submission, so it runs between the two lock
+	// holds and reaches the transition on the record, which makes every
+	// refusal again against the state it commits to. A spec that does not
+	// compile arrives without a plan and is refused there.
+	c.mu.Lock()
+	err := c.submitRefusalLocked(tenant, spec)
+	c.mu.Unlock()
+	if err != nil {
+		return err
 	}
+	plan, _ := queue.Compile(spec)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// A refused submission leaves no record and does not move the model.
-	if _, err := c.commitLocked(&journalEvent{Kind: jJobQueued, At: c.clockLocked(), Owner: owner, Job: &spec}); err != nil {
-		var rej *queue.RejectError
-		if errors.As(err, &rej) {
-			c.jtel.rejected.Inc()
-		}
+	if _, err := c.commitLocked(&journalEvent{Kind: jJobQueued, At: c.clockLocked(), Owner: owner, Job: &spec, plan: plan}); err != nil {
+		c.countRefusalLocked(err)
 		return err
 	}
 	c.pushJobUpdateLocked(owner, wire.JobUpdate{JobID: spec.ID, Status: wire.JobQueued})
 	c.admitJobsLocked()
 	return nil
+}
+
+// submitRefusalLocked makes a submission's live refusals: the tenant's rate
+// limit, then the queue's pre-compile refusals.
+func (c *Coordinator) submitRefusalLocked(tenant string, spec wire.JobSpec) error {
+	if c.submitThrottledLocked(tenant) {
+		c.jtel.throttled.Inc()
+		return fmt.Errorf("%w (tenant %q)", ErrThrottled, tenant)
+	}
+	err := c.queue.Refusal(spec)
+	c.countRefusalLocked(err)
+	return err
+}
+
+// countRefusalLocked counts a submission the queue refused for good.
+func (c *Coordinator) countRefusalLocked(err error) {
+	var rej *queue.RejectError
+	if errors.As(err, &rej) {
+		c.jtel.rejected.Inc()
+	}
 }
 
 // jobViewLocked assembles the placement policies' cluster view from live
@@ -208,15 +234,12 @@ func (c *Coordinator) rejectJobLocked(rej *queue.RejectError, now unit.Time) {
 		wire.JobUpdate{JobID: rej.JobID, Status: wire.JobRejected, Reason: rej.Reason})
 }
 
-// installJobLocked is the job-admitted mutation: it compiles the admission
-// and registers its groups, undoing a partial registration on failure.
+// installJobLocked is the job-admitted mutation: it instantiates the job's
+// plan on the placement and registers its groups, undoing a partial
+// registration on failure.
 func (c *Coordinator) installJobLocked(a *queue.Admitted, now unit.Time) error {
 	id := a.Job.Spec.ID
-	w, err := queue.Build(a.Job.Spec, a.Hosts)
-	if err != nil {
-		return err
-	}
-	groups, err := queue.Groups(w, a.Job.Spec.Weight)
+	groups, err := a.Groups()
 	if err != nil {
 		return err
 	}

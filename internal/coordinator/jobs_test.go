@@ -42,6 +42,16 @@ func submitSpec(id string, workers int) wire.JobSpec {
 		Layers: 2, Params: 4, Fwd: 0.1, Bwd: 0.1, Buckets: 1, Iterations: 1, Declared: 1}
 }
 
+// jobGroupIDs names the groups a job registers when it is admitted.
+func jobGroupIDs(t testing.TB, spec wire.JobSpec) []string {
+	t.Helper()
+	plan, err := queue.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.GroupIDs()
+}
+
 // driveJob releases and finishes every comm flow of an admitted job, exactly
 // as its agent would, using the deterministic compilation on the admitted
 // placement.
@@ -85,10 +95,7 @@ func TestJobPipelineLifecycle(t *testing.T) {
 		t.Fatalf("depth=%d running=%d", pending, running)
 	}
 	// The job's compiled groups are registered under the submitter.
-	gids, err := queue.GroupIDs(spec, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gids := jobGroupIDs(t, spec)
 	for _, gid := range gids {
 		if _, ok := c.groups[gid]; !ok {
 			t.Fatalf("admitted group %s not registered", gid)
@@ -169,6 +176,22 @@ func TestSubmitJobErrors(t *testing.T) {
 	var rej *queue.RejectError
 	if !errors.As(err, &rej) || submitErrCode(err) != wire.ErrCodeBadJob {
 		t.Errorf("bad spec: err=%v code=%q", err, submitErrCode(err))
+	}
+	// A negative worker count is refused before anything sizes a placement
+	// by it, and the coordinator keeps serving.
+	for _, p := range []string{"dp", "ps"} {
+		neg := submitSpec("neg-"+p, -2)
+		neg.Paradigm = p
+		err = fresh.SubmitJob("a1", neg)
+		if !errors.As(err, &rej) || submitErrCode(err) != wire.ErrCodeBadJob {
+			t.Errorf("%s with -2 workers: err=%v code=%q", p, err, submitErrCode(err))
+		}
+	}
+	if err := fresh.SubmitJob("a1", submitSpec("after", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, _ := fresh.JobStatus("after"); status != wire.JobAdmitted {
+		t.Errorf("job after refusals: %s", status)
 	}
 }
 
@@ -305,12 +328,7 @@ func TestJobDissolvesWhenGroupsUnregistered(t *testing.T) {
 	if err := c.SubmitJob("a1", spec); err != nil {
 		t.Fatal(err)
 	}
-	_, hosts, _ := c.JobStatus("j0")
-	gids, err := queue.GroupIDs(spec, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, gid := range gids {
+	for _, gid := range jobGroupIDs(t, spec) {
 		if _, err := c.UnregisterGroup(gid); err != nil {
 			t.Fatal(err)
 		}

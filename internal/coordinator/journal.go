@@ -78,9 +78,11 @@ type journalEvent struct {
 	Fallback bool `json:"fallback,omitempty"`
 
 	// In-memory forms the live side already holds, never serialised: the
-	// group Register encodes, and the admission queue.Next made (replay
-	// re-makes it from JobID and Hosts).
+	// group Register encodes, the plan SubmitJob compiled before taking the
+	// lock, and the admission queue.Next made (replay compiles the spec in
+	// the refusal step and re-makes the admission from JobID and Hosts).
 	group    *core.EchelonFlow
+	plan     *queue.Plan
 	admitted *queue.Admitted
 }
 
@@ -297,8 +299,8 @@ func jobOf(sj snapshotJob) *queue.Job {
 }
 
 // restoreJobsLocked rebuilds the queue and the job→group index from a
-// snapshot. Group membership is recomputed from the recorded placements
-// (compilation is deterministic) and intersected with the groups the
+// snapshot. Group membership is recompiled from the recorded specs (group
+// IDs do not depend on the placement) and intersected with the groups the
 // snapshot actually restored — a group individually unregistered before the
 // snapshot must not rejoin its job.
 func (c *Coordinator) restoreJobsLocked(sj *snapshotJobs) error {
@@ -317,10 +319,11 @@ func (c *Coordinator) restoreJobsLocked(sj *snapshotJobs) error {
 	}
 	c.queue.Restore(pending, admitted, sj.Seq)
 	for _, a := range sj.Admitted {
-		gids, err := queue.GroupIDs(a.Spec, a.Hosts)
+		plan, err := queue.Compile(a.Spec)
 		if err != nil {
 			return fmt.Errorf("coordinator: snapshot job %q: %w", a.Spec.ID, err)
 		}
+		gids := plan.GroupIDs()
 		for _, gid := range gids {
 			g, live := c.groups[gid]
 			if !live || g.owner != a.Owner {
@@ -436,7 +439,7 @@ func (c *Coordinator) commitLocked(ev *journalEvent) (map[string]unit.Rate, erro
 		case ev.Kind == jJobQueued && ev.Job == nil:
 			err = fmt.Errorf("coordinator: job-queued record without payload")
 		case ev.Kind == jJobQueued:
-			_, err = c.queue.Submit(ev.Owner, *ev.Job, ev.At)
+			_, err = c.queue.Submit(ev.Owner, *ev.Job, ev.plan, ev.At)
 		case ev.Kind == jJobAdmitted && ev.admitted == nil:
 			ev.admitted, err = c.queue.ForceAdmit(ev.JobID, ev.Hosts, ev.At)
 		}

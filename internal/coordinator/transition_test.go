@@ -18,7 +18,6 @@ import (
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/journal"
-	"echelonflow/internal/queue"
 	"echelonflow/internal/sched"
 	"echelonflow/internal/unit"
 	"echelonflow/internal/wire"
@@ -265,12 +264,7 @@ func TestLiveEqualsRestorePerRecordKind(t *testing.T) {
 				released := func(gid, id string) wire.FlowEvent {
 					return wire.FlowEvent{GroupID: gid, FlowID: id, Event: wire.EventReleased}
 				}
-				jobGroupsOf := func(id string) []string {
-					_, hosts, _ := c.JobStatus(id)
-					gids, err := queue.GroupIDs(submitSpec(id, 2), hosts)
-					must(err)
-					return gids
-				}
+				jobGroupsOf := func(id string) []string { return jobGroupIDs(t, submitSpec(id, 2)) }
 				steps := []struct {
 					name string
 					do   func()
@@ -444,12 +438,7 @@ func dissolveJ0(t *testing.T, evict bool) (c *Coordinator, restore func() *Coord
 	if evict {
 		c.dropSession(&session{agent: "a1"})
 	} else {
-		_, hosts, _ := c.JobStatus("j0")
-		gids, err := queue.GroupIDs(submitSpec("j0", 2), hosts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, gid := range gids {
+		for _, gid := range jobGroupIDs(t, submitSpec("j0", 2)) {
 			if _, err := c.UnregisterGroup(gid); err != nil {
 				t.Fatal(err)
 			}

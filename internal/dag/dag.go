@@ -73,23 +73,22 @@ type Node struct {
 
 // Graph is a directed acyclic dependency graph.
 //
+// Nodes are stored by insertion position, and edges as positions, so the
+// compilers' Depend calls and every traversal index slices instead of
+// hashing IDs; the ID map is consulted only at the API boundary.
+//
 // The zero value is not ready for use; call New.
 type Graph struct {
-	nodes map[string]*Node
-	// succ[id] lists nodes depending on id; pred[id] lists dependencies.
-	succ map[string][]string
-	pred map[string][]string
-	// order preserves insertion order for deterministic iteration.
-	order []string
+	idx   map[string]int32
+	nodes []*Node // insertion order
+	// succ[i] lists the positions depending on node i; pred[i] the positions
+	// node i depends on. Both are in registration order.
+	succ, pred [][]int32
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		nodes: make(map[string]*Node),
-		succ:  make(map[string][]string),
-		pred:  make(map[string][]string),
-	}
+	return &Graph{idx: make(map[string]int32)}
 }
 
 // Add inserts a node. It returns an error if the ID is empty or duplicated.
@@ -97,11 +96,13 @@ func (g *Graph) Add(n *Node) error {
 	if n == nil || n.ID == "" {
 		return fmt.Errorf("dag: node must have an ID")
 	}
-	if _, ok := g.nodes[n.ID]; ok {
+	if _, ok := g.idx[n.ID]; ok {
 		return fmt.Errorf("dag: duplicate node %q", n.ID)
 	}
-	g.nodes[n.ID] = n
-	g.order = append(g.order, n.ID)
+	g.idx[n.ID] = int32(len(g.nodes))
+	g.nodes = append(g.nodes, n)
+	g.succ = append(g.succ, nil)
+	g.pred = append(g.pred, nil)
 	return nil
 }
 
@@ -116,14 +117,16 @@ func (g *Graph) MustAdd(n *Node) {
 // Depend records that node "to" depends on node "from" (from must finish
 // before to may start). Both nodes must already exist.
 func (g *Graph) Depend(from, to string) error {
-	if _, ok := g.nodes[from]; !ok {
+	f, ok := g.idx[from]
+	if !ok {
 		return fmt.Errorf("dag: dependency source %q not found", from)
 	}
-	if _, ok := g.nodes[to]; !ok {
+	t, ok := g.idx[to]
+	if !ok {
 		return fmt.Errorf("dag: dependency target %q not found", to)
 	}
-	g.succ[from] = append(g.succ[from], to)
-	g.pred[to] = append(g.pred[to], from)
+	g.succ[f] = append(g.succ[f], t)
+	g.pred[t] = append(g.pred[t], f)
 	return nil
 }
 
@@ -135,36 +138,55 @@ func (g *Graph) MustDepend(from, to string) {
 }
 
 // Node returns the node with the given ID, or nil.
-func (g *Graph) Node(id string) *Node { return g.nodes[id] }
+func (g *Graph) Node(id string) *Node {
+	if i, ok := g.idx[id]; ok {
+		return g.nodes[i]
+	}
+	return nil
+}
 
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.nodes) }
 
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.order))
-	for _, id := range g.order {
-		out = append(out, g.nodes[id])
+	return append([]*Node(nil), g.nodes...)
+}
+
+// ids names the nodes at the given positions (nil for none).
+func (g *Graph) ids(pos []int32) []string {
+	if len(pos) == 0 {
+		return nil
+	}
+	out := make([]string, len(pos))
+	for i, p := range pos {
+		out[i] = g.nodes[p].ID
 	}
 	return out
 }
 
 // Deps returns the IDs a node depends on, in registration order.
 func (g *Graph) Deps(id string) []string {
-	return append([]string(nil), g.pred[id]...)
+	if i, ok := g.idx[id]; ok {
+		return g.ids(g.pred[i])
+	}
+	return nil
 }
 
 // Dependents returns the IDs depending on a node, in registration order.
 func (g *Graph) Dependents(id string) []string {
-	return append([]string(nil), g.succ[id]...)
+	if i, ok := g.idx[id]; ok {
+		return g.ids(g.succ[i])
+	}
+	return nil
 }
 
 // Roots returns nodes with no dependencies, in insertion order.
 func (g *Graph) Roots() []*Node {
 	var out []*Node
-	for _, id := range g.order {
-		if len(g.pred[id]) == 0 {
-			out = append(out, g.nodes[id])
+	for i, n := range g.nodes {
+		if len(g.pred[i]) == 0 {
+			out = append(out, n)
 		}
 	}
 	return out
@@ -174,54 +196,86 @@ func (g *Graph) Roots() []*Node {
 // used to break ties, making the result deterministic). It returns an error
 // if the graph contains a cycle, naming one node on it.
 func (g *Graph) TopoSort() ([]string, error) {
-	indeg := make(map[string]int, len(g.nodes))
-	for _, id := range g.order {
-		indeg[id] = len(g.pred[id])
+	order, err := g.topo()
+	if err != nil {
+		return nil, err
 	}
-	// ready is kept sorted by insertion index for determinism.
-	pos := make(map[string]int, len(g.order))
-	for i, id := range g.order {
-		pos[id] = i
-	}
-	var ready []string
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+	return g.ids(order), nil
+}
+
+// topo is TopoSort on positions: of the nodes whose dependencies have all
+// been emitted, the earliest inserted goes next. The ready set is a min-heap
+// of positions.
+func (g *Graph) topo() ([]int32, error) {
+	indeg := make([]int32, len(g.nodes))
+	var ready []int32
+	for i := range g.nodes {
+		if indeg[i] = int32(len(g.pred[i])); indeg[i] == 0 {
+			ready = append(ready, int32(i)) // ascending: already a heap
 		}
 	}
-	out := make([]string, 0, len(g.nodes))
+	out := make([]int32, 0, len(g.nodes))
 	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		out = append(out, id)
-		newlyReady := make([]string, 0, 4)
-		for _, s := range g.succ[id] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				newlyReady = append(newlyReady, s)
+		i := ready[0]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready, 0)
+		out = append(out, i)
+		for _, s := range g.succ[i] {
+			if indeg[s]--; indeg[s] == 0 {
+				ready = append(ready, s)
+				siftUp(ready, len(ready)-1)
 			}
 		}
-		ready = append(ready, newlyReady...)
-		sort.Slice(ready, func(i, j int) bool { return pos[ready[i]] < pos[ready[j]] })
 	}
 	if len(out) != len(g.nodes) {
-		for _, id := range g.order {
-			if indeg[id] > 0 {
-				return nil, fmt.Errorf("dag: cycle involving node %q", id)
+		for i, d := range indeg {
+			if d > 0 {
+				return nil, fmt.Errorf("dag: cycle involving node %q", g.nodes[i].ID)
 			}
 		}
 	}
 	return out, nil
 }
 
+// siftUp and siftDown keep h a binary min-heap.
+func siftUp(h []int32, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDown(h []int32, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l] < h[m] {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] < h[m] {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[m], h[i] = h[i], h[m]
+		i = m
+	}
+}
+
 // Validate checks structural invariants: acyclicity and that Comm nodes have
 // src, dst and a non-negative size while Compute nodes have a host and a
 // non-negative duration.
 func (g *Graph) Validate() error {
-	if _, err := g.TopoSort(); err != nil {
+	if _, err := g.topo(); err != nil {
 		return err
 	}
-	for _, n := range g.Nodes() {
+	for _, n := range g.nodes {
 		switch n.Kind {
 		case Compute:
 			if n.Host == "" {
@@ -253,39 +307,37 @@ func (g *Graph) Validate() error {
 // iteration time on an uncontended network — the lower bound EchelonFlow
 // scheduling aims for (Property 1).
 func (g *Graph) CriticalPath(refRate unit.Rate) (unit.Time, []string, error) {
-	topo, err := g.TopoSort()
+	topo, err := g.topo()
 	if err != nil {
 		return 0, nil, err
 	}
-	dist := make(map[string]unit.Time, len(topo))
-	prev := make(map[string]string, len(topo))
-	nodeCost := func(n *Node) unit.Time {
-		if n.Kind == Comm {
-			return n.Size.At(refRate)
-		}
-		return n.Duration
-	}
+	dist := make([]unit.Time, len(g.nodes))
+	prev := make([]int32, len(g.nodes))
 	var best unit.Time
-	var bestID string
-	for _, id := range topo {
-		n := g.nodes[id]
+	bestAt := int32(-1)
+	for _, i := range topo {
+		n := g.nodes[i]
 		start := unit.Time(0)
-		for _, p := range g.pred[id] {
+		prev[i] = -1
+		for _, p := range g.pred[i] {
 			if dist[p] > start {
 				start = dist[p]
-				prev[id] = p
+				prev[i] = p
 			}
 		}
-		dist[id] = start + nodeCost(n)
-		if dist[id] > best {
-			best = dist[id]
-			bestID = id
+		cost := n.Duration
+		if n.Kind == Comm {
+			cost = n.Size.At(refRate)
+		}
+		dist[i] = start + cost
+		if dist[i] > best {
+			best = dist[i]
+			bestAt = i
 		}
 	}
 	var path []string
-	for id := bestID; id != ""; {
-		path = append(path, id)
-		id = prev[id]
+	for i := bestAt; i >= 0; i = prev[i] {
+		path = append(path, g.nodes[i].ID)
 	}
 	// Reverse into execution order.
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
@@ -298,8 +350,7 @@ func (g *Graph) CriticalPath(refRate unit.Rate) (unit.Time, []string, error) {
 // by Stage then insertion order.
 func (g *Graph) GroupNodes(group string) []*Node {
 	var out []*Node
-	for _, id := range g.order {
-		n := g.nodes[id]
+	for _, n := range g.nodes {
 		if n.Kind == Comm && n.Group == group {
 			out = append(out, n)
 		}
@@ -313,8 +364,7 @@ func (g *Graph) GroupNodes(group string) []*Node {
 func (g *Graph) Groups() []string {
 	seen := make(map[string]bool)
 	var out []string
-	for _, id := range g.order {
-		n := g.nodes[id]
+	for _, n := range g.nodes {
 		if n.Kind == Comm && n.Group != "" && !seen[n.Group] {
 			seen[n.Group] = true
 			out = append(out, n.Group)
@@ -326,17 +376,18 @@ func (g *Graph) Groups() []string {
 // Merge adds every node and edge of other into g, returning an error on ID
 // collision. It is used to compose multi-job workloads onto one fabric.
 func (g *Graph) Merge(other *Graph) error {
-	for _, n := range other.Nodes() {
+	base := int32(len(g.nodes))
+	for _, n := range other.nodes {
 		cp := *n
 		if err := g.Add(&cp); err != nil {
 			return err
 		}
 	}
-	for _, id := range other.order {
-		for _, s := range other.succ[id] {
-			if err := g.Depend(id, s); err != nil {
-				return err
-			}
+	for i, succ := range other.succ {
+		for _, s := range succ {
+			from, to := base+int32(i), base+s
+			g.succ[from] = append(g.succ[from], to)
+			g.pred[to] = append(g.pred[to], from)
 		}
 	}
 	return nil

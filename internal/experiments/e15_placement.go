@@ -73,7 +73,7 @@ func e15Place(p queue.Placer, net *fabric.Network) (map[string][]string, error) 
 	q := queue.New(queue.Options{Placer: p})
 	placements := make(map[string][]string)
 	for _, tj := range e15Trace() {
-		if _, err := q.Submit("e15", tj.spec, tj.arrival); err != nil {
+		if _, err := q.Submit("e15", tj.spec, nil, tj.arrival); err != nil {
 			return nil, err
 		}
 		v := queue.NewView(net)

@@ -11,6 +11,7 @@ package queue
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"echelonflow/internal/core"
 	"echelonflow/internal/dag"
@@ -35,6 +36,10 @@ type Job struct {
 	EstStable bool
 	Bytes     unit.Bytes
 	Demand    unit.Rate
+
+	// plan is the spec compiled at submit, held until admission instantiates
+	// it. A job restored pending from a snapshot has none.
+	plan *Plan
 }
 
 // Admitted is a job bound to hosts.
@@ -42,6 +47,21 @@ type Admitted struct {
 	Job        *Job
 	Hosts      []string // placement, in binding order (ps: last host is the server)
 	AdmittedAt unit.Time
+}
+
+// Groups instantiates the job's plan on its placement with the job's weight,
+// and releases the plan: an admitted job keeps only the groups it registers.
+// A job with no plan (restored pending from a snapshot) is compiled here.
+func (a *Admitted) Groups() ([]*core.EchelonFlow, error) {
+	p := a.Job.plan
+	a.Job.plan = nil
+	if p == nil {
+		var err error
+		if p, err = Compile(a.Job.Spec); err != nil {
+			return nil, err
+		}
+	}
+	return p.Groups(a.Hosts, a.Job.Spec.Weight)
 }
 
 // HostsNeeded reports how many distinct hosts a placement must supply for
@@ -53,11 +73,16 @@ func HostsNeeded(spec wire.JobSpec) int {
 	return spec.Workers
 }
 
+// builds counts Build calls: the test that gates "a job is compiled once"
+// reads it.
+var builds atomic.Int64
+
 // Build compiles a job spec onto bound hosts (len(hosts) == HostsNeeded).
 // The compilation is deterministic in (spec, hosts), so a submitter that
 // knows its admission placement reconstructs the exact node and group IDs
 // the coordinator registered — the loadgen drives flow events this way.
 func Build(spec wire.JobSpec, hosts []string) (*ddlt.Workload, error) {
+	builds.Add(1)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,9 +120,8 @@ func Build(spec wire.JobSpec, hosts []string) (*ddlt.Workload, error) {
 	}
 }
 
-// dryHosts names enough synthetic hosts to dry-run Build for validation and
-// volume accounting before any placement exists.
-func dryHosts(n int) []string {
+// slotHosts names a placement's slots: the hosts a Plan is compiled on.
+func slotHosts(n int) []string {
 	out := make([]string, n)
 	for i := range out {
 		out[i] = fmt.Sprintf("q%d", i)
@@ -105,22 +129,115 @@ func dryHosts(n int) []string {
 	return out
 }
 
-// Inspect dry-compiles a spec on synthetic hosts, returning its total comm
-// volume. It is the submit-time validity check: an uncompilable spec (bad
-// paradigm, pipeline with fewer layers than workers, ...) is rejected here,
-// before it ever holds a queue slot.
-func Inspect(spec wire.JobSpec) (unit.Bytes, error) {
-	w, err := Build(spec, dryHosts(HostsNeeded(spec)))
-	if err != nil {
-		return 0, err
+// Plan is a job spec compiled once, on slot hosts: everything admission
+// registers, with each flow's endpoints kept as slot indices. Node and group
+// IDs carry worker indices, never host names, so one plan serves every
+// placement of the spec.
+type Plan struct {
+	spec   wire.JobSpec // compiled from
+	slots  int          // HostsNeeded(spec)
+	bytes  unit.Bytes
+	groups []planGroup
+}
+
+type planGroup struct {
+	id    string
+	arr   core.Arrangement
+	flows []planFlow
+}
+
+type planFlow struct {
+	id       string
+	src, dst int32 // slot indices
+	size     unit.Bytes
+	stage    int
+}
+
+// Compile builds a spec on slot hosts, lowers it with Groups and keeps the
+// result with each flow's endpoints as slot indices. It is pure, safe for
+// concurrent use and safe on any spec; an error is the spec's (invalid shape,
+// bad paradigm, pipeline with fewer layers than workers, ...).
+func Compile(spec wire.JobSpec) (*Plan, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	var total unit.Bytes
+	hosts := slotHosts(HostsNeeded(spec))
+	w, err := Build(spec, hosts)
+	if err != nil {
+		return nil, err
+	}
+	groups, err := Groups(w, 0)
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{spec: spec, slots: len(hosts), groups: make([]planGroup, len(groups))}
 	for _, n := range w.Graph.Nodes() {
 		if n.Kind == dag.Comm {
-			total += n.Size
+			p.bytes += n.Size // in node order: snapshots record Job.Bytes to the bit
 		}
 	}
-	return total, nil
+	slot := make(map[string]int32, len(hosts))
+	for i, h := range hosts {
+		slot[h] = int32(i)
+	}
+	for i, g := range groups {
+		flows := make([]planFlow, len(g.Flows))
+		for k, f := range g.Flows {
+			flows[k] = planFlow{id: f.ID, src: slot[f.Src], dst: slot[f.Dst], size: f.Size, stage: f.Stage}
+		}
+		p.groups[i] = planGroup{id: g.ID, arr: g.Arrangement, flows: flows}
+	}
+	return p, nil
+}
+
+// GroupIDs names the groups the plan registers, in registration order.
+func (p *Plan) GroupIDs() []string {
+	out := make([]string, len(p.groups))
+	for i, g := range p.groups {
+		out[i] = g.id
+	}
+	return out
+}
+
+// Groups instantiates the plan on a placement (len(hosts) == HostsNeeded,
+// distinct, non-empty: what Build requires of one): the groups
+// Groups(Build(spec, hosts), weight) returns, without compiling.
+func (p *Plan) Groups(hosts []string, weight float64) ([]*core.EchelonFlow, error) {
+	if len(hosts) != p.slots {
+		return nil, fmt.Errorf("queue: job %q needs %d hosts, placement bound %d", p.spec.ID, p.slots, len(hosts))
+	}
+	for i, h := range hosts {
+		if h == "" {
+			return nil, fmt.Errorf("queue: job %q has an empty host in its placement", p.spec.ID)
+		}
+		for _, o := range hosts[:i] {
+			if o == h {
+				return nil, fmt.Errorf("queue: job %q has duplicate host %q in its placement", p.spec.ID, h)
+			}
+		}
+	}
+	n := 0
+	for _, g := range p.groups {
+		n += len(g.flows)
+	}
+	flows, ptrs := make([]core.Flow, n), make([]*core.Flow, n)
+	out := make([]*core.EchelonFlow, 0, len(p.groups))
+	for _, g := range p.groups {
+		members := ptrs[:len(g.flows):len(g.flows)]
+		ptrs = ptrs[len(g.flows):]
+		for i, f := range g.flows {
+			flows[i] = core.Flow{ID: f.id, Src: hosts[f.src], Dst: hosts[f.dst], Size: f.size, Stage: f.stage}
+			members[i] = &flows[i]
+		}
+		flows = flows[len(g.flows):]
+		eg, err := core.New(g.id, g.arr, members...)
+		if err != nil {
+			return nil, err
+		}
+		eg.Weight = weight
+		out = append(out, eg)
+	}
+	return out, nil
 }
 
 // Groups lowers a compiled workload into registrable EchelonFlows, mirroring
@@ -163,32 +280,6 @@ func Groups(w *ddlt.Workload, weight float64) ([]*core.EchelonFlow, error) {
 		}
 		g.Weight = weight
 		out = append(out, g)
-	}
-	return out, nil
-}
-
-// GroupIDs returns the group names Build(spec, hosts) will produce, without
-// keeping the compiled workload around. The coordinator uses it to rebuild
-// its job→groups index from a snapshot.
-func GroupIDs(spec wire.JobSpec, hosts []string) ([]string, error) {
-	w, err := Build(spec, hosts)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, n := range w.Graph.Nodes() {
-		if n.Kind != dag.Comm {
-			continue
-		}
-		gid := n.Group
-		if gid == "" {
-			gid = "flow:" + n.ID
-		}
-		if !seen[gid] {
-			seen[gid] = true
-			out = append(out, gid)
-		}
 	}
 	return out, nil
 }

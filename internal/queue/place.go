@@ -44,23 +44,32 @@ func (v *View) TotalCapacity() unit.Rate {
 	return sum
 }
 
-// load is a host's normalized port pressure: committed bytes over port
-// capacity, comparable across heterogeneous NICs. A host with no usable
-// port capacity (a faulted NIC, or an unknown host) is infinitely loaded,
-// not empty: returning 0 here made Spread/NetAware rank dead hosts as the
-// least-loaded targets and aim every new job at them.
-func (v *View) load(host string) float64 {
-	eg, in, ok := v.Net.Capacity(host)
-	if !ok || eg <= 0 || in <= 0 {
-		return math.Inf(1)
-	}
-	return float64(v.Egress[host])/float64(eg) + float64(v.Ingress[host])/float64(in)
+// hostKey is what the placers rank a host by, read once per Place.
+type hostKey struct {
+	name    string
+	workers int
+	// load is the host's normalized port pressure: committed bytes over port
+	// capacity, comparable across heterogeneous NICs. A host with no usable
+	// port capacity (a faulted NIC, or an unknown host) is infinitely loaded,
+	// not empty: ranking it at 0 made Spread/NetAware aim every new job at
+	// dead hosts.
+	load   float64
+	usable bool // capacity in both port directions
 }
 
-// usable reports whether a host has capacity in both port directions.
-func (v *View) usable(host string) bool {
-	eg, in, ok := v.Net.Capacity(host)
-	return ok && eg > 0 && in > 0
+// keys reads every host's key, in the fabric's insertion order.
+func (v *View) keys() []hostKey {
+	hosts := v.Net.Hosts()
+	out := make([]hostKey, len(hosts))
+	for i, h := range hosts {
+		k := hostKey{name: h.Name, workers: v.Workers[h.Name], load: math.Inf(1)}
+		if eg, in, ok := v.Net.Capacity(h.Name); ok && eg > 0 && in > 0 {
+			k.usable = true
+			k.load = float64(v.Egress[h.Name])/float64(eg) + float64(v.Ingress[h.Name])/float64(in)
+		}
+		out[i] = k
+	}
+	return out
 }
 
 // Placer binds a job's workers to hosts. Implementations must be
@@ -73,38 +82,32 @@ type Placer interface {
 	Place(spec wire.JobSpec, v *View) ([]string, error)
 }
 
-// hostNames lists the fabric's hosts in insertion order.
-func hostNames(v *View) []string {
-	hosts := v.Net.Hosts()
-	out := make([]string, len(hosts))
-	for i, h := range hosts {
-		out[i] = h.Name
-	}
-	return out
-}
-
 // pickSorted orders hosts by the given less function (name-tiebroken by the
 // caller's less) and takes the first n.
-func pickSorted(v *View, spec wire.JobSpec, less func(a, b string) bool) ([]string, error) {
-	names := hostNames(v)
+func pickSorted(v *View, spec wire.JobSpec, less func(a, b *hostKey) bool) ([]string, error) {
+	keys := v.keys()
 	need := HostsNeeded(spec)
-	if need > len(names) {
-		return nil, fmt.Errorf("queue: job %q needs %d hosts, fabric has %d", spec.ID, need, len(names))
+	if need > len(keys) {
+		return nil, fmt.Errorf("queue: job %q needs %d hosts, fabric has %d", spec.ID, need, len(keys))
 	}
 	// Zero-capacity hosts are ineligible while enough live hosts exist; a
 	// fabric too degraded to avoid them still places (the job stalls until
 	// the fault recovers, rather than being rejected).
-	alive := make([]string, 0, len(names))
-	for _, h := range names {
-		if v.usable(h) {
-			alive = append(alive, h)
+	alive := make([]hostKey, 0, len(keys))
+	for _, k := range keys {
+		if k.usable {
+			alive = append(alive, k)
 		}
 	}
 	if len(alive) >= need {
-		names = alive
+		keys = alive
 	}
-	sort.SliceStable(names, func(i, j int) bool { return less(names[i], names[j]) })
-	return append([]string(nil), names[:need]...), nil
+	sort.SliceStable(keys, func(i, j int) bool { return less(&keys[i], &keys[j]) })
+	out := make([]string, need)
+	for i := range out {
+		out[i] = keys[i].name
+	}
+	return out, nil
 }
 
 // Pack concentrates jobs: hosts already carrying the most admitted workers
@@ -117,15 +120,14 @@ func (Pack) Name() string { return "pack" }
 
 // Place implements Placer.
 func (Pack) Place(spec wire.JobSpec, v *View) ([]string, error) {
-	return pickSorted(v, spec, func(a, b string) bool {
-		if v.Workers[a] != v.Workers[b] {
-			return v.Workers[a] > v.Workers[b]
+	return pickSorted(v, spec, func(a, b *hostKey) bool {
+		if a.workers != b.workers {
+			return a.workers > b.workers
 		}
-		la, lb := v.load(a), v.load(b)
-		if la != lb {
-			return la > lb
+		if a.load != b.load {
+			return a.load > b.load
 		}
-		return a < b
+		return a.name < b.name
 	})
 }
 
@@ -139,15 +141,14 @@ func (Spread) Name() string { return "spread" }
 
 // Place implements Placer.
 func (Spread) Place(spec wire.JobSpec, v *View) ([]string, error) {
-	return pickSorted(v, spec, func(a, b string) bool {
-		if v.Workers[a] != v.Workers[b] {
-			return v.Workers[a] < v.Workers[b]
+	return pickSorted(v, spec, func(a, b *hostKey) bool {
+		if a.workers != b.workers {
+			return a.workers < b.workers
 		}
-		la, lb := v.load(a), v.load(b)
-		if la != lb {
-			return la < lb
+		if a.load != b.load {
+			return a.load < b.load
 		}
-		return a < b
+		return a.name < b.name
 	})
 }
 
@@ -172,37 +173,41 @@ func (NetAware) Name() string { return "netaware" }
 
 // Place implements Placer.
 func (p NetAware) Place(spec wire.JobSpec, v *View) ([]string, error) {
-	names := hostNames(v)
+	keys := v.keys()
 	need := HostsNeeded(spec)
-	if need > len(names) {
-		return nil, fmt.Errorf("queue: job %q needs %d hosts, fabric has %d", spec.ID, need, len(names))
+	if need > len(keys) {
+		return nil, fmt.Errorf("queue: job %q needs %d hosts, fabric has %d", spec.ID, need, len(keys))
 	}
 	penalty := p.CrossRackPenalty
 	if penalty <= 0 {
 		penalty = DefaultCrossRackPenalty
 	}
+	racks := make([]string, len(keys))
+	for i, k := range keys {
+		racks[i] = v.Net.RackOf(k.name)
+	}
 	chosen := make([]string, 0, need)
-	used := make(map[string]bool, need)
+	used := make([]bool, len(keys))
 	rackCount := make(map[string]int)
 	for len(chosen) < need {
-		best, bestScore := "", 0.0
-		for _, h := range names {
-			if used[h] {
+		best, bestScore := -1, 0.0
+		for i, k := range keys {
+			if used[i] {
 				continue
 			}
-			score := v.load(h) + float64(v.Workers[h])
-			if rack := v.Net.RackOf(h); len(chosen) > 0 && rackCount[rack] == 0 {
+			score := k.load + float64(k.workers)
+			if len(chosen) > 0 && rackCount[racks[i]] == 0 {
 				// Candidate sits outside every rack the job occupies so far:
 				// its traffic to the existing workers crosses uplinks.
 				score += penalty
 			}
-			if best == "" || score < bestScore || (score == bestScore && h < best) {
-				best, bestScore = h, score
+			if best < 0 || score < bestScore || (score == bestScore && k.name < keys[best].name) {
+				best, bestScore = i, score
 			}
 		}
-		chosen = append(chosen, best)
+		chosen = append(chosen, keys[best].name)
 		used[best] = true
-		rackCount[v.Net.RackOf(best)]++
+		rackCount[racks[best]]++
 	}
 	return chosen, nil
 }

@@ -1,7 +1,11 @@
 package queue
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"echelonflow/internal/fabric"
@@ -219,5 +223,136 @@ func TestPlaceUsesFaultedHostOnlyAsLastResort(t *testing.T) {
 	}
 	if len(hosts) != 4 || hosts[3] != "a" {
 		t.Errorf("spread on a 4-of-4 job = %v, want faulted host a last", hosts)
+	}
+}
+
+// The placers as they were before host keys were read once per Place, kept
+// as the reference: every comparison re-reads the view.
+func refLoad(v *View, host string) float64 {
+	eg, in, ok := v.Net.Capacity(host)
+	if !ok || eg <= 0 || in <= 0 {
+		return math.Inf(1)
+	}
+	return float64(v.Egress[host])/float64(eg) + float64(v.Ingress[host])/float64(in)
+}
+
+func refPickSorted(v *View, need int, less func(a, b string) bool) []string {
+	var names, alive []string
+	for _, h := range v.Net.Hosts() {
+		names = append(names, h.Name)
+		if eg, in, ok := v.Net.Capacity(h.Name); ok && eg > 0 && in > 0 {
+			alive = append(alive, h.Name)
+		}
+	}
+	if len(alive) >= need {
+		names = alive
+	}
+	sort.SliceStable(names, func(i, j int) bool { return less(names[i], names[j]) })
+	return names[:need]
+}
+
+func refPlace(placer string, v *View, need int) []string {
+	switch placer {
+	case "pack":
+		return refPickSorted(v, need, func(a, b string) bool {
+			if v.Workers[a] != v.Workers[b] {
+				return v.Workers[a] > v.Workers[b]
+			}
+			la, lb := refLoad(v, a), refLoad(v, b)
+			if la != lb {
+				return la > lb
+			}
+			return a < b
+		})
+	case "spread":
+		return refPickSorted(v, need, func(a, b string) bool {
+			if v.Workers[a] != v.Workers[b] {
+				return v.Workers[a] < v.Workers[b]
+			}
+			la, lb := refLoad(v, a), refLoad(v, b)
+			if la != lb {
+				return la < lb
+			}
+			return a < b
+		})
+	}
+	var chosen []string
+	used := make(map[string]bool)
+	rackCount := make(map[string]int)
+	for len(chosen) < need {
+		best, bestScore := "", 0.0
+		for _, h := range v.Net.Hosts() {
+			if used[h.Name] {
+				continue
+			}
+			score := refLoad(v, h.Name) + float64(v.Workers[h.Name])
+			if rack := v.Net.RackOf(h.Name); len(chosen) > 0 && rackCount[rack] == 0 {
+				score += DefaultCrossRackPenalty
+			}
+			if best == "" || score < bestScore || (score == bestScore && h.Name < best) {
+				best, bestScore = h.Name, score
+			}
+		}
+		chosen = append(chosen, best)
+		used[best] = true
+		rackCount[v.Net.RackOf(best)]++
+	}
+	return chosen
+}
+
+// Every placer picks exactly the hosts its re-reading reference picks, on
+// random views with ties, dead ports and racks.
+func TestPlacersMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	for trial := 0; trial < 300; trial++ {
+		net := fabric.NewNetwork()
+		n := 3 + rng.Intn(30)
+		racks := 1 + rng.Intn(4)
+		for r := 0; r < racks; r++ {
+			if err := net.AddRack(fmt.Sprintf("r%d", r), 5, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := NewView(net)
+		for i := 0; i < n; i++ {
+			h := fmt.Sprintf("h%02d", rng.Intn(100)) // insertion order is not name order
+			if net.Host(h) != nil {
+				continue
+			}
+			eg, in := unit.Rate(1+rng.Intn(3)), unit.Rate(1+rng.Intn(3))
+			switch rng.Intn(6) {
+			case 0:
+				eg, in = 0, 0
+			case 1:
+				in = 0
+			}
+			if err := net.AddHost(h, eg, in); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(3) > 0 {
+				if err := net.AssignRack(h, fmt.Sprintf("r%d", rng.Intn(racks))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.Workers[h] = rng.Intn(3)
+			v.Egress[h] = unit.Bytes(rng.Intn(3))
+			v.Ingress[h] = unit.Bytes(rng.Intn(3))
+		}
+		s := spec(2 + rng.Intn(4))
+		if rng.Intn(3) == 0 {
+			s.Paradigm = "ps"
+		}
+		if HostsNeeded(s) > net.Len() {
+			continue
+		}
+		for _, p := range []Placer{Pack{}, Spread{}, NetAware{}} {
+			got, err := p.Place(s, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refPlace(p.Name(), v, HostsNeeded(s)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %s placed %v, reference %v", trial, p.Name(), got, want)
+			}
+		}
 	}
 }

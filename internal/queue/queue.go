@@ -75,28 +75,43 @@ func (q *Queue) Policy() (placer, order string) {
 	return q.opts.Placer.Name(), q.opts.Order.Name()
 }
 
-// Submit validates and enqueues a job. It returns the queued Job, or
-// ErrQueueFull / a *RejectError (bad spec, duplicate ID) — distinguishing
-// "try later" from "never".
-func (q *Queue) Submit(owner string, spec wire.JobSpec, now unit.Time) (*Job, error) {
+// Refusal reports the refusals Submit makes before compiling: ErrQueueFull,
+// or a *RejectError for an invalid spec or a duplicate ID, in that order. A
+// caller that compiles outside its own lock asks first, so a submission
+// refused for any of these never pays for a compile.
+func (q *Queue) Refusal(spec wire.JobSpec) error {
 	if q.opts.MaxQueued > 0 && len(q.pending) >= q.opts.MaxQueued {
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 	if err := spec.Validate(); err != nil {
-		return nil, &RejectError{JobID: spec.ID, Code: wire.ErrCodeBadJob, Reason: err.Error()}
+		return &RejectError{JobID: spec.ID, Code: wire.ErrCodeBadJob, Reason: err.Error()}
 	}
 	if q.Job(spec.ID) != nil {
-		return nil, &RejectError{JobID: spec.ID, Code: wire.ErrCodeBadJob, Reason: "duplicate job id"}
+		return &RejectError{JobID: spec.ID, Code: wire.ErrCodeBadJob, Reason: "duplicate job id"}
 	}
-	bytes, err := Inspect(spec)
-	if err != nil {
-		return nil, &RejectError{JobID: spec.ID, Code: wire.ErrCodeBadJob, Reason: err.Error()}
+	return nil
+}
+
+// Submit validates and enqueues a job. plan is Compile(spec), compiled ahead
+// by a caller that can do so outside its own lock, or nil to compile here; a
+// plan compiled from any other spec is ignored. It returns the queued Job, or
+// ErrQueueFull / a *RejectError (Refusal's, then an uncompilable spec) —
+// distinguishing "try later" from "never".
+func (q *Queue) Submit(owner string, spec wire.JobSpec, plan *Plan, now unit.Time) (*Job, error) {
+	if err := q.Refusal(spec); err != nil {
+		return nil, err
+	}
+	if plan == nil || plan.spec != spec {
+		var err error
+		if plan, err = Compile(spec); err != nil {
+			return nil, &RejectError{JobID: spec.ID, Code: wire.ErrCodeBadJob, Reason: err.Error()}
+		}
 	}
 	est, stable := q.opts.Estimator.Estimate(spec)
 	j := &Job{Spec: spec, Owner: owner, Arrival: now, Seq: q.seq,
-		Est: est, EstStable: stable, Bytes: bytes}
+		Est: est, EstStable: stable, Bytes: plan.bytes, plan: plan}
 	if run := est * unit.Time(spec.Iterations); run > 0 {
-		j.Demand = unit.Rate(float64(bytes) / float64(run))
+		j.Demand = unit.Rate(float64(j.Bytes) / float64(run))
 	}
 	q.seq++
 	q.pending = append(q.pending, j)

@@ -32,7 +32,7 @@ func TestBuildAllParadigms(t *testing.T) {
 		s.Paradigm = paradigm
 		s.Buckets = 1
 		s.Micro = 2
-		w, err := Build(s, dryHosts(HostsNeeded(s)))
+		w, err := Build(s, slotHosts(HostsNeeded(s)))
 		if err != nil {
 			t.Errorf("%s: %v", paradigm, err)
 			continue
@@ -56,10 +56,11 @@ func TestBuildAllParadigms(t *testing.T) {
 				t.Errorf("%s: group %s weight = %v", paradigm, g.ID, g.Weight)
 			}
 		}
-		ids, err := GroupIDs(s, dryHosts(HostsNeeded(s)))
+		plan, err := Compile(s)
 		if err != nil {
-			t.Fatalf("%s: GroupIDs: %v", paradigm, err)
+			t.Fatalf("%s: Compile: %v", paradigm, err)
 		}
+		ids := plan.GroupIDs()
 		if len(ids) != len(groups) {
 			t.Errorf("%s: GroupIDs returned %d names, Groups built %d", paradigm, len(ids), len(groups))
 		}
@@ -82,32 +83,36 @@ func TestBuildRejectsBadPlacement(t *testing.T) {
 	}
 }
 
-func TestInspectVolume(t *testing.T) {
+func TestCompileVolume(t *testing.T) {
 	// dp all-reduce over 2 workers: ring all-reduce moves a deterministic
 	// multiple of the parameter volume; just require it to be positive and
 	// stable across calls.
-	v1, err := Inspect(dpSpec("j", 2))
+	p1, err := Compile(dpSpec("j", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, _ := Inspect(dpSpec("other", 2))
-	if v1 <= 0 || v1 != v2 {
-		t.Errorf("Inspect volumes = %v, %v", v1, v2)
+	p2, _ := Compile(dpSpec("other", 2))
+	if p1.bytes <= 0 || p1.bytes != p2.bytes {
+		t.Errorf("compiled volumes = %v, %v", p1.bytes, p2.bytes)
 	}
-	// A pipeline with more workers than layers cannot compile: Inspect must
+	// A pipeline with more workers than layers cannot compile: Submit must
 	// catch it before the job holds a queue slot.
 	pp := dpSpec("j", 4)
 	pp.Paradigm = "pp"
 	pp.Micro = 2
 	pp.Layers = 2
-	if _, err := Inspect(pp); err == nil {
-		t.Error("uncompilable pipeline passed Inspect")
+	if _, err := Compile(pp); err == nil {
+		t.Error("uncompilable pipeline compiled")
+	}
+	var rej *RejectError
+	if _, err := New(Options{}).Submit("a", pp, nil, 0); !errors.As(err, &rej) || rej.Code != wire.ErrCodeBadJob {
+		t.Errorf("uncompilable pipeline submitted: %v", err)
 	}
 }
 
 func TestSubmitValidatesAndOrders(t *testing.T) {
 	q := New(Options{})
-	j, err := q.Submit("agent0", dpSpec("j0", 2), 5)
+	j, err := q.Submit("agent0", dpSpec("j0", 2), nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +124,11 @@ func TestSubmitValidatesAndOrders(t *testing.T) {
 		t.Errorf("demand = %v, want %v", j.Demand, want)
 	}
 	var rej *RejectError
-	if _, err := q.Submit("agent0", dpSpec("j0", 2), 6); !errors.As(err, &rej) {
+	if _, err := q.Submit("agent0", dpSpec("j0", 2), nil, 6); !errors.As(err, &rej) {
 		t.Errorf("duplicate id: %v", err)
 	}
 	bad := dpSpec("", 2)
-	if _, err := q.Submit("agent0", bad, 6); !errors.As(err, &rej) || rej.Code != wire.ErrCodeBadJob {
+	if _, err := q.Submit("agent0", bad, nil, 6); !errors.As(err, &rej) || rej.Code != wire.ErrCodeBadJob {
 		t.Errorf("invalid spec: %v", err)
 	}
 	if q.Depth() != 1 {
@@ -133,10 +138,10 @@ func TestSubmitValidatesAndOrders(t *testing.T) {
 
 func TestSubmitQueueFull(t *testing.T) {
 	q := New(Options{MaxQueued: 1})
-	if _, err := q.Submit("a", dpSpec("j0", 2), 0); err != nil {
+	if _, err := q.Submit("a", dpSpec("j0", 2), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit("a", dpSpec("j1", 2), 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit("a", dpSpec("j1", 2), nil, 0); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("want ErrQueueFull, got %v", err)
 	}
 }
@@ -145,7 +150,7 @@ func TestNextAdmitsFIFO(t *testing.T) {
 	q := New(Options{})
 	v := NewView(testNet(t))
 	for _, id := range []string{"j0", "j1"} {
-		if _, err := q.Submit("a", dpSpec(id, 2), 0); err != nil {
+		if _, err := q.Submit("a", dpSpec(id, 2), nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,8 +180,8 @@ func TestNextSRPTOrdersByPredictedWork(t *testing.T) {
 	long.Declared = 10
 	short := dpSpec("short", 2)
 	short.Declared = 1
-	q.Submit("a", long, 0)
-	q.Submit("a", short, 0)
+	q.Submit("a", long, nil, 0)
+	q.Submit("a", short, nil, 0)
 	a, err := q.Next(v, 1)
 	if err != nil || a == nil || a.Job.Spec.ID != "short" {
 		t.Fatalf("SRPT admitted %+v, %v", a, err)
@@ -186,8 +191,8 @@ func TestNextSRPTOrdersByPredictedWork(t *testing.T) {
 func TestNextMaxJobsBudget(t *testing.T) {
 	q := New(Options{MaxJobs: 1})
 	v := NewView(testNet(t))
-	q.Submit("a", dpSpec("j0", 2), 0)
-	q.Submit("a", dpSpec("j1", 2), 0)
+	q.Submit("a", dpSpec("j0", 2), nil, 0)
+	q.Submit("a", dpSpec("j1", 2), nil, 0)
 	if a, _ := q.Next(v, 1); a == nil {
 		t.Fatal("first job blocked")
 	}
@@ -208,11 +213,11 @@ func TestNextBandwidthBudget(t *testing.T) {
 	v := NewView(testNet(t))
 	big := dpSpec("big", 2)
 	big.Params = 100 // large volume over declared 1s × 2 iters
-	q.Submit("a", big, 0)
-	q.Submit("a", big, 0) // duplicate rejected, ignore
+	q.Submit("a", big, nil, 0)
+	q.Submit("a", big, nil, 0) // duplicate rejected, ignore
 	second := dpSpec("second", 2)
 	second.Params = 100
-	q.Submit("a", second, 0)
+	q.Submit("a", second, nil, 0)
 	a, _ := q.Next(v, 1)
 	if a == nil {
 		t.Fatal("an empty admitted set must never block on the bandwidth budget")
@@ -235,10 +240,10 @@ func TestNextBandwidthBudget(t *testing.T) {
 func TestNextRejectsUnplaceable(t *testing.T) {
 	q := New(Options{})
 	v := NewView(testNet(t)) // 4 hosts
-	q.Submit("a", dpSpec("wide", 4), 0)
+	q.Submit("a", dpSpec("wide", 4), nil, 0)
 	wide := q.Job("wide")
 	wide.Spec.Workers = 5 // grew beyond the fabric after submit-time checks
-	q.Submit("a", dpSpec("ok", 2), 0)
+	q.Submit("a", dpSpec("ok", 2), nil, 0)
 	a, err := q.Next(v, 1)
 	var rej *RejectError
 	if a != nil || !errors.As(err, &rej) || rej.JobID != "wide" {
@@ -253,8 +258,8 @@ func TestNextRejectsUnplaceable(t *testing.T) {
 
 func TestForceAdmitAndRestore(t *testing.T) {
 	q := New(Options{})
-	q.Submit("a", dpSpec("j0", 2), 0)
-	q.Submit("a", dpSpec("j1", 2), 1)
+	q.Submit("a", dpSpec("j0", 2), nil, 0)
+	q.Submit("a", dpSpec("j1", 2), nil, 1)
 	a, err := q.ForceAdmit("j0", []string{"c", "d"}, 3)
 	if err != nil || !reflect.DeepEqual(a.Hosts, []string{"c", "d"}) || a.AdmittedAt != 3 {
 		t.Fatalf("ForceAdmit = %+v, %v", a, err)
@@ -278,7 +283,7 @@ func TestForceAdmitAndRestore(t *testing.T) {
 		t.Errorf("restored admission = %+v", got)
 	}
 	// Sequence numbering continues without collision.
-	j, err := q2.Submit("a", dpSpec("j2", 2), 5)
+	j, err := q2.Submit("a", dpSpec("j2", 2), nil, 5)
 	if err != nil || j.Seq != 2 {
 		t.Fatalf("post-restore submit = %+v, %v", j, err)
 	}
@@ -286,7 +291,7 @@ func TestForceAdmitAndRestore(t *testing.T) {
 
 func TestDepartPendingJob(t *testing.T) {
 	q := New(Options{})
-	q.Submit("a", dpSpec("j0", 2), 0)
+	q.Submit("a", dpSpec("j0", 2), nil, 0)
 	if !q.Depart("j0") {
 		t.Fatal("pending job not departable")
 	}
