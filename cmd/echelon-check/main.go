@@ -128,7 +128,7 @@ func fabricBuilder(s string) (func(hosts []check.HostSpec) fabric.Fabric, error)
 		return func(hosts []check.HostSpec) fabric.Fabric {
 			n := fabric.NewNetwork()
 			for _, h := range hosts {
-				if err := n.AddHost(h.Name, h.Egress, h.Ingress); err != nil {
+				if err := n.AddHost(h.Name, "", h.Egress, h.Ingress); err != nil {
 					panic(err) // generator-controlled names: cannot collide
 				}
 			}

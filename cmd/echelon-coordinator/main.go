@@ -76,11 +76,8 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "per-frame write deadline on agent sockets (default 10s)")
 	admin := flag.String("admin", "", "telemetry HTTP address serving /metrics, /healthz, /events and /debug/pprof (empty disables)")
 	chaos := flag.Bool("chaos", false, "with -admin, mount a POST /chaos fault-injection endpoint (sched-stall, agent-stall, fsync-stall) — soak testing only, never in production")
-	fabricFlag := flag.String("fabric", "bigswitch", "network model: bigswitch | leafspine[:hosts=N,spines=N,oversub=R] | extern:<cmd>")
-	var racks, assigns hostSpecs
+	fabricFlag := flag.String("fabric", "bigswitch", "network model: bigswitch | leafspine[:hosts=N,spines=N,oversub=R] (spines=1 for racks) | extern:<cmd>")
 	flag.Var(&hosts, "host", "host capacity spec name=rate or name[a-b]=rate (repeatable)")
-	flag.Var(&racks, "rack", "rack capacity spec name=rate (uplink=downlink; bigswitch only; repeatable)")
-	flag.Var(&assigns, "assign", "host-to-rack assignment host=rack or prefix[a-b]=rack (bigswitch only; repeatable)")
 	flag.Parse()
 
 	fspec, err := fabric.ParseSpec(*fabricFlag)
@@ -95,29 +92,6 @@ func main() {
 	}
 	if inner.Len() == 0 {
 		log.Fatal("echelon-coordinator: at least one -host spec is required")
-	}
-	if fspec.Kind == "leafspine" && len(racks)+len(assigns) > 0 {
-		// Leaf-spine carries its own topology; racks belong to bigswitch
-		// (leaf geometry comes from the spec's hosts/spines/oversub options).
-		log.Fatal("echelon-coordinator: -rack/-assign only apply to -fabric bigswitch")
-	}
-	for _, spec := range racks {
-		name, rateStr, ok := strings.Cut(spec, "=")
-		if !ok {
-			log.Fatalf("echelon-coordinator: rack spec %q: want name=rate", spec)
-		}
-		rate, err := strconv.ParseFloat(rateStr, 64)
-		if err != nil || rate <= 0 {
-			log.Fatalf("echelon-coordinator: rack spec %q: bad rate", spec)
-		}
-		if err := inner.AddRack(name, unit.Rate(rate), unit.Rate(rate)); err != nil {
-			log.Fatalf("echelon-coordinator: %v", err)
-		}
-	}
-	for _, spec := range assigns {
-		if err := assignRackSpec(inner, spec); err != nil {
-			log.Fatalf("echelon-coordinator: %v", err)
-		}
 	}
 	var net0 fabric.Fabric = inner
 	switch fspec.Kind {
@@ -293,38 +267,6 @@ func chaosHandler(coord *coordinator.Coordinator) http.HandlerFunc {
 	}
 }
 
-// assignRackSpec parses "host=rack" or "prefix[a-b]=rack" assignments.
-func assignRackSpec(n *fabric.Network, spec string) error {
-	name, rack, ok := strings.Cut(spec, "=")
-	if !ok {
-		return fmt.Errorf("assign spec %q: want host=rack", spec)
-	}
-	open := strings.Index(name, "[")
-	if open < 0 {
-		return n.AssignRack(name, rack)
-	}
-	close0 := strings.Index(name, "]")
-	if close0 < open {
-		return fmt.Errorf("assign spec %q: unbalanced brackets", spec)
-	}
-	prefix := name[:open]
-	lo, hi, ok := strings.Cut(name[open+1:close0], "-")
-	if !ok {
-		return fmt.Errorf("assign spec %q: want prefix[a-b]=rack", spec)
-	}
-	a, err1 := strconv.Atoi(lo)
-	b, err2 := strconv.Atoi(hi)
-	if err1 != nil || err2 != nil || b < a {
-		return fmt.Errorf("assign spec %q: bad range", spec)
-	}
-	for i := a; i <= b; i++ {
-		if err := n.AssignRack(fmt.Sprintf("%s%d", prefix, i), rack); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // addHostSpec parses "name=rate" or "prefix[a-b]=rate" and adds the hosts.
 func addHostSpec(n *fabric.Network, spec string) error {
 	name, rateStr, ok := strings.Cut(spec, "=")
@@ -337,7 +279,7 @@ func addHostSpec(n *fabric.Network, spec string) error {
 	}
 	open := strings.Index(name, "[")
 	if open < 0 {
-		return n.AddHost(name, unit.Rate(rate), unit.Rate(rate))
+		return n.AddHost(name, "", unit.Rate(rate), unit.Rate(rate))
 	}
 	close0 := strings.Index(name, "]")
 	if close0 < open {
@@ -354,7 +296,7 @@ func addHostSpec(n *fabric.Network, spec string) error {
 		return fmt.Errorf("host spec %q: bad range", spec)
 	}
 	for i := a; i <= b; i++ {
-		if err := n.AddHost(fmt.Sprintf("%s%d", prefix, i), unit.Rate(rate), unit.Rate(rate)); err != nil {
+		if err := n.AddHost(fmt.Sprintf("%s%d", prefix, i), "", unit.Rate(rate), unit.Rate(rate)); err != nil {
 			return err
 		}
 	}

@@ -51,28 +51,3 @@ func TestAddHostSpecDuplicate(t *testing.T) {
 		t.Error("duplicate host w1 accepted")
 	}
 }
-
-func TestAssignRackSpec(t *testing.T) {
-	n := fabric.NewNetwork()
-	if err := addHostSpec(n, "gpu[0-3]=10"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddRack("r0", 20, 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := assignRackSpec(n, "gpu[0-1]=r0"); err != nil {
-		t.Fatal(err)
-	}
-	if n.RackOf("gpu0") != "r0" || n.RackOf("gpu1") != "r0" || n.RackOf("gpu2") != "" {
-		t.Error("range assignment wrong")
-	}
-	if err := assignRackSpec(n, "gpu2=r0"); err != nil {
-		t.Fatal(err)
-	}
-	bad := []string{"noequals", "ghost=r0", "gpu3=ghostrack", "gpu[2-0]=r0", "gpu]0[=r0", "gpu[x-y]=r0"}
-	for _, spec := range bad {
-		if err := assignRackSpec(n, spec); err == nil {
-			t.Errorf("spec %q accepted", spec)
-		}
-	}
-}

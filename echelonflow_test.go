@@ -48,7 +48,7 @@ func TestFacadeConstructors(t *testing.T) {
 		t.Error("FlowTardiness")
 	}
 	net := NewNetwork()
-	if err := net.AddHost("h", 1, 1); err != nil {
+	if err := net.AddHost("h", "", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,10 +25,10 @@ func main() {
 
 	// Capacity model of the "cluster": two hosts.
 	netModel := echelonflow.NewNetwork()
-	if err := netModel.AddHost("w1", capacity, capacity); err != nil {
+	if err := netModel.AddHost("w1", "", capacity, capacity); err != nil {
 		log.Fatal(err)
 	}
-	if err := netModel.AddHost("w2", capacity, capacity); err != nil {
+	if err := netModel.AddHost("w2", "", capacity, capacity); err != nil {
 		log.Fatal(err)
 	}
 

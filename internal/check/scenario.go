@@ -367,7 +367,7 @@ func (c *compiled) newNet() fabric.Fabric {
 func newNet(hosts []HostSpec) *fabric.Network {
 	net := fabric.NewNetwork()
 	for _, h := range hosts {
-		if err := net.AddHost(h.Name, h.Egress, h.Ingress); err != nil {
+		if err := net.AddHost(h.Name, "", h.Egress, h.Ingress); err != nil {
 			panic(fmt.Sprintf("check: %v", err)) // Validate guarantees this cannot happen
 		}
 	}

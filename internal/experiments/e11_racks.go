@@ -13,22 +13,20 @@ import (
 
 // rackFabric builds 2 racks × 4 hosts with NIC capacity 6 and uplinks
 // scaled by the oversubscription factor (1:1 means uplink = 4 NICs' worth).
+// Each rack is a leaf of a one-spine network.
 func rackFabric(oversub float64) (*fabric.Network, []string, error) {
 	net := fabric.NewNetwork()
 	var hosts []string
 	for r := 0; r < 2; r++ {
 		rack := fmt.Sprintf("rack%d", r)
 		upl := unit.Rate(4 * 6 / oversub)
-		if err := net.AddRack(rack, upl, upl); err != nil {
+		if err := net.AddLeaf(rack, upl, upl); err != nil {
 			return nil, nil, err
 		}
 		for h := 0; h < 4; h++ {
 			name := fmt.Sprintf("r%dh%d", r, h)
 			hosts = append(hosts, name)
-			if err := net.AddHost(name, 6, 6); err != nil {
-				return nil, nil, err
-			}
-			if err := net.AssignRack(name, rack); err != nil {
+			if err := net.AddHost(name, rack, 6, 6); err != nil {
 				return nil, nil, err
 			}
 		}

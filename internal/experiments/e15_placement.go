@@ -16,21 +16,18 @@ import (
 
 // e15Fabric is the placement arena: 2 racks × 3 hosts with 3:1
 // oversubscribed uplinks, small enough that the three policies are forced
-// into visibly different bindings.
+// into visibly different bindings. Each rack is a leaf of a one-spine
+// network.
 func e15Fabric() (*fabric.Network, error) {
 	net := fabric.NewNetwork()
 	for r := 0; r < 2; r++ {
 		rack := fmt.Sprintf("rack%d", r)
 		upl := unit.Rate(3 * 6 / 3.0)
-		if err := net.AddRack(rack, upl, upl); err != nil {
+		if err := net.AddLeaf(rack, upl, upl); err != nil {
 			return nil, err
 		}
 		for h := 0; h < 3; h++ {
-			name := fmt.Sprintf("r%dh%d", r, h)
-			if err := net.AddHost(name, 6, 6); err != nil {
-				return nil, err
-			}
-			if err := net.AssignRack(name, rack); err != nil {
+			if err := net.AddHost(fmt.Sprintf("r%dh%d", r, h), rack, 6, 6); err != nil {
 				return nil, err
 			}
 		}
@@ -143,7 +140,7 @@ func ExtOnlinePlacement() (*Report, error) {
 			if n.Kind != dag.Comm {
 				continue
 			}
-			if _, _, crosses := net.CrossRack(n.Src, n.Dst); crosses {
+			if net.LeafOf(n.Src) != net.LeafOf(n.Dst) {
 				cross++
 			}
 		}

@@ -25,14 +25,14 @@ func coflowBatch() (*dag.Graph, *fabric.Network, map[string]core.Arrangement, []
 	for i := 0; i < srcs; i++ {
 		hosts = append(hosts, fmt.Sprintf("m%d", i))
 		// Mapper egress (10) is the contended resource...
-		if err := net.AddHost(hosts[i], 10, 10); err != nil {
+		if err := net.AddHost(hosts[i], "", 10, 10); err != nil {
 			panic(err)
 		}
 	}
 	for k := 0; k < coflows; k++ {
 		// ...while reducers have headroom (40), so inter-coflow ordering
 		// on the shared mappers decides completion times.
-		if err := net.AddHost(fmt.Sprintf("r%d", k), 40, 40); err != nil {
+		if err := net.AddHost(fmt.Sprintf("r%d", k), "", 40, 40); err != nil {
 			panic(err)
 		}
 	}

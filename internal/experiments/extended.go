@@ -402,7 +402,7 @@ func coordinatorLatency(groups int) ([]float64, int, error) {
 	hosts := make([]string, 8)
 	for i := range hosts {
 		hosts[i] = fmt.Sprintf("h%d", i)
-		if err := net.AddHost(hosts[i], 100, 100); err != nil {
+		if err := net.AddHost(hosts[i], "", 100, 100); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -18,16 +18,16 @@ func twoHosts(t *testing.T) *Network {
 
 func TestAddHostErrors(t *testing.T) {
 	n := NewNetwork()
-	if err := n.AddHost("", 1, 1); err == nil {
+	if err := n.AddHost("", "", 1, 1); err == nil {
 		t.Error("empty name accepted")
 	}
-	if err := n.AddHost("a", -1, 1); err == nil {
+	if err := n.AddHost("a", "", -1, 1); err == nil {
 		t.Error("negative egress accepted")
 	}
-	if err := n.AddHost("a", 1, 1); err != nil {
+	if err := n.AddHost("a", "", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddHost("a", 1, 1); err == nil {
+	if err := n.AddHost("a", "", 1, 1); err == nil {
 		t.Error("duplicate accepted")
 	}
 }
@@ -108,10 +108,10 @@ func TestMaxMinMultiBottleneck(t *testing.T) {
 
 func TestMaxMinAsymmetricPorts(t *testing.T) {
 	n := NewNetwork()
-	if err := n.AddHost("fat", 10, 10); err != nil {
+	if err := n.AddHost("fat", "", 10, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddHost("thin", 1, 1); err != nil {
+	if err := n.AddHost("thin", "", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	rates, err := n.MaxMin([]Request{{ID: "f", Src: "fat", Dst: "thin"}})
@@ -201,21 +201,6 @@ func TestResidual(t *testing.T) {
 	}
 }
 
-func TestLoads(t *testing.T) {
-	n := twoHosts(t)
-	reqs := []Request{{ID: "f", Src: "a", Dst: "b"}}
-	loads := n.Loads(reqs, map[string]unit.Rate{"f": 0.5})
-	if len(loads) != 2 {
-		t.Fatalf("Loads = %v", loads)
-	}
-	if loads[0].Host != "a" || loads[0].Dir != "egress" || loads[0].Used != 0.5 {
-		t.Errorf("loads[0] = %+v", loads[0])
-	}
-	if loads[1].Host != "b" || loads[1].Dir != "ingress" {
-		t.Errorf("loads[1] = %+v", loads[1])
-	}
-}
-
 func TestBottleneckTime(t *testing.T) {
 	n := NewNetwork()
 	n.AddUniformHosts(2, "a", "b", "c")
@@ -261,7 +246,7 @@ func randomScenario(rng *rand.Rand) (*Network, []Request) {
 	for i := range names {
 		names[i] = string(rune('a' + i))
 		// Capacities in [0.5, 10.5).
-		_ = n.AddHost(names[i], unit.Rate(0.5+10*rng.Float64()), unit.Rate(0.5+10*rng.Float64()))
+		_ = n.AddHost(names[i], "", unit.Rate(0.5+10*rng.Float64()), unit.Rate(0.5+10*rng.Float64()))
 	}
 	flowCount := 1 + rng.Intn(12)
 	reqs := make([]Request, 0, flowCount)

@@ -107,8 +107,8 @@ func TestLeafSpineLinkKeysKeepTheirFormat(t *testing.T) {
 	if err := ls.MoveHost("h00", "l10"); err != nil {
 		t.Fatal(err)
 	}
-	if got := ls.RackOf("h00"); got != "l10" {
-		t.Errorf("RackOf(h00) after MoveHost = %q, want l10", got)
+	if got := ls.LeafOf("h00"); got != "l10" {
+		t.Errorf("LeafOf(h00) after MoveHost = %q, want l10", got)
 	}
 	check("after MoveHost")
 	if err := ls.SetSpineLink("rack/b", 2, 0.5, 0.25); err != nil {

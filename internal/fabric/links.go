@@ -16,14 +16,10 @@ const (
 	LinkEgress LinkKind = iota
 	// LinkIngress is a host's inbound NIC (name = host).
 	LinkIngress
-	// LinkUp carries traffic from a leaf/rack toward the core (name = rack,
-	// or "leaf/spine" for a per-spine leaf-spine uplink).
+	// LinkUp carries traffic from a leaf toward a spine (name = "leaf/sN").
 	LinkUp
-	// LinkDown carries traffic from the core toward a leaf/rack.
+	// LinkDown carries traffic from a spine toward a leaf (name = "leaf/sN").
 	LinkDown
-	// LinkCore is any interior hop a multi-tier backend defines beyond the
-	// four classic kinds.
-	LinkCore
 )
 
 // String names the kind for error messages and traces.
@@ -37,8 +33,6 @@ func (k LinkKind) String() string {
 		return "uplink"
 	case LinkDown:
 		return "downlink"
-	case LinkCore:
-		return "core"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -63,8 +57,8 @@ type Link struct {
 
 // Fabric is the scheduling abstraction over a network model: hosts with
 // addressable port capacities, plus the full set of capacity-constrained
-// links and the per-flow path over them. The big-switch Network, the
-// leaf-spine backend, and the external-timing backend all implement it.
+// links and the per-flow path over them. The native Network implements it,
+// and Extern wraps a Network with an external timing process.
 //
 // Contract: FlowLinks must be deterministic in (src, dst, topology) and must
 // return every link a src→dst flow consumes capacity on, host NICs included,
@@ -88,8 +82,9 @@ type Fabric interface {
 	Capacity(name string) (egress, ingress unit.Rate, ok bool)
 	// SetCapacity rewrites a host's NIC capacities (faults, recovery).
 	SetCapacity(name string, egress, ingress unit.Rate) error
-	// RackOf names the rack/leaf a host belongs to, or "" when untiered.
-	RackOf(host string) string
+	// LeafOf names the leaf (rack) a host attaches to, or "" when it
+	// attaches directly to the core.
+	LeafOf(host string) string
 	// FlowLinks appends the links a src→dst flow traverses to buf and
 	// returns it. Callers reuse buf across calls to keep hot paths
 	// allocation-free.
@@ -136,9 +131,9 @@ func oversubscribedError(k LinkKey, used, cap unit.Rate) error {
 	case LinkIngress:
 		return fmt.Errorf("fabric: ingress of %q oversubscribed: %v > %v", k.Name, used, cap)
 	case LinkUp:
-		return fmt.Errorf("fabric: uplink of rack %q oversubscribed: %v > %v", k.Name, used, cap)
+		return fmt.Errorf("fabric: uplink %q oversubscribed: %v > %v", k.Name, used, cap)
 	case LinkDown:
-		return fmt.Errorf("fabric: downlink of rack %q oversubscribed: %v > %v", k.Name, used, cap)
+		return fmt.Errorf("fabric: downlink %q oversubscribed: %v > %v", k.Name, used, cap)
 	default:
 		return fmt.Errorf("fabric: link %q oversubscribed: %v > %v", k, used, cap)
 	}
@@ -341,16 +336,6 @@ func (r *Residual) EgressFree(host string) unit.Rate {
 // IngressFree returns the remaining ingress capacity of a host.
 func (r *Residual) IngressFree(host string) unit.Rate {
 	return r.free[LinkKey{Kind: LinkIngress, Name: host}]
-}
-
-// RackUpFree returns a rack's remaining uplink capacity.
-func (r *Residual) RackUpFree(rack string) unit.Rate {
-	return r.free[LinkKey{Kind: LinkUp, Name: rack}]
-}
-
-// RackDownFree returns a rack's remaining downlink capacity.
-func (r *Residual) RackDownFree(rack string) unit.Rate {
-	return r.free[LinkKey{Kind: LinkDown, Name: rack}]
 }
 
 // Available returns the largest rate a src→dst flow could still use: the

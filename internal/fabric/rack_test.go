@@ -1,25 +1,25 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"echelonflow/internal/unit"
 )
 
-// twoRackNet: racks A{a1,a2} and B{b1,b2}, host NICs 4, uplinks 2 (2:1
-// oversubscription).
+// twoRackNet: racks A{a1,a2} and B{b1,b2} as leaves of a one-spine network,
+// host NICs 4, uplinks 2 (2:1 oversubscription).
 func twoRackNet(t *testing.T) *Network {
 	t.Helper()
 	n := NewNetwork()
-	n.AddUniformHosts(4, "a1", "a2", "b1", "b2")
 	for _, r := range []string{"A", "B"} {
-		if err := n.AddRack(r, 2, 2); err != nil {
+		if err := n.AddLeaf(r, 2, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for host, rack := range map[string]string{"a1": "A", "a2": "A", "b1": "B", "b2": "B"} {
-		if err := n.AssignRack(host, rack); err != nil {
+	for _, h := range [][2]string{{"a1", "A"}, {"a2", "A"}, {"b1", "B"}, {"b2", "B"}} {
+		if err := n.AddHost(h[0], h[1], 4, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,53 +28,71 @@ func twoRackNet(t *testing.T) *Network {
 
 func TestRackValidation(t *testing.T) {
 	n := NewNetwork()
-	n.AddUniformHosts(1, "h")
-	if err := n.AddRack("", 1, 1); err == nil {
+	if err := n.AddLeaf("", 1, 1); err == nil {
 		t.Error("empty rack name accepted")
 	}
-	if err := n.AddRack("r", -1, 1); err == nil {
+	if err := n.AddLeaf("r", -1, 1); err == nil {
 		t.Error("negative uplink accepted")
 	}
-	if err := n.AddRack("r", 1, 1); err != nil {
+	if err := n.AddLeaf("r", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AddRack("r", 1, 1); err == nil {
+	if err := n.AddLeaf("r", 1, 1); err == nil {
 		t.Error("duplicate rack accepted")
 	}
-	if err := n.AssignRack("ghost", "r"); err == nil {
-		t.Error("unknown host accepted")
-	}
-	if err := n.AssignRack("h", "ghost"); err == nil {
+	if err := n.AddHost("h", "ghost", 1, 1); err == nil {
 		t.Error("unknown rack accepted")
 	}
-	if err := n.AssignRack("h", "r"); err != nil {
+	if n.Host("h") != nil {
+		t.Error("host attached despite the unknown rack")
+	}
+	if err := n.AddHost("h", "r", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AssignRack("h", "r"); err == nil {
-		t.Error("double assignment accepted")
+	if err := n.MoveHost("ghost", "r"); err == nil {
+		t.Error("moving an unknown host accepted")
 	}
-	if n.RackOf("h") != "r" || n.RackOf("ghost") != "" {
-		t.Error("RackOf wrong")
+	if err := n.MoveHost("h", "ghost"); err == nil {
+		t.Error("moving to an unknown rack accepted")
 	}
-	if len(n.Racks()) != 1 || n.Rack("r") == nil {
-		t.Error("rack lookup wrong")
+	if n.LeafOf("h") != "r" || n.LeafOf("ghost") != "" {
+		t.Error("LeafOf wrong")
+	}
+	gen := n.Generation()
+	if err := n.MoveHost("h", "r"); err != nil || n.Generation() != gen {
+		t.Errorf("no-op move: err %v, generation %d -> %d", err, gen, n.Generation())
+	}
+	// A core-attached host moved onto the first leaf is a real move.
+	n.AddUniformHosts(1, "c")
+	topo := n.TopoGeneration()
+	if err := n.MoveHost("c", "r"); err != nil || n.LeafOf("c") != "r" || n.TopoGeneration() == topo {
+		t.Errorf("core-to-leaf move: err %v, leaf %q", err, n.LeafOf("c"))
 	}
 }
 
+// A flow crosses racks — and pays uplink and downlink — only when both
+// endpoints sit on leaves and the leaves differ.
 func TestCrossRack(t *testing.T) {
 	n := twoRackNet(t)
-	if _, _, crosses := n.CrossRack("a1", "a2"); crosses {
-		t.Error("intra-rack flow should not cross")
+	if got := n.FlowLinks("a1", "a2", nil); len(got) != 2 {
+		t.Errorf("intra-rack flow links = %v, want the two NICs", got)
 	}
-	srcR, dstR, crosses := n.CrossRack("a1", "b1")
-	if !crosses || srcR != "A" || dstR != "B" {
-		t.Errorf("cross rack = %q %q %v", srcR, dstR, crosses)
+	got := n.FlowLinks("a1", "b1", nil)
+	want := []LinkKey{{LinkEgress, "a1"}, {LinkIngress, "b1"}, {LinkUp, "A/s0"}, {LinkDown, "B/s0"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("cross-rack flow links = %v, want %v", got, want)
 	}
-	// Rackless peers never constrain.
+	// Core-attached peers never cross.
+	if err := n.AddHost("x", "", 4, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.FlowLinks("x", "b1", nil); len(got) != 2 {
+		t.Errorf("core-attached flow links = %v, want the two NICs", got)
+	}
 	n2 := NewNetwork()
 	n2.AddUniformHosts(1, "x", "y")
-	if _, _, crosses := n2.CrossRack("x", "y"); crosses {
-		t.Error("rackless fabric should not cross")
+	if got := n2.FlowLinks("x", "y", nil); len(got) != 2 {
+		t.Errorf("big-switch flow links = %v, want the two NICs", got)
 	}
 }
 
@@ -137,8 +155,8 @@ func TestRackResidual(t *testing.T) {
 	if got := res.Available("a2", "a1"); got != 4 {
 		t.Errorf("intra-rack available = %v, want 4", got)
 	}
-	if res.RackUpFree("A") != 0 || res.RackDownFree("B") != 0 {
-		t.Error("rack residual accessors wrong")
+	if res.Free(LinkKey{LinkUp, "A/s0"}) != 0 || res.Free(LinkKey{LinkDown, "B/s0"}) != 0 {
+		t.Error("rack link residuals wrong")
 	}
 }
 
@@ -160,16 +178,19 @@ func TestRackBottleneckTime(t *testing.T) {
 
 func TestSetRackCapacity(t *testing.T) {
 	n := twoRackNet(t)
-	if err := n.SetRackCapacity("A", 8, 8); err != nil {
+	if err := n.SetSpineLink("A", 0, 8, 6); err != nil {
 		t.Fatal(err)
 	}
-	if n.Rack("A").Uplink != 8 {
-		t.Error("capacity not updated")
+	if up, down := n.LinkCapacity(LinkKey{LinkUp, "A/s0"}), n.LinkCapacity(LinkKey{LinkDown, "A/s0"}); up != 8 || down != 6 {
+		t.Errorf("rack A links = %v up, %v down, want 8, 6", up, down)
 	}
-	if err := n.SetRackCapacity("ghost", 1, 1); err == nil {
+	if err := n.SetSpineLink("ghost", 0, 1, 1); err == nil {
 		t.Error("unknown rack accepted")
 	}
-	if err := n.SetRackCapacity("A", -1, 1); err == nil {
+	if err := n.SetSpineLink("A", 1, 1, 1); err == nil {
+		t.Error("second spine of a one-spine network accepted")
+	}
+	if err := n.SetSpineLink("A", 0, -1, 1); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }

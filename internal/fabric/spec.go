@@ -25,6 +25,8 @@ type HostCap struct {
 //	bigswitch                          the classic hosts-only fluid fabric
 //	leafspine                          2-spine Clos, 4 hosts/leaf, 3:1 oversub
 //	leafspine:hosts=2,spines=4,oversub=1
+//	leafspine:hosts=4,spines=1,oversub=2
+//	                                   racks of 4: one-spine leaves, 2:1 uplinks
 //	extern:<command line>              external timing process over bigswitch
 type Spec struct {
 	Kind string // "bigswitch" | "leafspine" | "extern"
@@ -106,13 +108,13 @@ func (sp *Spec) String() string {
 	}
 }
 
-// Build constructs the selected backend over the given hosts. Leaf-spine
-// fabrics attach hosts HostsPerLeaf at a time to leaves l0, l1, ... in the
-// order given, sizing each leaf's per-spine links so the leaf's core
-// bandwidth is its attached NIC bandwidth divided by Oversub (per
-// direction, so heterogeneous NICs are respected). An extern fabric wraps
-// the big-switch model: structure and feasibility stay native, timing
-// queries go to the external process.
+// Build constructs the selected backend over the given hosts. A big switch
+// attaches every host to the core; a leaf-spine fabric attaches hosts
+// HostsPerLeaf at a time to leaves l0, l1, ... in the order given, sizing
+// each leaf's per-spine links so the leaf's core bandwidth is its attached
+// NIC bandwidth divided by Oversub (per direction, so heterogeneous NICs are
+// respected). An extern fabric wraps the big-switch model: structure and
+// feasibility stay native, timing queries go to the external process.
 func (sp *Spec) Build(hosts []HostCap) (Fabric, error) {
 	switch sp.Kind {
 	case "bigswitch":
@@ -155,7 +157,7 @@ func (sp *Spec) Build(hosts []HostCap) (Fabric, error) {
 func (sp *Spec) buildNetwork(hosts []HostCap) (*Network, error) {
 	n := NewNetwork()
 	for _, h := range hosts {
-		if err := n.AddHost(h.Name, h.Egress, h.Ingress); err != nil {
+		if err := n.AddHost(h.Name, "", h.Egress, h.Ingress); err != nil {
 			return nil, err
 		}
 	}

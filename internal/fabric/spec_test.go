@@ -58,7 +58,7 @@ func TestSpecBuildLeafSpineGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := f.(*LeafSpine)
+	ls := f.(*Network)
 	if got := ls.LeafOf("a"); got != "l0" {
 		t.Errorf("LeafOf(a) = %q, want l0", got)
 	}

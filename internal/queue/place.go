@@ -153,11 +153,11 @@ func (Spread) Place(spec wire.JobSpec, v *View) ([]string, error) {
 }
 
 // NetAware places against the fabric's port footprints: hosts are ranked by
-// normalized port pressure, and candidates in the rack where the job's
-// placement so far is concentrating are preferred — cross-rack traffic rides
-// oversubscribed uplinks (fabric racks), so keeping a job's workers together
-// buys bandwidth that per-host balance alone cannot see. On a rackless
-// big-switch fabric it degrades gracefully to load-ranked selection.
+// normalized port pressure, and candidates in the rack (fabric leaf) where
+// the job's placement so far is concentrating are preferred — cross-rack
+// traffic rides oversubscribed spine uplinks, so keeping a job's workers
+// together buys bandwidth that per-host balance alone cannot see. On a
+// leafless big-switch fabric it degrades gracefully to load-ranked selection.
 type NetAware struct {
 	// CrossRackPenalty biases candidate scoring against leaving the rack the
 	// job is accumulating in; 0 means DefaultCrossRackPenalty.
@@ -184,7 +184,7 @@ func (p NetAware) Place(spec wire.JobSpec, v *View) ([]string, error) {
 	}
 	racks := make([]string, len(keys))
 	for i, k := range keys {
-		racks[i] = v.Net.RackOf(k.name)
+		racks[i] = v.Net.LeafOf(k.name)
 	}
 	chosen := make([]string, 0, need)
 	used := make([]bool, len(keys))

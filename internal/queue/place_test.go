@@ -20,16 +20,18 @@ func testNet(t *testing.T) *fabric.Network {
 	return net
 }
 
+// rackedNet puts a, b in rack r0 and c, d in rack r1: leaves of a
+// one-spine network.
 func rackedNet(t *testing.T) *fabric.Network {
 	t.Helper()
-	net := testNet(t)
+	net := fabric.NewNetwork()
 	for _, r := range []string{"r0", "r1"} {
-		if err := net.AddRack(r, 5, 5); err != nil {
+		if err := net.AddLeaf(r, 5, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for host, rack := range map[string]string{"a": "r0", "b": "r0", "c": "r1", "d": "r1"} {
-		if err := net.AssignRack(host, rack); err != nil {
+	for _, h := range [][2]string{{"a", "r0"}, {"b", "r0"}, {"c", "r1"}, {"d", "r1"}} {
+		if err := net.AddHost(h[0], h[1], 10, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,10 +175,10 @@ func TestPlacerByName(t *testing.T) {
 
 func TestTotalCapacity(t *testing.T) {
 	net := fabric.NewNetwork()
-	if err := net.AddHost("x", 10, 4); err != nil {
+	if err := net.AddHost("x", "", 10, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.AddHost("y", 6, 8); err != nil {
+	if err := net.AddHost("y", "", 6, 8); err != nil {
 		t.Fatal(err)
 	}
 	v := NewView(net)
@@ -286,7 +288,7 @@ func refPlace(placer string, v *View, need int) []string {
 				continue
 			}
 			score := refLoad(v, h.Name) + float64(v.Workers[h.Name])
-			if rack := v.Net.RackOf(h.Name); len(chosen) > 0 && rackCount[rack] == 0 {
+			if rack := v.Net.LeafOf(h.Name); len(chosen) > 0 && rackCount[rack] == 0 {
 				score += DefaultCrossRackPenalty
 			}
 			if best == "" || score < bestScore || (score == bestScore && h.Name < best) {
@@ -295,7 +297,7 @@ func refPlace(placer string, v *View, need int) []string {
 		}
 		chosen = append(chosen, best)
 		used[best] = true
-		rackCount[v.Net.RackOf(best)]++
+		rackCount[v.Net.LeafOf(best)]++
 	}
 	return chosen
 }
@@ -309,7 +311,7 @@ func TestPlacersMatchReference(t *testing.T) {
 		n := 3 + rng.Intn(30)
 		racks := 1 + rng.Intn(4)
 		for r := 0; r < racks; r++ {
-			if err := net.AddRack(fmt.Sprintf("r%d", r), 5, 5); err != nil {
+			if err := net.AddLeaf(fmt.Sprintf("r%d", r), 5, 5); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -326,13 +328,12 @@ func TestPlacersMatchReference(t *testing.T) {
 			case 1:
 				in = 0
 			}
-			if err := net.AddHost(h, eg, in); err != nil {
-				t.Fatal(err)
-			}
+			leaf := "" // core-attached
 			if rng.Intn(3) > 0 {
-				if err := net.AssignRack(h, fmt.Sprintf("r%d", rng.Intn(racks))); err != nil {
-					t.Fatal(err)
-				}
+				leaf = fmt.Sprintf("r%d", rng.Intn(racks))
+			}
+			if err := net.AddHost(h, leaf, eg, in); err != nil {
+				t.Fatal(err)
 			}
 			v.Workers[h] = rng.Intn(3)
 			v.Egress[h] = unit.Bytes(rng.Intn(3))

@@ -135,7 +135,7 @@ func TestBaselineSchedulers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			net := fabric.NewNetwork()
 			for _, h := range tc.hosts {
-				if err := net.AddHost(h.name, h.egress, h.in); err != nil {
+				if err := net.AddHost(h.name, "", h.egress, h.in); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -260,15 +260,14 @@ func TestDeltaPrimeMatchesSchedule(t *testing.T) {
 // pairs but sharing a rack uplink must land in one component.
 func TestDeltaApplyRackComponent(t *testing.T) {
 	net := fabric.NewNetwork()
-	net.AddUniformHosts(10, "a", "b", "c", "d")
-	if err := net.AddRack("r1", 1, 1); err != nil {
+	if err := net.AddLeaf("r1", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.AddRack("r2", 10, 10); err != nil {
+	if err := net.AddLeaf("r2", 10, 10); err != nil {
 		t.Fatal(err)
 	}
-	for host, rack := range map[string]string{"a": "r1", "c": "r1", "b": "r2", "d": "r2"} {
-		if err := net.AssignRack(host, rack); err != nil {
+	for _, h := range [][2]string{{"a", "r1"}, {"b", "r2"}, {"c", "r1"}, {"d", "r2"}} {
+		if err := net.AddHost(h[0], h[1], 10, 10); err != nil {
 			t.Fatal(err)
 		}
 	}

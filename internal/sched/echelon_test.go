@@ -208,10 +208,10 @@ func TestEchelonMADDFig2Instant(t *testing.T) {
 // minTardiness must report an error when a port has zero capacity.
 func TestEchelonMADDZeroCapacity(t *testing.T) {
 	net := fabric.NewNetwork()
-	if err := net.AddHost("a", 0, 0); err != nil {
+	if err := net.AddHost("a", "", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.AddHost("b", 1, 1); err != nil {
+	if err := net.AddHost("b", "", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	g := coflowGroup(t, "g", 1)

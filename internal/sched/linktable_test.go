@@ -71,7 +71,15 @@ func TestPassCostIndependentOfFabricSize(t *testing.T) {
 			return net
 		},
 		"leafspine": func(names []string) fabric.Fabric {
-			ls, err := fabric.NewLeafSpineFromHosts(names, 4, 4, 10, 2)
+			spec, err := fabric.ParseSpec("leafspine:hosts=4,spines=4,oversub=2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := make([]fabric.HostCap, len(names))
+			for i, name := range names {
+				hosts[i] = fabric.HostCap{Name: name, Egress: 10, Ingress: 10}
+			}
+			ls, err := spec.Build(hosts)
 			if err != nil {
 				t.Fatal(err)
 			}

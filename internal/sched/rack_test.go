@@ -12,18 +12,21 @@ import (
 	"echelonflow/internal/unit"
 )
 
-// rackNet builds 2 racks × 2 hosts with NIC 4 and uplink/downlink 2.
+// rackHosts attaches a1, a2 to rack A and b1, b2 to rack B.
+var rackHosts = [][2]string{{"a1", "A"}, {"a2", "A"}, {"b1", "B"}, {"b2", "B"}}
+
+// rackNet builds 2 racks × 2 hosts with NIC 4 and uplink/downlink 2: leaves
+// of a one-spine network.
 func rackNet(t *testing.T) *fabric.Network {
 	t.Helper()
 	n := fabric.NewNetwork()
-	n.AddUniformHosts(4, "a1", "a2", "b1", "b2")
 	for _, r := range []string{"A", "B"} {
-		if err := n.AddRack(r, 2, 2); err != nil {
+		if err := n.AddLeaf(r, 2, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for host, rack := range map[string]string{"a1": "A", "a2": "A", "b1": "B", "b2": "B"} {
-		if err := n.AssignRack(host, rack); err != nil {
+	for _, h := range rackHosts {
+		if err := n.AddHost(h[0], h[1], 4, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,11 +96,11 @@ func TestSchedulersRackFeasibleProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		net := fabric.NewNetwork()
 		hosts := []string{"a1", "a2", "b1", "b2"}
-		net.AddUniformHosts(unit.Rate(1+3*rng.Float64()), hosts...)
-		_ = net.AddRack("A", unit.Rate(0.5+rng.Float64()), unit.Rate(0.5+rng.Float64()))
-		_ = net.AddRack("B", unit.Rate(0.5+rng.Float64()), unit.Rate(0.5+rng.Float64()))
-		for host, rack := range map[string]string{"a1": "A", "a2": "A", "b1": "B", "b2": "B"} {
-			_ = net.AssignRack(host, rack)
+		nic := unit.Rate(1 + 3*rng.Float64())
+		_ = net.AddLeaf("A", unit.Rate(0.5+rng.Float64()), unit.Rate(0.5+rng.Float64()))
+		_ = net.AddLeaf("B", unit.Rate(0.5+rng.Float64()), unit.Rate(0.5+rng.Float64()))
+		for _, h := range rackHosts {
+			_ = net.AddHost(h[0], h[1], nic, nic)
 		}
 		snap := &Snapshot{Now: 0, Groups: map[string]*GroupState{}}
 		groupCount := 1 + rng.Intn(3)
@@ -144,10 +147,10 @@ func TestSchedulersRackFeasibleProperty(t *testing.T) {
 	}
 }
 
-// ReassignRack must invalidate every cached planning artifact: the PlanCache
+// MoveHost must invalidate every cached planning artifact: the PlanCache
 // epoch (keyed on Generation) and the delta scheduler's incremental state.
 // A stale footprint after a host move would patch against the wrong uplinks.
-func TestReassignRackDiscardsCachedState(t *testing.T) {
+func TestMoveHostDiscardsCachedState(t *testing.T) {
 	net := rackNet(t)
 	cache := NewPlanCache()
 	d := NewDelta(EchelonMADD{Backfill: true, Cache: cache})
@@ -177,7 +180,7 @@ func TestReassignRackDiscardsCachedState(t *testing.T) {
 
 	// Move b1 into rack A: x becomes intra-rack, so its uplink ceiling (2)
 	// no longer applies.
-	if err := net.ReassignRack("b1", "A"); err != nil {
+	if err := net.MoveHost("b1", "A"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := d.Apply(snap, net, Delta{}); ok {
@@ -205,8 +208,8 @@ func TestReassignRackDiscardsCachedState(t *testing.T) {
 	}
 }
 
-// residualGamma must agree across fabric backends when the interior links
-// cannot bind: a rackless big switch and a leaf-spine with non-binding
+// residualGamma must agree across fabric layouts when the interior links
+// cannot bind: a leafless big switch and a leaf-spine with non-binding
 // uplinks describe the same capacity region, so SEBF ordering (and with it
 // every CoflowMADD decision) is backend-independent.
 func TestResidualGammaBackendAgreement(t *testing.T) {

@@ -290,7 +290,7 @@ func TestAllSchedulersFeasibleProperty(t *testing.T) {
 		hosts := make([]string, hostCount)
 		for i := range hosts {
 			hosts[i] = "h" + string(rune('0'+i))
-			_ = net.AddHost(hosts[i], unit.Rate(0.5+3*rng.Float64()), unit.Rate(0.5+3*rng.Float64()))
+			_ = net.AddHost(hosts[i], "", unit.Rate(0.5+3*rng.Float64()), unit.Rate(0.5+3*rng.Float64()))
 		}
 		groups := make(map[string]*core.EchelonFlow)
 		snap := &Snapshot{Now: unit.Time(rng.Float64() * 5), Groups: map[string]*GroupState{}}

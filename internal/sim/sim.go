@@ -142,14 +142,16 @@ type Result struct {
 }
 
 // TotalTardiness sums weighted group tardiness (Eq. 4: Σ w_i · T_i) over the
-// named groups, or all groups when none are named. Groups carry weight 1
-// unless Options.Weights says otherwise, so unweighted runs are a plain sum.
-// Unknown group names contribute nothing.
+// named groups in the order given, or over all groups in sorted ID order when
+// none are named, so the float sum is the same on every call. Groups carry
+// weight 1 unless Options.Weights says otherwise, so unweighted runs are a
+// plain sum. Unknown group names contribute nothing.
 func (r *Result) TotalTardiness(groups ...string) unit.Time {
 	if len(groups) == 0 {
 		for id := range r.Groups {
 			groups = append(groups, id)
 		}
+		sort.Strings(groups)
 	}
 	var sum unit.Time
 	for _, id := range groups {

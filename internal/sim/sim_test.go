@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -317,6 +318,39 @@ func TestTotalTardiness(t *testing.T) {
 	}
 	if got := res.TotalTardiness(); !got.ApproxEq(1) {
 		t.Errorf("TotalTardiness() = %v", got)
+	}
+}
+
+// With no names given, TotalTardiness must sum in sorted group-ID order, not
+// map order: these values make float addition order-dependent, so any other
+// order changes the total's last bits from call to call.
+func TestTotalTardinessSumsInSortedOrder(t *testing.T) {
+	tard := []unit.Time{1e16, 1, 1, 1, 1, 0.5, 3, 0.25, 7, 2.5e15, 0.7, 5}
+	res := &Result{Groups: make(map[string]GroupResult)}
+	ids := make([]string, len(tard))
+	for i, x := range tard {
+		ids[i] = fmt.Sprintf("g%02d", i)
+		g, err := core.NewCoflow(ids[i], &core.Flow{ID: ids[i] + "f", Src: "a", Dst: "b", Size: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Groups[ids[i]] = GroupResult{Group: g, Tardiness: x}
+	}
+	var sorted, reversed unit.Time
+	for i := range tard {
+		sorted += tard[i]
+		reversed += tard[len(tard)-1-i]
+	}
+	if sorted == reversed {
+		t.Fatalf("test values are not order-dependent: %v either way", sorted)
+	}
+	if got := res.TotalTardiness(ids...); got != sorted {
+		t.Fatalf("TotalTardiness(sorted IDs) = %.17g, want %.17g", float64(got), float64(sorted))
+	}
+	for call := 0; call < 50; call++ {
+		if got := res.TotalTardiness(); got != sorted {
+			t.Fatalf("call %d: TotalTardiness() = %.17g, want the sorted-order sum %.17g", call, float64(got), float64(sorted))
+		}
 	}
 }
 

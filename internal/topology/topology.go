@@ -97,7 +97,7 @@ func (c *Cluster) Fabric() *fabric.Network {
 			// Per-slot share of the host NIC.
 			eg := h.egress / unit.Rate(h.gpus)
 			in := h.ingress / unit.Rate(h.gpus)
-			if err := net.AddHost(SlotName(name, g), eg, in); err != nil {
+			if err := net.AddHost(SlotName(name, g), "", eg, in); err != nil {
 				// Unreachable: slot names are unique by construction.
 				panic(err)
 			}
