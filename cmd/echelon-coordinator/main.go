@@ -54,7 +54,7 @@ func main() {
 	journalDir := flag.String("journal", "", "write-ahead journal directory: state survives a crash and is replayed on restart (empty disables)")
 	groupCommit := flag.Duration("group-commit", 0, "journal group-commit window: batch fsyncs up to this long (or -group-commit-bytes) instead of per append; 0 keeps per-append fsync")
 	groupCommitBytes := flag.Int("group-commit-bytes", 0, "journal group-commit batch-size flush threshold in bytes (default 256KiB when -group-commit is set)")
-	snapshotEvery := flag.Int("journal-snapshot", 256, "with -journal, compact the log into a snapshot after this many events (0 never compacts)")
+	snapshotEvery := flag.Int("journal-snapshot", 256, "with -journal, append a snapshot checkpoint to the log after this many events; the snapshot file is rewritten only when the log outgrows its bound (0 never compacts)")
 	redialRate := flag.Float64("redial-rate", 0, "max reconnects per agent name per second (0 disables admission control)")
 	redialBurst := flag.Float64("redial-burst", 0, "redial admission burst (default 1 when -redial-rate is set)")
 	queueEnable := flag.Bool("queue", false, "accept online job submissions: queue arrivals, place and admit them")

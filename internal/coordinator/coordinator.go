@@ -166,6 +166,9 @@ type groupRT struct {
 	parked   bool
 	parkGen  int
 	parkedAt time.Time
+	// reg is the group's registration as compaction writes it, built on
+	// the first snapshot that holds the group (a group never changes shape).
+	reg *wire.Register
 }
 
 // Coordinator is the central scheduler. Create with New.
@@ -229,6 +232,8 @@ type Coordinator struct {
 	journal       *journal.Journal
 	journalEvents int
 	replaying     bool
+	// jbuf is the reused encode buffer for journal payloads (under mu).
+	jbuf []byte
 	// journalBrokenSeen marks that the broken-journal transition was
 	// announced (log line, gauge, lifecycle event) — the latch itself lives
 	// in the journal and can be set by its group-commit background flush.
@@ -819,8 +824,8 @@ func (c *Coordinator) applyFlowLocked(ev wire.FlowEvent, now unit.Time) error {
 		if f.finished {
 			return fmt.Errorf("coordinator: flow %q resumed after finish", ev.FlowID)
 		}
-		if ev.Offset > f.flow.Size {
-			return fmt.Errorf("coordinator: flow %q resumed past its size (%v > %v)",
+		if !(ev.Offset >= 0 && ev.Offset <= f.flow.Size) { // NaN fails both
+			return fmt.Errorf("coordinator: flow %q resumed at offset %v outside its size %v",
 				ev.FlowID, ev.Offset, f.flow.Size)
 		}
 		if !f.released {

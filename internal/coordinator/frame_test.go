@@ -70,8 +70,8 @@ func walRecords(t *testing.T, dir string) ([]journalEvent, string) {
 	var evs []journalEvent
 	var kinds []string
 	for _, raw := range rec.Tail {
-		var ev journalEvent
-		if err := json.Unmarshal(raw, &ev); err != nil {
+		ev, err := decodeRecord(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
 		evs = append(evs, ev)
@@ -596,8 +596,10 @@ func TestFrameIsOneUnitOfWork(t *testing.T) {
 
 // Allocation bounds per event with the reschedule deferred (so the pass's
 // own allocations, which depend on the active set, stay out): the one-event
-// frame costs what the single-event path it replaced did (4: the event, the
-// record's JSON, the journal's frame), and a 32-event frame pays those once.
+// frame costs one allocation (its event), and a 32-event frame none at all —
+// the record is encoded into the coordinator's reused buffer and framed in
+// the journal's, so a per-record allocation (a json.Marshal, a fresh frame
+// buffer) fails this.
 func TestFrameAllocationsPerEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -605,7 +607,7 @@ func TestFrameAllocationsPerEvent(t *testing.T) {
 	for _, tc := range []struct {
 		events int
 		bound  float64
-	}{{1, 4}, {32, 0.25}} {
+	}{{1, 1}, {32, 0}} {
 		c, s, msg := frameFixture(t, tc.events, time.Hour)
 		if err := c.handleMessage(s, msg); err != nil { // opens the batch, arms its timer
 			t.Fatal(err)

@@ -10,7 +10,6 @@
 package coordinator
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -51,11 +50,12 @@ const (
 	jJobDeparted = "job-departed" // job completed (Groups removed) or rejected
 )
 
-// journalEvent is one WAL record. At is the scheduler time of the mutation:
-// the live path reads the clock once per journaled mutation, advances the
-// fluid model to that reading and records the resulting lastAdvance, and
-// replay advances to At before re-applying — so integration intervals,
-// release times and planning instants match the live run exactly.
+// journalEvent is one WAL record (encoded by journalcodec.go; the JSON tags
+// read records written before the binary encoding). At is the scheduler time
+// of the mutation: the live path reads the clock once per journaled mutation,
+// advances the fluid model to that reading and records the resulting
+// lastAdvance, and replay advances to At before re-applying — so integration
+// intervals, release times and planning instants match the live run exactly.
 type journalEvent struct {
 	Kind     string           `json:"kind"`
 	At       unit.Time        `json:"at"`
@@ -87,7 +87,8 @@ type journalEvent struct {
 }
 
 // snapshotState is the compacted control-plane state: everything needed to
-// resume scheduling without the WAL records it covers.
+// resume scheduling without the WAL records it covers. The JSON tags read
+// snapshots written before the binary encoding (journalcodec.go).
 type snapshotState struct {
 	Wall   int64           `json:"wall"` // coordinator start, UnixNano
 	At     unit.Time       `json:"at"`   // fluid model position when taken
@@ -164,17 +165,23 @@ func (c *Coordinator) appendJournalLocked(ev journalEvent) {
 		c.noteJournalBrokenLocked(err, ev.At)
 		return
 	}
+	var err error
 	if ev.group != nil && ev.Register == nil {
-		reg, err := wire.RegisterOf(ev.group)
-		if err != nil {
-			c.opts.Logf("coordinator: journal: cannot serialize group %q: %v", ev.group.ID, err)
-			return
+		var reg wire.Register
+		if reg, err = wire.RegisterOf(ev.group); err == nil {
+			ev.Register = &reg
 		}
-		ev.Register = &reg
 	}
-	body, err := json.Marshal(ev)
+	if err == nil {
+		c.jbuf, err = appendRecordPayload(c.jbuf[:0], &ev)
+	}
 	if err != nil {
-		c.opts.Logf("coordinator: journal marshal %s: %v", ev.Kind, err)
+		// The mutation is applied but cannot be recorded: the WAL would
+		// silently miss it, so the journal latches broken like a failed
+		// append and refuses everything after.
+		err = fmt.Errorf("journal: encode %s record: %w", ev.Kind, err)
+		c.journal.Fail(err)
+		c.noteJournalBrokenLocked(err, ev.At)
 		return
 	}
 	t0 := time.Now()
@@ -184,7 +191,7 @@ func (c *Coordinator) appendJournalLocked(ev journalEvent) {
 		// see it exactly like a genuinely slow disk.
 		time.Sleep(time.Duration(d))
 	}
-	if err := c.journal.Append(body); err != nil {
+	if err := c.journal.Append(c.jbuf); err != nil {
 		c.noteJournalBrokenLocked(err, ev.At)
 		return
 	}
@@ -218,13 +225,17 @@ func (c *Coordinator) noteJournalBrokenLocked(err error, at unit.Time) {
 		Detail: err.Error()})
 }
 
-// snapshotLocked compacts current state into the journal's snapshot file.
+// snapshotLocked compacts current state into one checkpoint: a binary
+// encode into the reused buffer and one journal append (a rewrite of the
+// snapshot file only when the WAL has outgrown its bound).
 func (c *Coordinator) snapshotLocked() {
 	if c.journal == nil {
 		return
 	}
-	st := snapshotState{Wall: c.start.UnixNano(), At: c.lastAdvance}
-	for _, h := range c.opts.Net.Hosts() {
+	hosts := c.opts.Net.Hosts()
+	st := snapshotState{Wall: c.start.UnixNano(), At: c.lastAdvance, Hosts: make([]snapshotHost, 0, len(hosts)),
+		Groups: make([]snapshotGroup, 0, len(c.groups))}
+	for _, h := range hosts {
 		eg, in, ok := c.opts.Net.Capacity(h.Name)
 		if !ok {
 			continue
@@ -232,29 +243,35 @@ func (c *Coordinator) snapshotLocked() {
 		st.Hosts = append(st.Hosts, snapshotHost{Name: h.Name, Egress: eg, Ingress: in})
 	}
 	gids := make([]string, 0, len(c.groups))
-	for gid := range c.groups {
+	nflows := 0
+	for gid, g := range c.groups {
 		gids = append(gids, gid)
+		nflows += len(g.flows)
 	}
 	sort.Strings(gids)
+	flows := make([]snapshotFlow, 0, nflows) // one arena, sliced per group
 	for _, gid := range gids {
 		g := c.groups[gid]
-		reg, err := wire.RegisterOf(g.state.Group)
-		if err != nil {
-			c.opts.Logf("coordinator: snapshot: cannot serialize group %q: %v", gid, err)
-			continue
-		}
-		sg := snapshotGroup{
-			Owner: g.owner, Register: reg, Parked: g.parked, RefSet: g.refSet,
-			Reference: g.state.Reference, Tardiness: g.state.AchievedTardiness,
+		if g.reg == nil {
+			reg, err := wire.RegisterOf(g.state.Group)
+			if err != nil {
+				c.opts.Logf("coordinator: snapshot: cannot serialize group %q: %v", gid, err)
+				continue
+			}
+			g.reg = &reg
 		}
 		for _, f := range g.state.Group.Flows {
 			rt := g.flows[f.ID]
-			sg.Flows = append(sg.Flows, snapshotFlow{
+			flows = append(flows, snapshotFlow{
 				ID: f.ID, Released: rt.released, Finished: rt.finished,
 				Remaining: rt.remaining, Rate: rt.rate, Release: rt.release,
 			})
 		}
-		st.Groups = append(st.Groups, sg)
+		st.Groups = append(st.Groups, snapshotGroup{
+			Owner: g.owner, Register: *g.reg, Parked: g.parked, RefSet: g.refSet,
+			Reference: g.state.Reference, Tardiness: g.state.AchievedTardiness,
+			Flows: flows[len(flows)-len(g.state.Group.Flows) : len(flows) : len(flows)],
+		})
 	}
 	if c.queue != nil {
 		jobs := &snapshotJobs{Seq: c.queue.Seq()}
@@ -266,12 +283,13 @@ func (c *Coordinator) snapshotLocked() {
 		}
 		st.Jobs = jobs
 	}
-	body, err := json.Marshal(st)
+	body, err := appendSnapshotPayload(c.jbuf[:0], &st)
 	if err != nil {
-		c.opts.Logf("coordinator: snapshot marshal: %v", err)
+		c.opts.Logf("coordinator: snapshot encode: %v", err)
 		return
 	}
-	if err := c.journal.Snapshot(body); err != nil {
+	c.jbuf = body
+	if err := c.journal.Checkpoint(body); err != nil {
 		c.opts.Logf("coordinator: snapshot: %v", err)
 		return
 	}
@@ -347,8 +365,8 @@ func (c *Coordinator) restoreJobsLocked(sj *snapshotJobs) error {
 
 // applySnapshotLocked rebuilds group state from a snapshot payload.
 func (c *Coordinator) applySnapshotLocked(payload []byte) error {
-	var st snapshotState
-	if err := json.Unmarshal(payload, &st); err != nil {
+	st, err := decodeSnapshot(payload)
+	if err != nil {
 		return fmt.Errorf("coordinator: corrupt snapshot: %w", err)
 	}
 	c.start = time.Unix(0, st.Wall)
@@ -528,14 +546,10 @@ func (c *Coordinator) commitLocked(ev *journalEvent) (map[string]unit.Rate, erro
 // the live side commits, and run the same transition. An individually
 // inconsistent record is logged and skipped rather than aborting recovery.
 func (c *Coordinator) applyJournalLocked(raw []byte) {
-	var ev journalEvent
-	err := json.Unmarshal(raw, &ev)
+	ev, err := decodeRecord(raw)
 	if err != nil {
 		c.opts.Logf("coordinator: skipping corrupt journal record: %v", err)
 		return
-	}
-	if ev.Flow != nil { // journals from before frames: one event per record
-		ev.Flows = []wire.FlowEvent{*ev.Flow}
 	}
 	if ev.Register != nil {
 		ev.group, err = ev.Register.Group()

@@ -70,8 +70,8 @@ func TestAppendFsyncFailureLatchesBroken(t *testing.T) {
 	if err := j.Append([]byte("late")); !errors.Is(err, ErrBroken) {
 		t.Fatalf("post-failure append error = %v, want ErrBroken", err)
 	}
-	if err := j.Snapshot([]byte("snap")); !errors.Is(err, ErrBroken) {
-		t.Fatalf("post-failure snapshot error = %v, want ErrBroken", err)
+	if err := j.Checkpoint([]byte("snap")); !errors.Is(err, ErrBroken) {
+		t.Fatalf("post-failure checkpoint error = %v, want ErrBroken", err)
 	}
 	if got := j.Seq(); got != 1 {
 		t.Errorf("seq = %d, want 1 (failed append must not advance it)", got)
@@ -131,10 +131,10 @@ func TestWriteRecordRoundTripThroughSeam(t *testing.T) {
 	// buffer WriteSyncer reads back bit-identical.
 	var buf bytes.Buffer
 	ws := nopSync{&buf}
-	if err := writeRecord(ws, 7, []byte("payload")); err != nil {
+	if err := (&Journal{}).writeRecord(ws, 7, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	rec, n, err := readRecord(&buf)
+	rec, n, err := readRecord(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,7 @@ import (
 
 // frameRecord builds one on-disk record frame for seed corpora.
 func frameRecord(seq uint64, payload []byte) []byte {
-	var buf bytes.Buffer
-	if err := writeRecord(&buf, seq, payload); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return appendRecord(nil, seq, payload)
 }
 
 // FuzzRestore throws arbitrary snapshot and wal bytes at recovery. Restore
@@ -43,6 +39,12 @@ func FuzzRestore(f *testing.F) {
 	f.Add(snap, bad)
 	// Oversize length prefix.
 	f.Add(snap, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	// Checkpoints: adopted over the file, stale at or below it, torn.
+	cp := frameRecord(6|checkpointBit, []byte(`{"cp":6}`))
+	f.Add(snap, append(append(append([]byte(nil), recs...), cp...), frameRecord(7, []byte("r7"))...))
+	f.Add([]byte(nil), append(append([]byte(nil), cp...), frameRecord(7, []byte("r7"))...))
+	f.Add(snap, append(frameRecord(3|checkpointBit, []byte("stale")), recs...))
+	f.Add(snap, append(append([]byte(nil), recs...), cp[:headerSize+3]...))
 	// Corrupt snapshot (unrecoverable by design).
 	f.Add([]byte("not a snapshot"), recs)
 
@@ -108,7 +110,7 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := readRecord(bytes.NewReader(data))
+		rec, n, err := readRecord(data)
 		if err != nil {
 			return
 		}

@@ -194,8 +194,11 @@ func TestGroupCommitCloseFlushes(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSnapshotFlushesPending: Snapshot drains the batch before
-// compacting, so a snapshot failure cannot strand unsynced records.
+// TestGroupCommitSnapshotFlushesPending: a checkpoint joins the group-commit
+// batch like any record — no fsync of its own, durable with the batch — and
+// recovers as the snapshot once flushed. The rewrite a checkpoint turns into
+// past the wal's bound drains the batch first, so a failed rewrite cannot
+// strand unsynced records.
 func TestGroupCommitSnapshotFlushesPending(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir)
@@ -213,11 +216,17 @@ func TestGroupCommitSnapshotFlushesPending(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Snapshot([]byte("state-after-5")); err != nil {
+	if err := j.Checkpoint([]byte("state-after-5")); err != nil {
+		t.Fatal(err)
+	}
+	if cw.syncs != 0 || j.pendingN != 6 {
+		t.Fatalf("checkpoint under group-commit: %d syncs, %d pending; want 0, 6", cw.syncs, j.pendingN)
+	}
+	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if cw.syncs != 1 {
-		t.Fatalf("Snapshot flushed %d times, want 1", cw.syncs)
+		t.Fatalf("Flush synced %d times, want 1", cw.syncs)
 	}
 	rec, err := Restore(dir)
 	if err != nil {
@@ -226,7 +235,7 @@ func TestGroupCommitSnapshotFlushesPending(t *testing.T) {
 	if string(rec.Snapshot) != "state-after-5" || len(rec.Tail) != 0 {
 		t.Fatalf("recovery = snapshot %q + %d tail records", rec.Snapshot, len(rec.Tail))
 	}
-	// Appends after the compaction keep their sequence continuity.
+	// Appends after the checkpoint keep their sequence continuity.
 	if err := j.Append([]byte("post-snap")); err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +246,28 @@ func TestGroupCommitSnapshotFlushesPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Tail) != 1 || string(rec.Tail[0]) != "post-snap" {
-		t.Fatalf("post-snapshot tail = %q", rec.Tail)
+	if len(rec.Tail) != 1 || string(rec.Tail[0]) != "post-snap" || rec.SnapSeq != 6 {
+		t.Fatalf("post-checkpoint tail = %q after snapshot @%d", rec.Tail, rec.SnapSeq)
+	}
+
+	// The rewrite path: a pending batch is synced before the snapshot file
+	// replaces it.
+	if err := j.Append([]byte("pending")); err != nil {
+		t.Fatal(err)
+	}
+	syncs := cw.syncs
+	if err := checkpointRewriting(j, []byte("state-after-8")); err != nil {
+		t.Fatal(err)
+	}
+	if cw.syncs != syncs+1 || j.pendingN != 0 {
+		t.Fatalf("rewrite: %d pre-flush syncs, %d still pending; want 1, 0", cw.syncs-syncs, j.pendingN)
+	}
+	rec, err = Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rec.Snapshot) != "state-after-8" || rec.SnapSeq != 9 || len(rec.Tail) != 0 {
+		t.Fatalf("after the rewrite: snapshot %q @%d + %d tail records", rec.Snapshot, rec.SnapSeq, len(rec.Tail))
 	}
 }
 

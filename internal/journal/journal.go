@@ -1,26 +1,33 @@
 // Package journal gives the Coordinator durable control-plane state: a
 // length-prefixed, CRC-checked write-ahead log plus periodic snapshots, laid
-// out so that a crash at any instant — mid-append, mid-snapshot, between
-// snapshot and log truncation — loses at most the record being written.
+// out so that a crash at any instant — mid-append, mid-checkpoint, mid-rewrite,
+// between snapshot and log truncation — loses at most the record being
+// written.
 //
 // A journal directory holds two files:
 //
 //	wal       append-only records, fsynced per append (or per batch, with
 //	          group-commit — see SetGroupCommit)
-//	snapshot  the newest compaction, written atomically (tmp + rename)
+//	snapshot  the snapshot the wal last outgrew, written atomically (tmp +
+//	          rename)
 //
 // Every record (in either file) is framed as
 //
 //	[4-byte big-endian payload length][4-byte CRC-32 (IEEE)][8-byte sequence][payload]
 //
 // where the CRC covers the sequence and payload. Sequence numbers increase
-// by one per append; the snapshot records the sequence it covers, so
-// recovery is "load snapshot, then replay wal records with a later
-// sequence". A wal that still contains records at or before the snapshot's
-// sequence (a crash between snapshot rename and wal truncation) replays
-// cleanly: the stale prefix is skipped. A torn final record (a crash
-// mid-append) is detected by its short frame or CRC mismatch and dropped;
-// anything before it is intact by construction.
+// by one per append, snapshots included. A snapshot is normally a
+// checkpoint: an ordinary wal record whose sequence has the top bit set,
+// appended like any other and exactly as durable. Recovery adopts the last
+// intact checkpoint as the snapshot and replays only the records after it.
+// Only when a checkpoint would grow the wal past a bound is the snapshot
+// instead rewritten into the snapshot file, stamped with the sequence it
+// covers, and the wal truncated; recovery then loads that file and replays
+// wal records with a later sequence. A wal that still contains records or checkpoints at
+// or before the file's sequence (a crash between rename and truncation)
+// replays cleanly: the stale prefix is skipped. A torn final record (a crash
+// mid-append, checkpoints included) is detected by its short frame or CRC
+// mismatch and dropped; anything before it is intact by construction.
 package journal
 
 import (
@@ -39,12 +46,42 @@ const (
 	walName  = "wal"
 	snapName = "snapshot"
 
-	// MaxRecord bounds a single payload so a corrupt length prefix cannot
-	// force an unbounded allocation during recovery.
+	// MaxRecord bounds a single payload.
 	MaxRecord = 64 << 20
 
 	headerSize = 4 + 4 + 8 // length + crc + seq
+
+	// checkpointBit marks a checkpoint's sequence. Sequences count from 1 up
+	// and never reach it, so journals written before checkpoints existed
+	// never set it; the CRC covers it like the rest of the sequence.
+	checkpointBit = 1 << 63
+
+	// A checkpoint that would grow the wal past rewriteBound rewrites the
+	// snapshot file and truncates the wal instead. The bound scales with the
+	// checkpoint, so at most about rewriteEvery checkpoints' worth of wal is
+	// read back at recovery however large the state grows, and a rewrite's
+	// fsyncs are paid once per that many checkpoints, not once per each.
+	minRewriteBytes = 1 << 20
+	rewriteEvery    = 8
 )
+
+// rewriteBound is the wal size past which a checkpoint of n framed bytes
+// rewrites instead of appending.
+func rewriteBound(n int64) int64 { return max(minRewriteBytes, rewriteEvery*n) }
+
+// syncDir fsyncs a directory, making the entries created or renamed in it
+// durable. A variable so tests can count the calls.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // ErrBroken marks a journal that refuses writes after a storage failure.
 // Once an append write or fsync fails, the wal's on-disk tail is unknown —
@@ -64,7 +101,7 @@ type WriteSyncer interface {
 const DefaultGroupCommitBytes = 256 << 10
 
 // Journal is an open journal directory. The Coordinator serializes Append
-// and Snapshot under its state lock so the log order equals the
+// and Checkpoint under its state lock so the log order equals the
 // state-mutation order; an internal mutex additionally makes every method
 // safe against the group-commit window timer, which flushes from its own
 // goroutine.
@@ -74,6 +111,8 @@ type Journal struct {
 	wal    *os.File
 	out    WriteSyncer // wal, unless a test injected a wrapper
 	seq    uint64      // sequence of the last record written (snapshot or wal)
+	size   int64       // bytes in the wal
+	frame  []byte      // reused record assembly buffer: one write per record
 	broken error       // first storage failure; latched, see ErrBroken
 
 	// Group-commit state (see SetGroupCommit). While gcWindow > 0, appends
@@ -101,31 +140,38 @@ func Open(dir string) (*Journal, error) {
 	// Scan the wal tail for the true last sequence (it may run past the
 	// snapshot) and note where intact records end so a torn tail is
 	// overwritten by the next append instead of corrupting the frame stream.
-	end := int64(0)
-	if f, err := os.Open(filepath.Join(dir, walName)); err == nil {
-		for {
-			rec, n, err := readRecord(f)
-			if err != nil {
-				break // torn or absent tail: intact prefix ends here
-			}
-			end += n
-			if rec.seq > j.seq {
-				j.seq = rec.seq
-			}
-		}
-		f.Close()
-	} else if !errors.Is(err, os.ErrNotExist) {
+	path := filepath.Join(dir, walName)
+	data, err := os.ReadFile(path)
+	created := errors.Is(err, os.ErrNotExist)
+	if err != nil && !created {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
+	for rest := data; ; {
+		rec, n, err := readRecord(rest)
+		if err != nil {
+			break // torn or absent tail: intact prefix ends here
+		}
+		rest = rest[n:]
+		j.size += n
+		j.seq = max(j.seq, rec.seq&^checkpointBit)
+	}
+	wal, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if err := wal.Truncate(end); err != nil {
+	if created {
+		// The wal's directory entry is as much a part of every record as
+		// the bytes: without this a power cut could lose the whole file.
+		if err := syncDir(dir); err != nil {
+			wal.Close()
+			return nil, fmt.Errorf("journal: sync dir: %w", err)
+		}
+	}
+	if err := wal.Truncate(j.size); err != nil {
 		wal.Close()
 		return nil, fmt.Errorf("journal: drop torn tail: %w", err)
 	}
-	if _, err := wal.Seek(end, io.SeekStart); err != nil {
+	if _, err := wal.Seek(j.size, io.SeekStart); err != nil {
 		wal.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}
@@ -233,6 +279,31 @@ func (j *Journal) windowExpired() {
 	j.flushLocked()
 }
 
+// Fail latches the journal broken with a failure the caller detected — a
+// mutation it could not encode is missing from the wal, so, as after a failed
+// append, every later write and Flush is refused rather than letting the wal
+// silently diverge from the state it records.
+func (j *Journal) Fail(err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.fail(err)
+}
+
+// writableLocked refuses a write of n payload bytes to a closed or broken
+// journal, or one over MaxRecord. Caller holds j.mu.
+func (j *Journal) writableLocked(n int) error {
+	if j.wal == nil {
+		return fmt.Errorf("journal: closed")
+	}
+	if j.broken != nil {
+		return fmt.Errorf("%w: %v", ErrBroken, j.broken)
+	}
+	if n > MaxRecord {
+		return fmt.Errorf("journal: record of %d bytes exceeds limit", n)
+	}
+	return nil
+}
+
 // Append writes one record to the wal and makes it durable: immediately
 // under the default per-append fsync, or within one group-commit window/
 // batch after SetGroupCommit. Any write or fsync failure latches the journal
@@ -241,28 +312,59 @@ func (j *Journal) windowExpired() {
 func (j *Journal) Append(payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.wal == nil {
-		return fmt.Errorf("journal: closed")
+	if err := j.writableLocked(len(payload)); err != nil {
+		return err
 	}
-	if j.broken != nil {
-		return fmt.Errorf("%w: %v", ErrBroken, j.broken)
+	if err := j.appendLocked(j.seq+1, payload); err != nil {
+		return err
 	}
-	if len(payload) > MaxRecord {
-		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
+	j.seq++
+	return nil
+}
+
+// Checkpoint records a snapshot of the state every record so far has built.
+// Like a record it takes the next sequence number, so no checkpoint shares
+// one with the snapshot file or with another checkpoint. It is appended to
+// the wal as a checkpoint record, under the same commit
+// policy as Append and exactly as durable: recovery adopts the last intact
+// checkpoint and replays only what follows it, and a torn checkpoint is
+// dropped like any torn record, leaving the prefix before it. Only when the
+// append would grow the wal past its bound is the snapshot rewritten into
+// the snapshot file and the wal truncated instead.
+func (j *Journal) Checkpoint(payload []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.writableLocked(len(payload)); err != nil {
+		return err
 	}
-	if err := writeRecord(j.out, j.seq+1, payload); err != nil {
+	var err error
+	if n := int64(headerSize + len(payload)); j.size+n > rewriteBound(n) {
+		err = j.rewriteLocked(j.seq+1, payload)
+	} else {
+		err = j.appendLocked((j.seq+1)|checkpointBit, payload)
+	}
+	if err == nil {
+		j.seq++
+	}
+	return err
+}
+
+// appendLocked frames one record onto the wal under the commit policy in
+// force. Caller holds j.mu.
+func (j *Journal) appendLocked(seq uint64, payload []byte) error {
+	if err := j.writeRecord(j.out, seq, payload); err != nil {
 		return j.fail(fmt.Errorf("journal: append: %w", err))
 	}
+	n := headerSize + len(payload)
+	j.size += int64(n)
 	if j.gcWindow <= 0 {
 		if err := j.out.Sync(); err != nil {
 			return j.fail(fmt.Errorf("journal: sync: %w", err))
 		}
-		j.seq++
 		return nil
 	}
-	j.seq++
 	j.pendingN++
-	j.pendingBytes += headerSize + len(payload)
+	j.pendingBytes += n
 	if j.pendingBytes >= j.gcBytes {
 		return j.flushLocked()
 	}
@@ -272,25 +374,14 @@ func (j *Journal) Append(payload []byte) error {
 	return nil
 }
 
-// Snapshot atomically replaces the snapshot file with the given payload,
-// stamped with the current sequence, then truncates the wal: every record
-// the snapshot covers is now redundant. A crash between the rename and the
-// truncation only leaves stale wal records, which recovery skips by
-// sequence.
-func (j *Journal) Snapshot(payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.wal == nil {
-		return fmt.Errorf("journal: closed")
-	}
-	if j.broken != nil {
-		return fmt.Errorf("%w: %v", ErrBroken, j.broken)
-	}
-	if len(payload) > MaxRecord {
-		return fmt.Errorf("journal: snapshot of %d bytes exceeds limit", len(payload))
-	}
+// rewriteLocked atomically replaces the snapshot file with the given
+// payload, stamped with sequence seq, then truncates the wal: every
+// record and checkpoint the snapshot covers is now redundant. A crash between
+// the rename and the truncation only leaves stale wal records, which recovery
+// skips by sequence. Caller holds j.mu.
+func (j *Journal) rewriteLocked(seq uint64, payload []byte) error {
 	// Any group-commit batch still pending covers records the snapshot
-	// subsumes; flush it so a failed snapshot leaves a fully durable wal.
+	// subsumes; flush it so a failed rewrite leaves a fully durable wal.
 	if err := j.flushLocked(); err != nil {
 		return err
 	}
@@ -299,7 +390,7 @@ func (j *Journal) Snapshot(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	if err := writeRecord(f, j.seq, payload); err != nil {
+	if err := j.writeRecord(f, seq, payload); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("journal: snapshot: %w", err)
@@ -317,11 +408,17 @@ func (j *Journal) Snapshot(payload []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	// The snapshot file is in place; from here a failure leaves the wal
-	// position unknown, so it latches the journal broken too.
+	// The rename must be durable before the truncation that relies on it:
+	// otherwise a power cut could keep the empty wal and the old snapshot.
+	// From here a failure leaves the wal position unknown, so it latches the
+	// journal broken too.
+	if err := syncDir(j.dir); err != nil {
+		return j.fail(fmt.Errorf("journal: sync dir: %w", err))
+	}
 	if err := j.wal.Truncate(0); err != nil {
 		return j.fail(fmt.Errorf("journal: truncate wal: %w", err))
 	}
+	j.size = 0
 	if _, err := j.wal.Seek(0, io.SeekStart); err != nil {
 		return j.fail(fmt.Errorf("journal: %w", err))
 	}
@@ -355,9 +452,9 @@ func (j *Journal) Close() error {
 }
 
 // Recovery is the result of reading a journal directory: the newest
-// snapshot payload (nil if none was ever taken) and the wal records that
-// postdate it, oldest first. Torn reports whether a partial final wal
-// record was dropped.
+// snapshot payload — the last intact checkpoint, else the snapshot file (nil
+// if neither exists) — and the wal records that postdate it, oldest first.
+// Torn reports whether a partial final wal record was dropped.
 type Recovery struct {
 	Snapshot []byte
 	SnapSeq  uint64
@@ -374,19 +471,15 @@ func Restore(dir string) (*Recovery, error) {
 		return nil, err
 	}
 	r.Snapshot, r.SnapSeq = snap, seq
-	f, err := os.Open(filepath.Join(dir, walName))
+	data, err := os.ReadFile(filepath.Join(dir, walName))
 	if errors.Is(err, os.ErrNotExist) {
 		return r, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	defer f.Close()
-	for {
-		rec, _, err := readRecord(f)
-		if errors.Is(err, io.EOF) {
-			break
-		}
+	for len(data) > 0 {
+		rec, n, err := readRecord(data)
 		if err != nil {
 			// A short frame or CRC mismatch at the tail is a torn final
 			// record: everything before it is intact, so recovery keeps
@@ -394,8 +487,14 @@ func Restore(dir string) (*Recovery, error) {
 			r.Torn = true
 			break
 		}
-		if rec.seq <= r.SnapSeq && r.Snapshot != nil {
-			continue // stale record already covered by the snapshot
+		data = data[n:]
+		seq := rec.seq &^ checkpointBit
+		if r.Snapshot != nil && seq <= r.SnapSeq {
+			continue // stale: already covered by the snapshot
+		}
+		if rec.seq&checkpointBit != 0 {
+			r.Snapshot, r.SnapSeq, r.Tail = rec.payload, seq, nil
+			continue
 		}
 		r.Tail = append(r.Tail, rec.payload)
 	}
@@ -407,15 +506,17 @@ func Restore(dir string) (*Recovery, error) {
 // unlike a torn wal tail it cannot be skipped, because everything it
 // covered was truncated away.
 func readSnapshotFile(path string) ([]byte, uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, nil
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
-	defer f.Close()
-	rec, _, err := readRecord(f)
+	rec, _, err := readRecord(data)
+	if err == nil && rec.seq&checkpointBit != 0 {
+		err = fmt.Errorf("sequence %#x out of range", rec.seq)
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("journal: corrupt snapshot %s: %w", path, err)
 	}
@@ -427,44 +528,44 @@ type record struct {
 	payload []byte
 }
 
-// writeRecord frames one record onto w.
-func writeRecord(w io.Writer, seq uint64, payload []byte) error {
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(hdr[8:16], seq)
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[8:16])
-	crc.Write(payload)
-	binary.BigEndian.PutUint32(hdr[4:8], crc.Sum32())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// writeRecord frames one record onto w in a single write, assembling header
+// and payload in the journal's reused buffer. Caller holds j.mu.
+func (j *Journal) writeRecord(w io.Writer, seq uint64, payload []byte) error {
+	j.frame = appendRecord(j.frame[:0], seq, payload)
+	_, err := w.Write(j.frame)
 	return err
 }
 
-// readRecord parses one record, returning it and the bytes consumed.
-func readRecord(r io.Reader) (record, int64, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return record{}, 0, fmt.Errorf("journal: torn record header: %w", err)
-		}
-		return record{}, 0, err
+// appendRecord appends one framed record to b.
+func appendRecord(b []byte, seq uint64, payload []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, 0) // crc, below
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = append(b, payload...)
+	hdr := b[len(b)-len(payload)-headerSize:]
+	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(hdr[8:]))
+	return b
+}
+
+// readRecord parses the record at the start of b, returning it and the bytes
+// consumed; the payload aliases b. An empty b is io.EOF.
+func readRecord(b []byte) (record, int64, error) {
+	if len(b) == 0 {
+		return record{}, 0, io.EOF
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
+	if len(b) < headerSize {
+		return record{}, 0, fmt.Errorf("journal: torn record header: %w", io.ErrUnexpectedEOF)
+	}
+	n := binary.BigEndian.Uint32(b[0:4])
 	if n > MaxRecord {
 		return record{}, 0, fmt.Errorf("journal: record of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return record{}, 0, fmt.Errorf("journal: torn record payload: %w", err)
+	if uint64(len(b)-headerSize) < uint64(n) {
+		return record{}, 0, fmt.Errorf("journal: torn record payload: %w", io.ErrUnexpectedEOF)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[8:16])
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(hdr[4:8]) {
+	end := headerSize + int(n)
+	if crc32.ChecksumIEEE(b[8:end]) != binary.BigEndian.Uint32(b[4:8]) {
 		return record{}, 0, fmt.Errorf("journal: record checksum mismatch")
 	}
-	return record{seq: binary.BigEndian.Uint64(hdr[8:16]), payload: payload}, headerSize + int64(n), nil
+	return record{seq: binary.BigEndian.Uint64(b[8:16]), payload: b[headerSize:end:end]}, int64(end), nil
 }

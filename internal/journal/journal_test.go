@@ -1,8 +1,8 @@
 package journal
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -90,24 +90,54 @@ func TestReopenContinuesSequence(t *testing.T) {
 	}
 }
 
+// checkpointRewriting takes a checkpoint down the path Checkpoint takes once
+// the wal has outgrown its bound: snapshot file rewritten, wal truncated.
+func checkpointRewriting(j *Journal, payload []byte) error {
+	j.mu.Lock()
+	j.size = math.MaxInt64 / 2
+	j.mu.Unlock()
+	return j.Checkpoint(payload)
+}
+
+// A checkpoint below the bound is a wal append: no snapshot file, and
+// recovery adopts it and replays only what follows. Past the bound the same
+// call rewrites the snapshot file and empties the wal.
 func TestSnapshotCompacts(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := Open(dir)
 	appendAll(t, j, "a", "b", "c")
-	if err := j.Snapshot([]byte("state@3")); err != nil {
+	if err := j.Checkpoint([]byte("state@3")); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, "d", "e")
-	j.Close()
+	if _, err := os.Stat(filepath.Join(dir, snapName)); !os.IsNotExist(err) {
+		t.Errorf("a checkpoint below the bound wrote the snapshot file (%v)", err)
+	}
 	r, err := Restore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(r.Snapshot) != "state@3" || r.SnapSeq != 3 {
-		t.Errorf("snapshot = %q @%d, want state@3 @3", r.Snapshot, r.SnapSeq)
+	if string(r.Snapshot) != "state@3" || r.SnapSeq != 4 {
+		t.Errorf("snapshot = %q @%d, want state@3 @4", r.Snapshot, r.SnapSeq)
 	}
 	if got := tailStrings(r); len(got) != 2 || got[0] != "d" || got[1] != "e" {
 		t.Errorf("tail = %v, want [d e]", got)
+	}
+
+	if err := checkpointRewriting(j, []byte("state@6")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, "f")
+	j.Close()
+	if info, err := os.Stat(filepath.Join(dir, walName)); err != nil || info.Size() != int64(headerSize+1) {
+		t.Errorf("wal after the rewrite: %v, %v; want only the record after it", info, err)
+	}
+	r, err = Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(r.Snapshot) != "state@6" || r.SnapSeq != 7 || len(r.Tail) != 1 || string(r.Tail[0]) != "f" {
+		t.Errorf("after the rewrite: snapshot %q @%d, tail %v; want state@6 @7, [f]", r.Snapshot, r.SnapSeq, tailStrings(r))
 	}
 }
 
@@ -120,14 +150,9 @@ func TestSnapshotNewerThanTail(t *testing.T) {
 	j.Close()
 	// Write the snapshot by hand covering seq 2, leaving all three wal
 	// records in place: records 1-2 are stale, record 3 is live tail.
-	f, err := os.Create(filepath.Join(dir, snapName))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName), frameRecord(2, []byte("state@2")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRecord(f, 2, []byte("state@2")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	r, err := Restore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +164,7 @@ func TestSnapshotNewerThanTail(t *testing.T) {
 		t.Errorf("tail = %v, want [c] (stale records skipped)", got)
 	}
 	// A snapshot strictly newer than every wal record yields an empty tail.
-	f, _ = os.Create(filepath.Join(dir, snapName))
-	writeRecord(f, 9, []byte("state@9"))
-	f.Close()
+	os.WriteFile(filepath.Join(dir, snapName), frameRecord(9, []byte("state@9")), 0o644)
 	r, err = Restore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +258,7 @@ func TestCorruptSnapshotErrors(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := Open(dir)
 	appendAll(t, j, "a")
-	if err := j.Snapshot([]byte("state")); err != nil {
+	if err := checkpointRewriting(j, []byte("state")); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -253,13 +276,9 @@ func TestCorruptSnapshotErrors(t *testing.T) {
 
 // An oversize length prefix is rejected without allocating the claimed size.
 func TestOversizeRecordRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeRecord(&buf, 1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := frameRecord(1, []byte("x"))
 	data[0], data[1], data[2], data[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := readRecord(bytes.NewReader(data)); err == nil {
+	if _, _, err := readRecord(data); err == nil {
 		t.Error("oversize record accepted")
 	}
 }
@@ -270,7 +289,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := j.Append([]byte("x")); err == nil {
 		t.Error("append after close succeeded")
 	}
-	if err := j.Snapshot([]byte("x")); err == nil {
-		t.Error("snapshot after close succeeded")
+	if err := j.Checkpoint([]byte("x")); err == nil {
+		t.Error("checkpoint after close succeeded")
 	}
 }

@@ -25,6 +25,7 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -127,14 +128,14 @@ func appendBinaryFrame(b []byte, m *Message) ([]byte, error) {
 func appendBinaryBody(b []byte, m *Message) ([]byte, error) {
 	switch m.Type {
 	case TypeHello:
-		b = appendString(b, m.Hello.Agent)
+		b = AppendString(b, m.Hello.Agent)
 		return binary.AppendVarint(b, int64(m.Hello.Version)), nil
 	case TypeRegister:
 		return appendJSONBody(b, Message{Type: m.Type, Register: m.Register})
 	case TypeUnregister:
-		return appendString(b, m.Unregister.GroupID), nil
+		return AppendString(b, m.Unregister.GroupID), nil
 	case TypeFlowEvent:
-		return appendFlowEvent(b, m.FlowEvent)
+		return AppendFlowEvent(b, m.FlowEvent)
 	case TypeAllocation:
 		return appendAllocation(b, m.Allocation)
 	case TypeHeartbeat:
@@ -143,8 +144,8 @@ func appendBinaryBody(b []byte, m *Message) ([]byte, error) {
 		}
 		return binary.AppendUvarint(b, m.Heartbeat.Nonce), nil
 	case TypeError:
-		b = appendString(b, m.Error.Msg)
-		return appendString(b, m.Error.Code), nil
+		b = AppendString(b, m.Error.Msg)
+		return AppendString(b, m.Error.Code), nil
 	case TypeSubmitJob:
 		return appendJSONBody(b, Message{Type: m.Type, SubmitJob: m.SubmitJob})
 	case TypeJobUpdate:
@@ -153,7 +154,7 @@ func appendBinaryBody(b []byte, m *Message) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(len(m.FlowBatch.Events)))
 		var err error
 		for i := range m.FlowBatch.Events {
-			if b, err = appendFlowEvent(b, &m.FlowBatch.Events[i]); err != nil {
+			if b, err = AppendFlowEvent(b, &m.FlowBatch.Events[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -162,7 +163,9 @@ func appendBinaryBody(b []byte, m *Message) ([]byte, error) {
 	return nil, fmt.Errorf("wire: no binary encoding for type %q", m.Type)
 }
 
-func appendFlowEvent(b []byte, e *FlowEvent) ([]byte, error) {
+// AppendFlowEvent appends one flow event's binary encoding. It refuses an
+// unknown event kind and a non-finite offset.
+func AppendFlowEvent(b []byte, e *FlowEvent) ([]byte, error) {
 	var code byte
 	switch e.Event {
 	case EventReleased:
@@ -174,13 +177,10 @@ func appendFlowEvent(b []byte, e *FlowEvent) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown flow event %q", e.Event)
 	}
-	if err := checkFinite(float64(e.Offset)); err != nil {
-		return nil, err
-	}
-	b = appendString(b, e.GroupID)
-	b = appendString(b, e.FlowID)
+	b = AppendString(b, e.GroupID)
+	b = AppendString(b, e.FlowID)
 	b = append(b, code)
-	return appendFloat(b, float64(e.Offset)), nil
+	return AppendFloat(b, float64(e.Offset))
 }
 
 func appendAllocation(b []byte, a *Allocation) ([]byte, error) {
@@ -191,12 +191,12 @@ func appendAllocation(b []byte, a *Allocation) ([]byte, error) {
 	}
 	b = append(b, 1)
 	b = binary.AppendUvarint(b, uint64(len(a.Rates)))
+	var err error
 	for id, r := range a.Rates {
-		if err := checkFinite(float64(r)); err != nil {
+		b = AppendString(b, id)
+		if b, err = AppendFloat(b, float64(r)); err != nil {
 			return nil, err
 		}
-		b = appendString(b, id)
-		b = appendFloat(b, float64(r))
 	}
 	return b, nil
 }
@@ -215,13 +215,10 @@ func appendJobUpdate(b []byte, u *JobUpdate) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown job status %q", u.Status)
 	}
-	b = appendString(b, u.JobID)
+	b = AppendString(b, u.JobID)
 	b = append(b, code)
-	b = binary.AppendUvarint(b, uint64(len(u.Hosts)))
-	for _, h := range u.Hosts {
-		b = appendString(b, h)
-	}
-	return appendString(b, u.Reason), nil
+	b = AppendStrs(b, u.Hosts)
+	return AppendString(b, u.Reason), nil
 }
 
 // appendJSONBody embeds the envelope's JSON encoding as the frame body, for
@@ -236,127 +233,88 @@ func appendJSONBody(b []byte, m Message) ([]byte, error) {
 	return append(b, body...), nil
 }
 
-func appendString(b []byte, s string) []byte {
+// AppendString appends s as a uvarint length followed by its bytes.
+func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-func appendFloat(b []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+// AppendFloat appends f as its big-endian IEEE-754 bits. It refuses the
+// values json.Marshal refuses (NaN and the infinities), so every binary
+// encoding accepts exactly what its JSON twin accepts.
+func AppendFloat(b []byte, f float64) ([]byte, error) {
+	if !finite(f) {
+		return nil, errUnsupportedFloat
+	}
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(f)), nil
 }
 
-// checkFinite rejects the float values json.Marshal rejects, keeping the
-// codecs' accepted-input sets identical.
-func checkFinite(f float64) error {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return fmt.Errorf("wire: marshal: unsupported value: %v", f)
-	}
-	return nil
-}
+// finite reports whether f is neither NaN nor infinite: x-x is 0 for every
+// finite x and NaN for the rest.
+func finite(f float64) bool { return f-f == 0 }
+
+// The float errors are values, not formatted, so that AppendFloat and
+// Reader.Float stay small enough to inline into the per-message codecs.
+var (
+	errUnsupportedFloat = errors.New("wire: marshal: unsupported value: NaN or infinite float")
+	errNonFiniteFloat   = errors.New("wire: non-finite float")
+)
+
+// kindTypes names each binary frame kind's message type.
+var kindTypes = [...]string{kindHello: TypeHello, kindRegister: TypeRegister, kindUnregister: TypeUnregister,
+	kindFlowEvent: TypeFlowEvent, kindAllocation: TypeAllocation, kindHeartbeat: TypeHeartbeat, kindError: TypeError,
+	kindSubmitJob: TypeSubmitJob, kindJobUpdate: TypeJobUpdate, kindFlowBatch: TypeFlowBatch}
 
 // decodeBinary decodes one binary frame body into m. Strings that recur on
 // the hot path (group and flow IDs, host names) are interned on the codec so
 // steady-state decodes stop allocating them.
 func (c *Codec) decodeBinary(kind byte, flags uint16, body []byte, m *Message) error {
-	r := binReader{b: body}
-	switch kind {
-	case kindHello:
-		agent, err := r.str(c)
-		if err == nil {
-			var v int64
-			v, err = r.varint()
-			if err == nil {
-				m.Type = TypeHello
-				m.Hello = &Hello{Agent: agent, Version: int(v)}
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("wire: decode hello: %w", err)
-		}
-	case kindRegister, kindSubmitJob:
-		if err := decodeJSONEnvelope(body, m); err != nil {
-			return err
-		}
-		return nil // envelope carries its own type; no tail check on JSON
-	case kindUnregister:
-		g, err := r.str(c)
-		if err != nil {
-			return fmt.Errorf("wire: decode unregister: %w", err)
-		}
-		m.Type = TypeUnregister
-		m.Unregister = &Unregister{GroupID: g}
-	case kindFlowEvent:
-		ev, err := r.flowEvent(c)
-		if err != nil {
-			return fmt.Errorf("wire: decode flow_event: %w", err)
-		}
-		m.Type = TypeFlowEvent
-		m.FlowEvent = &ev
-	case kindAllocation:
-		a, err := r.allocation(c)
-		if err != nil {
-			return fmt.Errorf("wire: decode allocation: %w", err)
-		}
-		m.Type = TypeAllocation
-		m.Allocation = a
-	case kindHeartbeat:
-		m.Type = TypeHeartbeat
-		if flags&flagHeartbeatPayload != 0 {
-			nonce, err := r.uvarint()
-			if err != nil {
-				return fmt.Errorf("wire: decode heartbeat: %w", err)
-			}
-			m.Heartbeat = &Heartbeat{Nonce: nonce}
-		}
-	case kindError:
-		msg, err := r.str(c)
-		var code string
-		if err == nil {
-			code, err = r.str(c)
-		}
-		if err != nil {
-			return fmt.Errorf("wire: decode error: %w", err)
-		}
-		m.Type = TypeError
-		m.Error = &Error{Msg: msg, Code: code}
-	case kindJobUpdate:
-		u, err := r.jobUpdate(c)
-		if err != nil {
-			return fmt.Errorf("wire: decode job_update: %w", err)
-		}
-		m.Type = TypeJobUpdate
-		m.JobUpdate = u
-	case kindFlowBatch:
-		n, err := r.uvarint()
-		if err != nil {
-			return fmt.Errorf("wire: decode flow_batch: %w", err)
-		}
-		if n > uint64(len(r.b)) {
-			// Each event costs >= 1 byte; a larger count is malformed, and
-			// checking here keeps the allocation bounded by the frame size.
-			return fmt.Errorf("wire: decode flow_batch: count %d exceeds body", n)
-		}
-		evs := make([]FlowEvent, n)
-		for i := range evs {
-			if evs[i], err = r.flowEvent(c); err != nil {
-				return fmt.Errorf("wire: decode flow_batch: %w", err)
-			}
-		}
-		m.Type = TypeFlowBatch
-		m.FlowBatch = &FlowBatch{Events: evs}
-	default:
+	if kind == kindRegister || kind == kindSubmitJob {
+		return decodeJSONEnvelope(body, m) // the envelope carries its own type; no tail check on JSON
+	}
+	if int(kind) >= len(kindTypes) || kindTypes[kind] == "" {
 		return fmt.Errorf("wire: unknown binary frame kind %d", kind)
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after binary body", len(r.b))
+	r := Reader{b: body, names: c}
+	switch kind {
+	case kindHello:
+		m.Hello = &Hello{Agent: r.Str(), Version: int(r.Varint())}
+	case kindUnregister:
+		m.Unregister = &Unregister{GroupID: r.Str()}
+	case kindFlowEvent:
+		ev := r.FlowEvent()
+		m.FlowEvent = &ev
+	case kindAllocation:
+		m.Allocation = r.allocation()
+	case kindHeartbeat:
+		if flags&flagHeartbeatPayload != 0 {
+			m.Heartbeat = &Heartbeat{Nonce: r.Uvarint()}
+		}
+	case kindError:
+		m.Error = &Error{Msg: r.Str(), Code: r.Str()}
+	case kindJobUpdate:
+		m.JobUpdate = r.jobUpdate()
+	case kindFlowBatch:
+		evs := make([]FlowEvent, r.Count(minFlowEventBytes))
+		for i := range evs {
+			evs[i] = r.FlowEvent()
+		}
+		m.FlowBatch = &FlowBatch{Events: evs}
 	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("wire: decode %s: %w", kindTypes[kind], err)
+	}
+	m.Type = kindTypes[kind]
 	return nil
 }
 
 // intern returns the canonical copy of raw, remembering new names up to
 // maxInternedNames. The map lookup with a string(raw) key does not allocate;
-// only a first-seen name costs its copy.
+// only a first-seen name costs its copy. A nil codec interns nothing.
 func (c *Codec) intern(raw []byte) string {
+	if c == nil {
+		return string(raw)
+	}
 	if s, ok := c.names[string(raw)]; ok {
 		return s
 	}
@@ -370,80 +328,196 @@ func (c *Codec) intern(raw []byte) string {
 	return s
 }
 
-// binReader is a bounds-checked cursor over a binary frame body.
-type binReader struct {
-	b []byte
+// Reader is a bounds-checked cursor over a binary body: the decoding half of
+// the Append functions, shared by the frame codec and by any other binary
+// encoding built from the same primitives. It keeps the first failure: every
+// read after one returns a zero value, and Done reports it, so a decoder reads
+// field after field and checks once. No count it returns can make a caller
+// allocate more than a constant factor of the body's size.
+type Reader struct {
+	b     []byte
+	names *Codec // interns decoded strings when set (the frame decoder's)
+	err   error
 }
 
-var errShortBody = fmt.Errorf("wire: binary body truncated")
+// NewReader returns a reader over b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
-func (r *binReader) uvarint() (uint64, error) {
+// Done reports the first failed read, or the bytes left unread after what
+// should have been the whole body.
+func (r *Reader) Done() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+var errShortBody = errors.New("wire: binary body truncated")
+
+// Uvarint reads one unsigned varint.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		return 0, errShortBody
+		r.fail(errShortBody)
+		return 0
 	}
 	r.b = r.b[n:]
-	return v, nil
+	return v
 }
 
-func (r *binReader) varint() (int64, error) {
+// Varint reads one signed varint.
+func (r *Reader) Varint() int64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n := binary.Varint(r.b)
 	if n <= 0 {
-		return 0, errShortBody
+		r.fail(errShortBody)
+		return 0
 	}
 	r.b = r.b[n:]
-	return v, nil
+	return v
 }
 
-func (r *binReader) u8() (byte, error) {
+// Int reads a signed varint that must fit an int.
+func (r *Reader) Int() int {
+	v := r.Varint()
+	if int64(int(v)) != v {
+		r.fail(fmt.Errorf("wire: integer %d overflows int", v))
+		return 0
+	}
+	return int(v)
+}
+
+// Count reads an element count, refusing one whose elements, at least
+// minSize encoded bytes each, could not fit in the unread bytes: such a count
+// is malformed, and refusing it bounds the caller's allocation by the body's
+// size.
+func (r *Reader) Count(minSize int) int {
+	n := r.Uvarint()
+	if n > uint64(len(r.b)/max(minSize, 1)) {
+		r.fail(fmt.Errorf("wire: count %d exceeds body", n))
+		return 0
+	}
+	return int(n)
+}
+
+// Minimum encoded sizes of repeated elements, for Count: a string is at least
+// its length byte, a float its 8 bytes.
+const (
+	minStringBytes    = 1
+	minFloatBytes     = 8
+	minFlowEventBytes = 2*minStringBytes + 1 + minFloatBytes
+	minRateBytes      = minStringBytes + minFloatBytes
+	minFlowSpecBytes  = 3*minStringBytes + minFloatBytes + 1
+)
+
+// AppendSliceLen appends a slice length that keeps a nil slice and an empty
+// one apart, as JSON's null and [] do: 0 for nil, n+1 otherwise.
+func AppendSliceLen(b []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(b, 0)
+	}
+	return binary.AppendUvarint(b, uint64(n)+1)
+}
+
+// SliceLen reads a length written by AppendSliceLen, bounded like Count.
+func (r *Reader) SliceLen(minSize int) (n int, isNil bool) {
+	v := r.Uvarint()
+	if v == 0 {
+		return 0, true
+	}
+	if v-1 > uint64(len(r.b)/max(minSize, 1)) {
+		r.fail(fmt.Errorf("wire: count %d exceeds body", v-1))
+		return 0, true
+	}
+	return int(v - 1), false
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if r.err != nil {
+		return 0
+	}
 	if len(r.b) < 1 {
-		return 0, errShortBody
+		r.fail(errShortBody)
+		return 0
 	}
 	v := r.b[0]
 	r.b = r.b[1:]
-	return v, nil
+	return v
 }
 
-func (r *binReader) f64() (float64, error) {
-	if len(r.b) < 8 {
-		return 0, errShortBody
+// Float reads one float written by AppendFloat. NaN and the infinities are
+// refused, as a JSON decoder refuses them: no encoder writes them, so their
+// bits on the wire are corruption or a hostile peer, and letting one through
+// would poison whatever arithmetic reads it.
+func (r *Reader) Float() float64 {
+	if r.err != nil || len(r.b) < 8 {
+		r.fail(errShortBody) // keeps an earlier failure
+		return 0
 	}
 	v := math.Float64frombits(binary.BigEndian.Uint64(r.b))
 	r.b = r.b[8:]
-	return v, nil
+	if !finite(v) {
+		r.fail(errNonFiniteFloat)
+		return 0
+	}
+	return v
 }
 
-func (r *binReader) str(c *Codec) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
+// Str reads one string written by AppendString.
+func (r *Reader) Str() string {
+	n := r.Uvarint()
+	if r.err != nil {
+		return ""
 	}
 	if n > uint64(len(r.b)) {
-		return "", errShortBody
+		r.fail(errShortBody)
+		return ""
 	}
-	s := c.intern(r.b[:n])
+	s := r.names.intern(r.b[:n])
 	r.b = r.b[n:]
-	return s, nil
+	return s
 }
 
-func (r *binReader) flowEvent(c *Codec) (FlowEvent, error) {
-	group, err := r.str(c)
-	if err != nil {
-		return FlowEvent{}, err
+// AppendStrs appends a count and then each string.
+func AppendStrs(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = AppendString(b, s)
 	}
-	flow, err := r.str(c)
-	if err != nil {
-		return FlowEvent{}, err
+	return b
+}
+
+// Strs reads strings written by AppendStrs. Zero strings decode as nil,
+// matching what JSON's omitempty round trip yields.
+func (r *Reader) Strs() []string {
+	n := r.Count(minStringBytes)
+	if n == 0 {
+		return nil
 	}
-	code, err := r.u8()
-	if err != nil {
-		return FlowEvent{}, err
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = r.Str()
 	}
-	off, err := r.f64()
-	if err != nil {
-		return FlowEvent{}, err
-	}
-	ev := FlowEvent{GroupID: group, FlowID: flow, Offset: unit.Bytes(off)}
+	return ss
+}
+
+// FlowEvent reads one flow event written by AppendFlowEvent.
+func (r *Reader) FlowEvent() FlowEvent {
+	ev := FlowEvent{GroupID: r.Str(), FlowID: r.Str()}
+	code := r.Byte()
+	ev.Offset = unit.Bytes(r.Float())
 	switch code {
 	case evReleased:
 		ev.Event = EventReleased
@@ -452,52 +526,27 @@ func (r *binReader) flowEvent(c *Codec) (FlowEvent, error) {
 	case evResumed:
 		ev.Event = EventResumed
 	default:
-		return FlowEvent{}, fmt.Errorf("wire: unknown flow event code %d", code)
+		r.fail(fmt.Errorf("wire: unknown flow event code %d", code))
 	}
-	return ev, nil
+	return ev
 }
 
-func (r *binReader) allocation(c *Codec) (*Allocation, error) {
-	present, err := r.u8()
-	if err != nil {
-		return nil, err
+func (r *Reader) allocation() *Allocation {
+	if r.Byte() == 0 {
+		return &Allocation{}
 	}
-	if present == 0 {
-		return &Allocation{}, nil
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)) {
-		return nil, fmt.Errorf("wire: allocation count %d exceeds body", n)
-	}
+	n := r.Count(minRateBytes)
 	rates := make(map[string]unit.Rate, n)
-	for i := uint64(0); i < n; i++ {
-		id, err := r.str(c)
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		rates[id] = unit.Rate(v)
+	for i := 0; i < n; i++ {
+		id := r.Str()
+		rates[id] = unit.Rate(r.Float())
 	}
-	return &Allocation{Rates: rates}, nil
+	return &Allocation{Rates: rates}
 }
 
-func (r *binReader) jobUpdate(c *Codec) (*JobUpdate, error) {
-	id, err := r.str(c)
-	if err != nil {
-		return nil, err
-	}
-	code, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	u := &JobUpdate{JobID: id}
-	switch code {
+func (r *Reader) jobUpdate() *JobUpdate {
+	u := &JobUpdate{JobID: r.Str()}
+	switch code := r.Byte(); code {
 	case jsQueued:
 		u.Status = JobQueued
 	case jsAdmitted:
@@ -507,25 +556,9 @@ func (r *binReader) jobUpdate(c *Codec) (*JobUpdate, error) {
 	case jsDeparted:
 		u.Status = JobDeparted
 	default:
-		return nil, fmt.Errorf("wire: unknown job status code %d", code)
+		r.fail(fmt.Errorf("wire: unknown job status code %d", code))
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.b)) {
-		return nil, fmt.Errorf("wire: host count %d exceeds body", n)
-	}
-	if n > 0 { // zero hosts decode as nil, matching JSON's omitempty
-		u.Hosts = make([]string, n)
-		for i := range u.Hosts {
-			if u.Hosts[i], err = r.str(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if u.Reason, err = r.str(c); err != nil {
-		return nil, err
-	}
-	return u, nil
+	u.Hosts = r.Strs()
+	u.Reason = r.Str()
+	return u
 }

@@ -3,12 +3,14 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
 	"reflect"
 	"testing"
 
+	"echelonflow/internal/core"
 	"echelonflow/internal/unit"
 )
 
@@ -327,6 +329,83 @@ func TestBinaryRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBinaryDecodeRejectsNonFinite: float bits no encoder writes — NaN and
+// the infinities, which JSON cannot carry at all — are refused at decode, so
+// a flow event's offset or an allocation rate read off a binary frame is
+// always a number the model can do arithmetic with.
+func TestBinaryDecodeRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bits := binary.BigEndian.AppendUint64(nil, math.Float64bits(v))
+		event := append([]byte{1, 'g', 1, 'f', evResumed}, bits...)
+		frames := map[string][]byte{
+			"flow_event": binaryFrame(kindFlowEvent, 0, event),
+			"flow_batch": binaryFrame(kindFlowBatch, 0, append([]byte{1}, event...)),
+			"allocation": binaryFrame(kindAllocation, 0, append([]byte{1, 1, 1, 'f'}, bits...)),
+		}
+		for name, frame := range frames {
+			c := NewCodec(readOnly{bytes.NewReader(frame)})
+			if m, err := c.Recv(); err == nil {
+				t.Errorf("%s with %v: accepted %+v", name, v, m)
+			}
+		}
+	}
+}
+
+// TestRegisterJobSpecBinaryRoundTrip: the stores' binary encodings of a
+// registration and a job spec decode to what a JSON round trip decodes to,
+// including nil versus empty flow lists and omitted arrangement lists.
+func TestRegisterJobSpecBinaryRoundTrip(t *testing.T) {
+	regs := []Register{
+		{GroupID: "job/pp", Arrangement: core.Spec{Kind: "pipeline", T: 2.5},
+			Flows: []FlowSpec{{ID: "f0", Src: "w1", Dst: "w2", Size: 100, Stage: 3}}, Weight: 2},
+		{GroupID: "s", Arrangement: core.Spec{Kind: "staged", Gaps: []unit.Time{1, 0.5}, Offs: []unit.Time{}}, Flows: []FlowSpec{}},
+		{GroupID: "a", Arrangement: core.Spec{Kind: "absolute", Offs: []unit.Time{0, 4}}},
+	}
+	for i := range regs {
+		b, err := AppendRegister(nil, &regs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(b)
+		got := r.Register()
+		if err := r.Done(); err != nil {
+			t.Fatalf("register %d: %v", i, err)
+		}
+		if want := viaJSON(t, regs[i]); !reflect.DeepEqual(got, want) {
+			t.Errorf("register %d:\nbinary %+v\njson   %+v", i, got, want)
+		}
+	}
+	job := JobSpec{ID: "j", Tenant: "t", Paradigm: "pp", Workers: 3, Layers: 4, Params: 1e9, Acts: 2e9,
+		Fwd: 0.1, Bwd: 0.2, AggTime: 0.01, Buckets: 2, Micro: 4, UpdateTime: 0.05, Prefetch: 1,
+		Iterations: 7, Weight: 1.5, Declared: 3}
+	b, err := AppendJobSpec(nil, &job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(b)
+	if got, err := r.JobSpec(), r.Done(); err != nil || got != job {
+		t.Errorf("job spec: %+v, %v", got, err)
+	}
+	job.Fwd = unit.Time(math.Inf(1))
+	if _, err := AppendJobSpec(nil, &job); err == nil {
+		t.Error("non-finite job spec encoded")
+	}
+}
+
+// viaJSON is v after a JSON round trip.
+func viaJSON[T any](t *testing.T, v T) T {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out T
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestFlowBatchValidate: the batched envelope enforces per-event shape.

@@ -136,6 +136,64 @@ func RegisterOf(g *core.EchelonFlow) (Register, error) {
 	return Register{GroupID: g.ID, Arrangement: spec, Flows: flows, Weight: g.Weight}, nil
 }
 
+// AppendRegister appends r's binary encoding, for stores that keep
+// registrations (register frames on the wire carry JSON). A round trip
+// through it equals one through JSON: a nil flow list stays nil, an empty one
+// empty, and non-finite floats are refused.
+func AppendRegister(b []byte, r *Register) ([]byte, error) {
+	b = AppendString(AppendString(b, r.GroupID), r.Arrangement.Kind)
+	b, err := AppendFloat(b, float64(r.Arrangement.T))
+	if err != nil {
+		return nil, err
+	}
+	for _, ts := range [...][]unit.Time{r.Arrangement.Gaps, r.Arrangement.Offs} {
+		b = binary.AppendUvarint(b, uint64(len(ts)))
+		for _, t := range ts {
+			if b, err = AppendFloat(b, float64(t)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	b = AppendSliceLen(b, len(r.Flows), r.Flows == nil)
+	for i := range r.Flows {
+		f := &r.Flows[i]
+		b = AppendString(AppendString(AppendString(b, f.ID), f.Src), f.Dst)
+		if b, err = AppendFloat(b, float64(f.Size)); err != nil {
+			return nil, err
+		}
+		b = binary.AppendVarint(b, int64(f.Stage))
+	}
+	return AppendFloat(b, r.Weight)
+}
+
+// Register reads one registration written by AppendRegister.
+func (r *Reader) Register() Register {
+	reg := Register{GroupID: r.Str(), Arrangement: core.Spec{Kind: r.Str(), T: unit.Time(r.Float())}}
+	reg.Arrangement.Gaps, reg.Arrangement.Offs = r.times(), r.times()
+	if n, isNil := r.SliceLen(minFlowSpecBytes); !isNil {
+		reg.Flows = make([]FlowSpec, n)
+	}
+	for i := range reg.Flows {
+		reg.Flows[i] = FlowSpec{ID: r.Str(), Src: r.Str(), Dst: r.Str(), Size: unit.Bytes(r.Float()), Stage: r.Int()}
+	}
+	reg.Weight = r.Float()
+	return reg
+}
+
+// times reads a count and that many floats; none decode as nil, as an
+// omitted JSON list does.
+func (r *Reader) times() []unit.Time {
+	n := r.Count(minFloatBytes)
+	if n == 0 {
+		return nil
+	}
+	ts := make([]unit.Time, n)
+	for i := range ts {
+		ts[i] = unit.Time(r.Float())
+	}
+	return ts
+}
+
 // Unregister removes an EchelonFlow (job departure).
 type Unregister struct {
 	GroupID string `json:"group_id"`
@@ -158,6 +216,9 @@ func (e *FlowEvent) validate() error {
 	}
 	if e.Offset < 0 {
 		return fmt.Errorf("wire: negative flow event offset")
+	}
+	if !finite(float64(e.Offset)) {
+		return fmt.Errorf("wire: non-finite flow event offset")
 	}
 	return nil
 }
@@ -234,6 +295,34 @@ func (j JobSpec) Validate() error {
 		return fmt.Errorf("wire: job %q has a negative field", j.ID)
 	}
 	return nil
+}
+
+// AppendJobSpec appends j's binary encoding, for stores that keep specs
+// (submit_job frames on the wire carry JSON). Non-finite floats are refused,
+// as JSON refuses them.
+func AppendJobSpec(b []byte, j *JobSpec) ([]byte, error) {
+	b = AppendString(AppendString(AppendString(b, j.ID), j.Tenant), j.Paradigm)
+	for _, n := range [...]int{j.Workers, j.Layers, j.Buckets, j.Micro, j.Prefetch, j.Iterations} {
+		b = binary.AppendVarint(b, int64(n))
+	}
+	var err error
+	for _, f := range [...]float64{float64(j.Params), float64(j.Acts), float64(j.Fwd), float64(j.Bwd),
+		float64(j.AggTime), float64(j.UpdateTime), j.Weight, float64(j.Declared)} {
+		if b, err = AppendFloat(b, f); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// JobSpec reads one spec written by AppendJobSpec.
+func (r *Reader) JobSpec() JobSpec {
+	j := JobSpec{ID: r.Str(), Tenant: r.Str(), Paradigm: r.Str()}
+	j.Workers, j.Layers, j.Buckets, j.Micro, j.Prefetch, j.Iterations = r.Int(), r.Int(), r.Int(), r.Int(), r.Int(), r.Int()
+	j.Params, j.Acts = unit.Bytes(r.Float()), unit.Bytes(r.Float())
+	j.Fwd, j.Bwd, j.AggTime, j.UpdateTime = unit.Time(r.Float()), unit.Time(r.Float()), unit.Time(r.Float()), unit.Time(r.Float())
+	j.Weight, j.Declared = r.Float(), unit.Time(r.Float())
+	return j
 }
 
 // SubmitJob asks the coordinator to queue a job for admission.
