@@ -45,7 +45,6 @@ func main() {
 	reconnect := flag.Bool("reconnect", false, "redial a lost coordinator session with backoff and resume in-flight flows")
 	backoff := flag.Duration("reconnect-backoff", 100*time.Millisecond, "initial redial delay (doubles up to 5s)")
 	admin := flag.String("admin", "", "telemetry HTTP address serving /metrics, /healthz, /events and /debug/pprof (empty disables)")
-	wireMode := flag.String("wire", "binary", "wire framing for sends: binary (protocol 4) or json (announce v3, legacy framing)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -54,13 +53,6 @@ func main() {
 	aopts := agent.Options{
 		Name: *name, CoordinatorAddr: *coord, DataAddr: *data,
 		Reconnect: *reconnect, ReconnectBackoff: *backoff,
-	}
-	switch *wireMode {
-	case "binary":
-	case "json":
-		aopts.ForceJSON = true
-	default:
-		log.Fatalf("echelon-agent: unknown -wire mode %q (binary or json)", *wireMode)
 	}
 	if *admin != "" {
 		aopts.Metrics = telemetry.NewRegistry()

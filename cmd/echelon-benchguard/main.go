@@ -74,9 +74,9 @@ var benchLine = regexp.MustCompile(`^BenchmarkSchedule_(\d+)Hosts(\d+)Jobs(_NoCa
 var loadgenLine = regexp.MustCompile(`^BenchmarkLoadgen_(\d+)Jobs(\d+)Tenants(?:-\d+)?\s+(.*)$`)
 
 // wireLine matches the wire codec round-trip benchmarks, capturing the
-// message shape and the framing variant. These report the standard
-// testing.B metrics, one full Send+Recv per op.
-var wireLine = regexp.MustCompile(`^BenchmarkWire_([A-Za-z0-9]+)_(JSON|Binary)(?:-\d+)?\s+(.*)$`)
+// message shape. These report the standard testing.B metrics, one full
+// Send+Recv per op; binary is the only framing after the handshake.
+var wireLine = regexp.MustCompile(`^BenchmarkWire_([A-Za-z0-9]+)_Binary(?:-\d+)?\s+(.*)$`)
 
 // parseBench extracts measurements from `go test -bench` output. Lines that
 // are not scale-benchmark results are ignored, as are benchmark lines
@@ -99,15 +99,12 @@ func parseBench(r io.Reader) ([]measurement, error) {
 				}
 				out = append(out, meas)
 			} else if w := wireLine.FindStringSubmatch(sc.Text()); w != nil {
-				meas := measurement{
-					Key:     strings.ToLower(w[1]),
-					Variant: strings.ToLower(w[2]),
-				}
+				meas := measurement{Key: strings.ToLower(w[1]), Variant: "binary"}
 				var err error
-				if meas.NsPerMsg, err = metricValue(w[3], "ns/op"); err != nil {
+				if meas.NsPerMsg, err = metricValue(w[2], "ns/op"); err != nil {
 					return nil, fmt.Errorf("%s: %v", sc.Text(), err)
 				}
-				if meas.AllocsPerMsg, err = metricValue(w[3], "allocs/op"); err != nil {
+				if meas.AllocsPerMsg, err = metricValue(w[2], "allocs/op"); err != nil {
 					return nil, fmt.Errorf("%s: %v", sc.Text(), err)
 				}
 				out = append(out, meas)

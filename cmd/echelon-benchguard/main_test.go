@@ -199,6 +199,21 @@ func TestParseBenchIgnoresForeignLines(t *testing.T) {
 	}
 }
 
+// TestParseWireBench: a wire round-trip line is a binary measurement; a
+// line naming any other framing is not a wire benchmark at all.
+func TestParseWireBench(t *testing.T) {
+	meas, err := parseBench(strings.NewReader(
+		"BenchmarkWire_SubmitJob_Binary-2 20000 846.8 ns/op 160 B/op 2 allocs/op\n" +
+			"BenchmarkWire_SubmitJob_JSON-2 20000 12216 ns/op 976 B/op 16 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := measurement{Key: "submitjob", Variant: "binary", metrics: metrics{NsPerMsg: 846.8, AllocsPerMsg: 2}}
+	if len(meas) != 1 || meas[0] != want {
+		t.Errorf("parsed %+v, want only %+v", meas, want)
+	}
+}
+
 func TestParseBenchMissingMetricErrors(t *testing.T) {
 	_, err := parseBench(strings.NewReader("BenchmarkSchedule_64Hosts4Jobs-4 2 30212345 ns/op\n"))
 	if err == nil {

@@ -33,7 +33,6 @@ func main() {
 	repros := flag.String("repros", "testdata/repros", "directory for shrunk failing scenarios")
 	budget := flag.Int("shrink", 400, "shrinker budget in check runs per failure")
 	repro := flag.String("repro", "", "path to a scenario or repro JSON to re-check instead of generating")
-	wireCodec := flag.String("wire", "direct", "codec the live oracles round-trip replayed flow events through: direct (no codec), json, or binary")
 	fabricFlag := flag.String("fabric", "bigswitch", "network model scenarios run on: bigswitch | leafspine[:hosts=N,spines=N,oversub=R] | extern:<cmd>")
 	verbose := flag.Bool("v", false, "print every seed, not just failures")
 	flag.Parse()
@@ -43,7 +42,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg := check.Config{Oracles: sel, WireCodec: *wireCodec}
+	cfg := check.Config{Oracles: sel}
 	cfg.Fabric, err = fabricBuilder(*fabricFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

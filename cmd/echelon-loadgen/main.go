@@ -47,7 +47,6 @@ type config struct {
 	seed       int64
 	timeout    time.Duration
 	verbose    bool
-	forceJSON  bool // -wire json: announce v3, legacy framing, no batching
 }
 
 // stats aggregates the run across tenants.
@@ -88,17 +87,9 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "job stream seed")
 	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Minute, "overall run deadline")
 	bench := flag.Bool("bench", false, "print a benchguard-parsable benchmark line")
-	wireMode := flag.String("wire", "binary", "wire framing for sends: binary (protocol 4, batched flow events) or json (announce v3, legacy framing)")
 	flag.BoolVar(&cfg.verbose, "v", false, "log each job transition")
 	flag.Parse()
 	cfg.paradigms = strings.Split(*paradigms, ",")
-	switch *wireMode {
-	case "binary":
-	case "json":
-		cfg.forceJSON = true
-	default:
-		log.Fatalf("echelon-loadgen: unknown -wire mode %q (binary or json)", *wireMode)
-	}
 
 	st, err := run(cfg)
 	if err != nil {
@@ -202,13 +193,12 @@ func genJob(rng *rand.Rand, id, tenant string, cfg config) wire.JobSpec {
 type session struct {
 	conn    net.Conn
 	codec   *wire.Codec
-	batch   bool // batch flow events into FlowBatch frames (v4 sessions)
 	updates chan wire.JobUpdate
 	rejects chan wire.Error
 	readErr chan error
 }
 
-func dialSession(ctx context.Context, addr, name string, forceJSON bool) (*session, error) {
+func dialSession(ctx context.Context, addr, name string) (*session, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -221,20 +211,10 @@ func dialSession(ctx context.Context, addr, name string, forceJSON bool) (*sessi
 		rejects: make(chan wire.Error, 64),
 		readErr: make(chan error, 1),
 	}
-	version := wire.ProtocolVersion
-	if forceJSON {
-		version = wire.JSONProtocolVersion
-	}
-	hello := wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Agent: name, Version: version}}
+	hello := wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Agent: name, Version: wire.ProtocolVersion}}
 	if err := s.codec.Send(hello); err != nil {
 		conn.Close()
 		return nil, err
-	}
-	if !forceJSON {
-		// The hello itself always travels in legacy JSON framing; everything
-		// after it may switch to binary. FlowBatch needs a v4 coordinator too.
-		s.codec.EnableBinary()
-		s.batch = true
 	}
 	go s.readLoop()
 	go s.heartbeatLoop(ctx)
@@ -286,7 +266,7 @@ func runTenant(ctx context.Context, cfg config, name string, jobs []wire.JobSpec
 	if len(jobs) == 0 {
 		return nil
 	}
-	s, err := dialSession(ctx, cfg.addr, name, cfg.forceJSON)
+	s, err := dialSession(ctx, cfg.addr, name)
 	if err != nil {
 		return err
 	}
@@ -382,9 +362,9 @@ func executeJob(ctx context.Context, s *session, spec wire.JobSpec, hosts []stri
 	if err != nil {
 		return fmt.Errorf("compile admitted job %s: %w", spec.ID, err)
 	}
-	// On v4 sessions release/finish pairs ride in FlowBatch chunks; the
-	// coordinator applies each chunk in order as one frame (one instant, one
-	// journal record, one reschedule decision).
+	// Release/finish pairs ride in FlowBatch chunks; the coordinator applies
+	// each chunk in order as one frame (one instant, one journal record, one
+	// reschedule decision).
 	const batchMax = 32
 	var batch []wire.FlowEvent
 	flush := func() error {
@@ -408,16 +388,7 @@ func executeJob(ctx context.Context, s *session, spec wire.JobSpec, hosts []stri
 			gid = "flow:" + n.ID
 		}
 		for _, event := range []string{wire.EventReleased, wire.EventFinished} {
-			ev := wire.FlowEvent{GroupID: gid, FlowID: n.ID, Event: event}
-			if !s.batch {
-				msg := wire.Message{Type: wire.TypeFlowEvent, FlowEvent: &ev}
-				if err := s.codec.Send(msg); err != nil {
-					return err
-				}
-				atomic.AddInt64(&st.flowEvents, 1)
-				continue
-			}
-			batch = append(batch, ev)
+			batch = append(batch, wire.FlowEvent{GroupID: gid, FlowID: n.ID, Event: event})
 			if len(batch) >= batchMax {
 				if err := flush(); err != nil {
 					return err

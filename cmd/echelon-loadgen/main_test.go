@@ -18,6 +18,16 @@ import (
 // returns its address plus the live metrics registry.
 func bootCoordinator(t *testing.T, qopts queue.Options) (string, *telemetry.Registry, *coordinator.Coordinator) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveCoordinator(t, qopts, ln)
+}
+
+// serveCoordinator is bootCoordinator on a given listener.
+func serveCoordinator(t *testing.T, qopts queue.Options, ln net.Listener) (string, *telemetry.Registry, *coordinator.Coordinator) {
+	t.Helper()
 	net0 := fabric.NewNetwork()
 	net0.AddUniformHosts(1e9, "w0", "w1", "w2", "w3")
 	reg := telemetry.NewRegistry()
@@ -28,10 +38,6 @@ func bootCoordinator(t *testing.T, qopts queue.Options) (string, *telemetry.Regi
 		Metrics:   reg,
 		Logf:      t.Logf,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

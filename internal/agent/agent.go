@@ -66,12 +66,6 @@ type Options struct {
 	// seed from the clock. Fixing it makes fault-injection runs
 	// reproducible.
 	JitterSeed int64
-	// ForceJSON pins the session to the legacy JSON wire framing: the agent
-	// announces wire.JSONProtocolVersion in its hello (so the coordinator
-	// never selects binary sends toward it) and keeps its own sends JSON.
-	// For debugging with stream captures and for exercising mixed-version
-	// fleets; the default uses the protocol-4 binary framing.
-	ForceJSON bool
 	// Metrics, when non-nil, receives agent telemetry: reconnect attempt
 	// counters and the heartbeat round-trip histogram. Nil costs nothing.
 	Metrics *telemetry.Registry
@@ -226,7 +220,6 @@ func Dial(ctx context.Context, opts Options) (*Agent, error) {
 		cancel()
 		return nil, fmt.Errorf("agent: handshake: %w", err)
 	}
-	a.negotiateSend(a.codec)
 	if opts.DataAddr != "" {
 		ln, err := net.Listen("tcp", opts.DataAddr)
 		if err != nil {
@@ -248,22 +241,8 @@ func Dial(ctx context.Context, opts Options) (*Agent, error) {
 }
 
 func (a *Agent) helloMessage() wire.Message {
-	v := wire.ProtocolVersion
-	if a.opts.ForceJSON {
-		v = wire.JSONProtocolVersion
-	}
 	return wire.Message{Type: wire.TypeHello,
-		Hello: &wire.Hello{Agent: a.opts.Name, Version: v}}
-}
-
-// negotiateSend switches a freshly-handshaken codec to binary sends unless
-// the session is pinned to JSON. The hello itself always goes out JSON-framed
-// — the peer's framing support is only known from its version afterward, and
-// a v4 coordinator accepts either framing on any frame.
-func (a *Agent) negotiateSend(codec *wire.Codec) {
-	if !a.opts.ForceJSON {
-		codec.EnableBinary()
-	}
+		Hello: &wire.Hello{Agent: a.opts.Name, Version: wire.ProtocolVersion}}
 }
 
 // send dispatches one control message over the current session.
@@ -462,7 +441,6 @@ func (a *Agent) redial() error {
 		conn.Close()
 		return err
 	}
-	a.negotiateSend(codec)
 	a.sessMu.Lock()
 	if a.conn != nil {
 		a.conn.Close()

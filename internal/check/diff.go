@@ -256,30 +256,25 @@ func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks
 		tards:   make(map[string]unit.Time),
 		ratesAt: make(map[unit.Time]map[string]unit.Rate),
 	}
-	// With a codec selected, every flow event is encoded and decoded through
-	// that framing before it reaches the coordinator — the bytes a live agent
-	// fleet would have put on the wire. One codec pair reused across the
-	// script keeps interning and buffer reuse on the tested path too.
-	roundTrip := func(ev wire.FlowEvent) (wire.FlowEvent, error) { return ev, nil }
-	if c.wire != "" {
-		var pipe bytes.Buffer
-		codec := wire.NewCodec(&pipe)
-		if c.wire == "binary" {
-			codec.EnableBinary()
+	// Every flow event is encoded and decoded through the wire codec before it
+	// reaches the coordinator — the bytes a live agent fleet would have put on
+	// the wire — so the oracles also prove the codec observationally
+	// transparent. One codec pair reused across the script keeps interning
+	// and buffer reuse on the tested path too.
+	var pipe bytes.Buffer
+	codec := wire.NewCodec(&pipe)
+	roundTrip := func(ev wire.FlowEvent) (wire.FlowEvent, error) {
+		if err := codec.Send(wire.Message{Type: wire.TypeFlowEvent, FlowEvent: &ev}); err != nil {
+			return ev, fmt.Errorf("codec encode: %w", err)
 		}
-		roundTrip = func(ev wire.FlowEvent) (wire.FlowEvent, error) {
-			if err := codec.Send(wire.Message{Type: wire.TypeFlowEvent, FlowEvent: &ev}); err != nil {
-				return ev, fmt.Errorf("%s codec encode: %w", c.wire, err)
-			}
-			m, err := codec.Recv()
-			if err != nil {
-				return ev, fmt.Errorf("%s codec decode: %w", c.wire, err)
-			}
-			if m.Type != wire.TypeFlowEvent || m.FlowEvent == nil {
-				return ev, fmt.Errorf("%s codec round trip changed message type to %q", c.wire, m.Type)
-			}
-			return *m.FlowEvent, nil
+		m, err := codec.Recv()
+		if err != nil {
+			return ev, fmt.Errorf("codec decode: %w", err)
 		}
+		if m.Type != wire.TypeFlowEvent || m.FlowEvent == nil {
+			return ev, fmt.Errorf("codec round trip changed message type to %q", m.Type)
+		}
+		return *m.FlowEvent, nil
 	}
 	crashSet := make(map[int]bool, len(crashes))
 	for _, i := range crashes {

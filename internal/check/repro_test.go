@@ -28,9 +28,10 @@ func bindingLeafSpine(hosts []HostSpec) fabric.Fabric {
 }
 
 // TestCheckedInRepros replays every shrunk failure checked into
-// testdata/repros under all oracles, every wire codec, and both fabric
-// backends. Each file is the minimal scenario for a bug the harness once
-// caught (seeds 111 and 197: sub-byte flow sizes scheduled against the
+// testdata/repros under all oracles on both fabric backends; the live
+// oracles round-trip every replayed event through the binary wire codec.
+// Each file is the minimal scenario for a bug the harness once caught
+// (seeds 111 and 197: sub-byte flow sizes scheduled against the
 // coordinator's 1-byte remaining floor, diverging live rates from the
 // simulator at t=0; seed 110: a NIC degrade compacted out of the journal
 // tail, so the restored coordinator planned against construction-time
@@ -62,14 +63,12 @@ func TestCheckedInRepros(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
-		for _, codec := range []string{"direct", "json", "binary"} {
-			t.Run(name+"/"+codec, func(t *testing.T) {
-				out := Run(sc, Config{WireCodec: codec})
-				for _, v := range out.Violations {
-					t.Errorf("oracle %s fired: %s", v.Oracle, v.Detail)
-				}
-			})
-		}
+		t.Run(name+"/binary", func(t *testing.T) {
+			out := Run(sc, Config{})
+			for _, v := range out.Violations {
+				t.Errorf("oracle %s fired: %s", v.Oracle, v.Detail)
+			}
+		})
 		t.Run(name+"/leafspine", func(t *testing.T) {
 			out := Run(sc, Config{Fabric: bindingLeafSpine})
 			for _, v := range out.Violations {

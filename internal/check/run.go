@@ -21,12 +21,6 @@ type Config struct {
 	// are skipped under an override: they are statements about the
 	// canonical scheduler's implementations agreeing with each other.
 	Scheduler func() sched.Scheduler
-	// WireCodec, when set to "json" or "binary", makes the live-coordinator
-	// oracles (live, journal, degrade) encode and decode every replayed flow
-	// event through that wire framing before applying it, so the oracles also
-	// prove the codec under test is observationally transparent. "" (or
-	// "direct") applies event structs without a codec round trip.
-	WireCodec string
 	// Fabric, when set, builds each run's fabric from the scenario's host
 	// specs instead of the default big-switch Network — the backend-matrix
 	// hook (leaf-spine, external timing). Every simulation and oracle replay
@@ -115,15 +109,6 @@ func Run(sc *Scenario, cfg Config) *Outcome {
 	}
 	if cfg.Fabric != nil {
 		c.fabricFn = cfg.Fabric
-	}
-	switch cfg.WireCodec {
-	case "", "direct", "json", "binary":
-		if cfg.WireCodec != "direct" {
-			c.wire = cfg.WireCodec
-		}
-	default:
-		out.Violations = append(out.Violations, vf(OracleRun, "unknown wire codec %q (direct, json or binary)", cfg.WireCodec))
-		return out
 	}
 	for _, n := range c.graph.Nodes() {
 		if n.Kind == dag.Compute {

@@ -217,10 +217,6 @@ type compiled struct {
 	weights map[string]float64
 	caps    []sim.CapacityChange
 	dils    []sim.DilationChange
-	// wire selects the codec the live-coordinator oracles round-trip every
-	// replayed flow event through ("" = apply structs directly). Set from
-	// Config.WireCodec by Run.
-	wire string
 	// fabricFn builds each run's fabric from the scenario's host specs
 	// (big-switch by default). Set from Config.Fabric by Run so every
 	// simulation and oracle replay in one Run schedules against the same

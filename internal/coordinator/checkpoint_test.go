@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -276,19 +277,16 @@ func TestCrashRestoreAcrossRewrite(t *testing.T) {
 	}
 }
 
-// A directory written partly before the binary encoding restores bit for
-// bit: the parent's JSON snapshot file and JSON records, then binary records
-// appended after them, then a binary checkpoint and more binary records.
+// A directory the parent wrote, journaled on by this build, restores bit for
+// bit: the parent's snapshot file and records, then records appended after
+// them, then a checkpoint and more records.
 func TestRestoreMixedDirectory(t *testing.T) {
-	src := filepath.Join("testdata", "journal-pr15", "compacted")
+	src := filepath.Join("testdata", "journal-pr30", "compacted")
 	dir := t.TempDir()
 	for _, file := range []string{"wal", "snapshot"} {
 		data, err := os.ReadFile(filepath.Join(src, file))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if data[16] != '{' {
-			t.Fatalf("fixture %s does not open with a JSON payload", file)
 		}
 		if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -342,13 +340,17 @@ func TestRestoreMixedDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fixture, err := journal.Restore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	step(2)
 	rec, err := journal.Restore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot[0] != '{' || rec.Tail[0][0] != '{' || rec.Tail[len(rec.Tail)-1][0] != tagRecord {
-		t.Fatal("the directory is not JSON snapshot + JSON records + binary records")
+	if !bytes.Equal(rec.Snapshot, fixture.Snapshot) || len(rec.Tail) <= len(fixture.Tail) {
+		t.Fatal("the directory is not the fixture's snapshot file and records, then more records")
 	}
 	diffDigests(t, digestOf(live), digestOf(replayed(t, opts(), dir)))
 
@@ -359,8 +361,8 @@ func TestRestoreMixedDirectory(t *testing.T) {
 	if rec, err = journal.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot[0] != tagSnapshot || len(rec.Tail) == 0 {
-		t.Fatal("the checkpoint was not adopted over the JSON snapshot file")
+	if bytes.Equal(rec.Snapshot, fixture.Snapshot) || len(rec.Tail) == 0 {
+		t.Fatal("the checkpoint was not adopted over the snapshot file")
 	}
 	diffDigests(t, digestOf(live), digestOf(replayed(t, opts(), dir)))
 }

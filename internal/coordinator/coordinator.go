@@ -118,7 +118,7 @@ type Options struct {
 	// that cannot accept a frame within it is considered dead.
 	WriteTimeout time.Duration
 	// StragglerRTT, when positive, enables gray-failure detection: the
-	// coordinator pings wire-v3 sessions (every PingInterval, default 1s),
+	// coordinator pings every session (every PingInterval, default 1s),
 	// tracks a per-agent RTT EWMA, and soft-quarantines agents whose EWMA
 	// exceeds this threshold — their groups stay scheduled, but their event
 	// reports are deadline-bounded (batched into a coalescing window instead
@@ -1182,11 +1182,10 @@ func (c *Coordinator) sendOverflowLocked(s *session) {
 
 // session is one connected agent.
 type session struct {
-	codec   *wire.Codec
-	agent   string
-	conn    net.Conn
-	version int                  // protocol version from the hello
-	sent    map[string]unit.Rate // last rates pushed to this session
+	codec *wire.Codec
+	agent string
+	conn  net.Conn
+	sent  map[string]unit.Rate // last rates pushed to this session
 	// lastPush is the wall time (unix nanos) of the most recent outbound
 	// send the kernel accepted. The read loop consults it before declaring
 	// a silent agent dead: a peer we are actively and successfully pushing
@@ -1422,26 +1421,19 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 		c.opts.Logf("coordinator: bad handshake from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	if v := hello.Hello.Version; v > wire.ProtocolVersion {
-		c.opts.Logf("coordinator: agent %s speaks protocol %d, max %d", hello.Hello.Agent, v, wire.ProtocolVersion)
-		_ = s.codec.Send(wire.Message{Type: wire.TypeError, Error: &wire.Error{
-			Msg: fmt.Sprintf("unsupported protocol version %d (max %d)", v, wire.ProtocolVersion)}})
+	if v := hello.Hello.Version; v != wire.ProtocolVersion {
+		// Refused in the hello's own framing, which every revision reads.
+		c.opts.Logf("coordinator: agent %s speaks protocol %d, refused", hello.Hello.Agent, v)
+		_ = s.codec.Refuse(fmt.Sprintf("unsupported protocol version %d (this coordinator speaks only %d)", v, wire.ProtocolVersion))
 		return
 	}
 	s.agent = hello.Hello.Agent
-	s.version = hello.Hello.Version
-	if s.version >= 4 {
-		// The peer decodes both framings; from here every push to it uses
-		// the zero-alloc binary framing. Receive needs no switch (frames
-		// self-describe), so v3 JSON agents coexist on the same listener.
-		s.codec.EnableBinary()
-	}
 	if !c.admitRedial(s.agent) {
 		c.opts.Logf("coordinator: agent %s redialing too fast, rejected", s.agent)
 		c.tel.redialRejected.Inc()
 		c.opts.Events.Append(telemetry.Event{Kind: telemetry.EventRedialRej,
 			At: float64(c.now()), Agent: s.agent, Detail: "redial rate exceeded"})
-		_ = s.codec.Send(wire.Message{Type: wire.TypeError, Error: &wire.Error{Msg: "redial rate exceeded"}})
+		_ = s.codec.Refuse("redial rate exceeded")
 		return
 	}
 	c.tel.redialAccepted.Inc()
@@ -1516,9 +1508,9 @@ func (c *Coordinator) handleMessage(s *session, msg wire.Message) error {
 	switch msg.Type {
 	case wire.TypeHeartbeat:
 		if msg.Heartbeat != nil && msg.Heartbeat.Nonce != 0 {
-			// The agent echoed one of our RTT pings (wire v3). Fold the
-			// round trip into the straggler detector — and do not echo
-			// back, which would ping-pong forever.
+			// The agent echoed one of our RTT pings. Fold the round trip
+			// into the straggler detector — and do not echo back, which
+			// would ping-pong forever.
 			c.notePingEcho(s, msg.Heartbeat.Nonce)
 			return nil
 		}
@@ -1580,7 +1572,7 @@ const maxOutstandingPings = 8
 // rttAlpha is the EWMA smoothing weight for new RTT observations.
 const rttAlpha = 0.3
 
-// pingSessions sends one RTT ping to every wire-v3 session and folds the
+// pingSessions sends one RTT ping to every session and folds the
 // age of long-unanswered pings into the straggler estimate — an agent that
 // never echoes must still trip the threshold, not dodge it.
 func (c *Coordinator) pingSessions() {
@@ -1588,9 +1580,6 @@ func (c *Coordinator) pingSessions() {
 	defer c.mu.Unlock()
 	now := time.Now()
 	for s := range c.sessions {
-		if s.version < 3 { // nonce'd heartbeats are wire v3
-			continue
-		}
 		var oldest time.Time
 		for _, at := range s.pings {
 			if oldest.IsZero() || at.Before(oldest) {

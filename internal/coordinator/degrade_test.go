@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -138,15 +137,15 @@ func TestRestoreThroughDegradeEpisode(t *testing.T) {
 	}
 }
 
-// A record without the fallback field — every record written before the
-// field existed — replays the primary scheduler, unbounded: the parent's
-// journal fixtures restore to the same digest under a budget no replayed
-// pass could meet (a clock that moves milliseconds per read, against a
-// one-millisecond budget) as without one.
+// A record without the fallback bit replays the primary scheduler,
+// unbounded: the parent's journal fixtures, none of whose records carries
+// the bit, restore to the same digest under a budget no replayed pass could
+// meet (a clock that moves milliseconds per read, against a one-millisecond
+// budget) as without one.
 func TestRestoreOldRecordReplaysPrimary(t *testing.T) {
 	for _, name := range []string{"tail", "compacted"} {
 		restore := func(budget time.Duration) digest {
-			src := filepath.Join("testdata", "journal-pr15", name)
+			src := filepath.Join("testdata", "journal-pr30", name)
 			dir := t.TempDir()
 			for _, file := range []string{"wal", "snapshot"} {
 				data, err := os.ReadFile(filepath.Join(src, file))
@@ -156,11 +155,14 @@ func TestRestoreOldRecordReplaysPrimary(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if strings.Contains(string(data), `"fallback"`) {
-					t.Fatalf("%s/%s: fixture already carries the fallback field", name, file)
-				}
 				if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
 					t.Fatal(err)
+				}
+			}
+			recs, _ := walRecords(t, dir)
+			for _, r := range recs {
+				if r.Fallback {
+					t.Fatalf("%s: fixture already carries a fallback record: %+v", name, r)
 				}
 			}
 			clk := &tickingClock{t: time.Unix(20000, 0)}

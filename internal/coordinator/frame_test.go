@@ -1,11 +1,8 @@
 package coordinator
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -446,57 +443,6 @@ func TestFrameCrashRestoreAcrossCompaction(t *testing.T) {
 				c2.Close()
 			}
 		}
-	}
-}
-
-// (e) Journals written before frames existed hold one flow event per record
-// (with and without the defer bit) and still restore: testdata/journal-pr14
-// was written by the parent of the change that introduced frame records,
-// together with the model it had reached.
-func TestRestoreReadsSingleFlowRecords(t *testing.T) {
-	for _, name := range []string{"immediate", "coalesced"} {
-		src := filepath.Join("testdata", "journal-pr14", name)
-		dir := t.TempDir()
-		wal, err := os.ReadFile(filepath.Join(src, "wal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(wal), `"flow":{`) || strings.Contains(string(wal), `"defer":true`) != (name == "coalesced") {
-			t.Fatalf("%s: fixture is not made of the single-flow records it is named for", name)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "wal"), wal, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(filepath.Join(src, "model.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want model
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatal(err)
-		}
-		clk := &fakeClock{t: time.Unix(2000, 0)}
-		opts := jobFrameOpts(t, clk.now)
-		opts.Logf = func(format string, args ...interface{}) {
-			if strings.Contains(format, "skipping") {
-				t.Errorf("%s: "+format, append([]interface{}{name}, args...)...)
-			}
-		}
-		c, err := Restore(opts, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := modelOf(c)
-		c.Close()
-		// JSON has no nil-versus-empty distinction; normalise through it.
-		if raw, err = json.Marshal(got); err != nil {
-			t.Fatal(err)
-		}
-		got = model{}
-		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Fatal(err)
-		}
-		diffModels(t, want, got)
 	}
 }
 

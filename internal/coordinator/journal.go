@@ -51,11 +51,12 @@ const (
 )
 
 // journalEvent is one WAL record (encoded by journalcodec.go; the JSON tags
-// read records written before the binary encoding). At is the scheduler time
-// of the mutation: the live path reads the clock once per journaled mutation,
-// advances the fluid model to that reading and records the resulting
-// lastAdvance, and replay advances to At before re-applying — so integration
-// intervals, release times and planning instants match the live run exactly.
+// define the reference round trip its binary encoding is tested against).
+// At is the scheduler time of the mutation: the live path reads the clock
+// once per journaled mutation, advances the fluid model to that reading and
+// records the resulting lastAdvance, and replay advances to At before
+// re-applying — so integration intervals, release times and planning
+// instants match the live run exactly.
 type journalEvent struct {
 	Kind     string           `json:"kind"`
 	At       unit.Time        `json:"at"`
@@ -63,7 +64,6 @@ type journalEvent struct {
 	Owner    string           `json:"owner,omitempty"`
 	Register *wire.Register   `json:"register,omitempty"`
 	Flows    []wire.FlowEvent `json:"flows,omitempty"` // flow: the frame's applied events, in order
-	Flow     *wire.FlowEvent  `json:"flow,omitempty"`  // flow, read only: journals from before frames held one event per record
 	Defer    bool             `json:"defer,omitempty"` // flow record absorbed into a coalesced batch: no reschedule here
 	Groups   []string         `json:"groups,omitempty"`
 	Host     string           `json:"host,omitempty"`
@@ -87,8 +87,9 @@ type journalEvent struct {
 }
 
 // snapshotState is the compacted control-plane state: everything needed to
-// resume scheduling without the WAL records it covers. The JSON tags read
-// snapshots written before the binary encoding (journalcodec.go).
+// resume scheduling without the WAL records it covers. The JSON tags define
+// the reference round trip its binary encoding is tested against
+// (journalcodec.go).
 type snapshotState struct {
 	Wall   int64           `json:"wall"` // coordinator start, UnixNano
 	At     unit.Time       `json:"at"`   // fluid model position when taken

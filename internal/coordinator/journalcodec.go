@@ -1,10 +1,9 @@
 // Journal payload encoding. Records and snapshots are written in a binary
 // form built from wire v4's primitives (uvarint-prefixed strings, big-endian
 // float64s, varints) into a buffer the coordinator reuses. Every payload opens
-// with a tag byte naming what follows; payloads from journals written before
-// the binary form are JSON objects and open with '{', which no tag uses.
-// They are still read — decodeRecord and decodeSnapshot fall back to JSON —
-// but the journal never writes JSON again.
+// with a tag byte naming what follows. The JSON payloads of journals written
+// before the binary form are not read: such a directory does not restore
+// (DESIGN.md, "Compatibility").
 //
 // A binary round trip is observationally a JSON round trip (FuzzJournalCodec
 // holds the two to it): a field JSON omits when empty is written only when
@@ -15,7 +14,6 @@ package coordinator
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"echelonflow/internal/unit"
@@ -106,9 +104,6 @@ func appendRecordPayload(b []byte, ev *journalEvent) ([]byte, error) {
 	if code == 0 {
 		return nil, fmt.Errorf("unknown record kind %q", ev.Kind)
 	}
-	if ev.Flow != nil {
-		return nil, fmt.Errorf("single-flow field is read-only")
-	}
 	var bits uint64
 	for _, f := range [...]struct {
 		set bool
@@ -166,18 +161,9 @@ func appendRecordPayload(b []byte, ev *journalEvent) ([]byte, error) {
 	return e.b, e.err
 }
 
-// decodeRecord reads one WAL record payload, binary or legacy JSON.
+// decodeRecord reads one WAL record payload.
 func decodeRecord(p []byte) (journalEvent, error) {
 	var ev journalEvent
-	if len(p) > 0 && p[0] == '{' {
-		if err := json.Unmarshal(p, &ev); err != nil {
-			return journalEvent{}, err
-		}
-		if ev.Flow != nil { // journals from before frames: one event per record
-			ev.Flows, ev.Flow = []wire.FlowEvent{*ev.Flow}, nil
-		}
-		return ev, nil
-	}
 	if len(p) < 2 || p[0] != tagRecord {
 		return journalEvent{}, fmt.Errorf("not a record payload")
 	}
@@ -297,13 +283,9 @@ func appendSnapshotPayload(b []byte, st *snapshotState) ([]byte, error) {
 	return e.b, e.err
 }
 
-// decodeSnapshot reads one snapshot payload, binary or legacy JSON.
+// decodeSnapshot reads one snapshot payload.
 func decodeSnapshot(p []byte) (snapshotState, error) {
 	var st snapshotState
-	if len(p) > 0 && p[0] == '{' {
-		err := json.Unmarshal(p, &st)
-		return st, err
-	}
 	if len(p) < 1 || p[0] != tagSnapshot {
 		return snapshotState{}, fmt.Errorf("not a snapshot payload")
 	}

@@ -93,8 +93,8 @@ func checkRoundTrips[T any](t *testing.T, v *T, inDomain bool,
 		}
 		return
 	}
-	viaJSON, err := decode(raw)
-	if err != nil {
+	var viaJSON T
+	if err := json.Unmarshal(raw, &viaJSON); err != nil {
 		t.Fatalf("JSON %s does not decode: %v", raw, err)
 	}
 	viaBin, err := decode(bin)
@@ -106,12 +106,20 @@ func checkRoundTrips[T any](t *testing.T, v *T, inDomain bool,
 	}
 }
 
-// journalSeeds is every payload in the journals written before the binary
-// encoding, JSON records and snapshots alike, with the binary re-encoding of
-// each.
+// journalSeeds is every payload in the parent's journal fixtures, records
+// and snapshots alike, each followed by its corruptions: its JSON encoding
+// (the form of journals written before the binary encoding, which no longer
+// restore), and the payload one byte short, cut in half, and one byte long.
 func journalSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
-	for _, dir := range []string{"journal-pr14/immediate", "journal-pr14/coalesced", "journal-pr15/tail", "journal-pr15/compacted"} {
+	add := func(p []byte, v any) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, p, raw, p[:len(p)-1], p[:len(p)/2], append(append([]byte(nil), p...), 0))
+	}
+	for _, dir := range []string{"journal-pr30/tail", "journal-pr30/compacted"} {
 		rec, err := journal.Restore(filepath.Join("testdata", dir))
 		if err != nil {
 			t.Fatal(err)
@@ -121,22 +129,14 @@ func journalSeeds(t testing.TB) [][]byte {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bin, err := appendSnapshotPayload(nil, &st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seeds = append(seeds, rec.Snapshot, bin)
+			add(rec.Snapshot, &st)
 		}
 		for _, p := range rec.Tail {
 			ev, err := decodeRecord(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bin, err := appendRecordPayload(nil, &ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seeds = append(seeds, p, bin)
+			add(p, &ev)
 		}
 	}
 	return seeds
@@ -146,8 +146,8 @@ func journalSeeds(t testing.TB) [][]byte {
 // never panic and never allocate more than a constant factor of their size;
 // every record or snapshot they yield round-trips through the binary
 // encoding exactly as through JSON — nil versus empty, omitted fields, and
-// the refusal of non-finite floats included. Seeded from the pre-binary
-// fixtures, their binary forms, and hand-built corners.
+// the refusal of non-finite floats included. Seeded from the parent's
+// fixtures, their corruptions, and hand-built corners.
 func FuzzJournalCodec(f *testing.F) {
 	for _, p := range journalSeeds(f) {
 		f.Add(p)

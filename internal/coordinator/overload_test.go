@@ -61,7 +61,7 @@ func TestStalledSocketCannotWedgeCoordinator(t *testing.T) {
 	go func() { defer close(done); c.handleConn(context.Background(), srv) }()
 
 	codec := wire.NewCodec(cli)
-	if err := codec.Send(wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Agent: "stuck"}}); err != nil {
+	if err := codec.Send(wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Agent: "stuck", Version: wire.ProtocolVersion}}); err != nil {
 		t.Fatal(err)
 	}
 	g, _ := core.NewCoflow("stuck/g", &core.Flow{ID: "f", Src: "w1", Dst: "w2", Size: 100})
@@ -521,7 +521,6 @@ func TestStragglerSoftQuarantineAndRelease(t *testing.T) {
 	}
 	defer conn.Close()
 	codec := wire.NewCodec(conn)
-	// Version 3 opts into coordinator RTT pings.
 	if err := codec.Send(wire.Message{Type: wire.TypeHello,
 		Hello: &wire.Hello{Agent: "lag", Version: wire.ProtocolVersion}}); err != nil {
 		t.Fatal(err)

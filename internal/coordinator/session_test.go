@@ -1,9 +1,12 @@
 package coordinator
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,7 +31,7 @@ func dialRaw(t *testing.T, addr, name string) *rawSession {
 		t.Fatal(err)
 	}
 	c := wire.NewCodec(conn)
-	if err := c.Send(wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Agent: name}}); err != nil {
+	if err := c.Send(wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Agent: name, Version: wire.ProtocolVersion}}); err != nil {
 		t.Fatal(err)
 	}
 	return &rawSession{conn: conn, codec: c}
@@ -74,6 +77,72 @@ func startServer(t *testing.T) (*Coordinator, string, func()) {
 	return c, ln.Addr().String(), func() {
 		cancel()
 		wg.Wait()
+	}
+}
+
+// A hello announcing any version but wire.ProtocolVersion — a pre-versioning
+// peer (0), a v3 peer, a newer one (5) — gets exactly one error, JSON-framed
+// so that any revision reads it, naming the version required, and then the
+// connection closes. The register that arrived with the hello is never
+// applied: no session is adopted and no group registered.
+func TestHelloVersionRefused(t *testing.T) {
+	c, addr, stop := startServer(t)
+	defer stop()
+	g, err := core.NewCoflow("refused/g", &core.Flow{ID: "f0", Src: "w1", Dst: "w2", Size: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := wire.RegisterOf(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int{0, 3, 5} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("v%d", v)
+		// One write, so the coordinator's first read takes both frames and
+		// its close leaves no unread bytes to reset the connection with.
+		var out bytes.Buffer
+		for _, m := range []wire.Message{
+			{Type: wire.TypeHello, Hello: &wire.Hello{Agent: name, Version: v}},
+			{Type: wire.TypeRegister, Register: &reg},
+		} {
+			if err := wire.NewCodec(&out).Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := conn.Write(out.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		raw, err := io.ReadAll(conn) // to the close
+		conn.Close()
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		if len(raw) == 0 || raw[0] > 0x01 {
+			t.Fatalf("version %d: reply %x is not one JSON-framed frame", v, raw)
+		}
+		back := wire.NewCodec(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(raw), io.Discard})
+		m, err := back.Recv()
+		if err != nil || m.Type != wire.TypeError || !strings.Contains(m.Error.Msg, fmt.Sprint(wire.ProtocolVersion)) {
+			t.Errorf("version %d: reply %+v, %v; want an error naming version %d", v, m, err, wire.ProtocolVersion)
+		}
+		if m, err := back.Recv(); err != io.EOF {
+			t.Errorf("version %d: after the refusal: %+v, %v; want the close", v, m, err)
+		}
+		c.mu.Lock()
+		_, adopted := c.byName[name]
+		groups := len(c.groups)
+		c.mu.Unlock()
+		if adopted || groups != 0 {
+			t.Errorf("version %d: session adopted %v, %d group(s) registered", v, adopted, groups)
+		}
 	}
 }
 
@@ -236,7 +305,7 @@ func TestBadClients(t *testing.T) {
 	// but keeps serving.
 	s := dialRaw(t, addr, "weird")
 	defer s.conn.Close()
-	if err := s.codec.Send(wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Agent: "again"}}); err != nil {
+	if err := s.codec.Send(wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Agent: "again", Version: wire.ProtocolVersion}}); err != nil {
 		t.Fatal(err)
 	}
 	s.conn.SetReadDeadline(time.Now().Add(5 * time.Second))

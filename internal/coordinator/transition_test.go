@@ -499,17 +499,14 @@ func TestDissolveAdmitsQueuedJob(t *testing.T) {
 	}
 }
 
-// Journals written by the parent of the one-transition change, with every
-// record kind it could write, restore to the digest the parent's own Restore
-// produced from them — from the WAL alone (tail) and from a snapshot plus the
-// records after it (compacted). The one intended difference: the parent's
-// replay did not dissolve j1 (unregistered away) and j2 (evicted away), so its
-// digest still holds their queue entries and indexes.
+// Journals written by the parent of the one-codec change (commit 45eb227),
+// with every record kind it could write, restore to the digest the parent's
+// own Restore produced from them — from the WAL alone (tail) and from a
+// snapshot file plus the records after it (compacted).
 func TestRestoreReadsParentJournal(t *testing.T) {
 	for _, name := range []string{"tail", "compacted"} {
-		src := filepath.Join("testdata", "journal-pr15", name)
+		src := filepath.Join("testdata", "journal-pr30", name)
 		dir := t.TempDir()
-		kinds := ""
 		for _, file := range []string{"wal", "snapshot"} {
 			data, err := os.ReadFile(filepath.Join(src, file))
 			if os.IsNotExist(err) && file == "snapshot" && name == "tail" {
@@ -522,10 +519,10 @@ func TestRestoreReadsParentJournal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, kinds = walRecords(t, dir)
+		_, kinds := walRecords(t, dir)
 		if name == "tail" {
 			for _, kind := range journalKinds(t) {
-				if kind != jTick && !strings.Contains(kinds, kind) {
+				if !strings.Contains(kinds, kind) {
 					t.Errorf("tail fixture has no %q record", kind)
 				}
 			}
@@ -537,20 +534,6 @@ func TestRestoreReadsParentJournal(t *testing.T) {
 		var want digest
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatal(err)
-		}
-		for _, jobID := range parentKeptDissolved[name] {
-			if _, held := want.Admitted[jobID]; !held {
-				t.Fatalf("%s: the parent's digest does not hold %s; the exception is stale", name, jobID)
-			}
-			delete(want.Admitted, jobID)
-			delete(want.AdmittedAt, jobID)
-			delete(want.FlowsLeft, jobID)
-			delete(want.JobGroups, jobID)
-			for gid, owner := range want.GroupJob {
-				if owner == jobID {
-					delete(want.GroupJob, gid)
-				}
-			}
 		}
 		clk := &fakeClock{t: time.Unix(20000, 0)}
 		opts := jobFrameOpts(t, clk.now)
@@ -578,11 +561,4 @@ func TestRestoreReadsParentJournal(t *testing.T) {
 			t.Fatalf("fixture %s (records: %s)", name, kinds)
 		}
 	}
-}
-
-// parentKeptDissolved names, per fixture, the jobs the parent's Restore kept
-// admitted although every group of theirs had been unregistered or evicted.
-var parentKeptDissolved = map[string][]string{
-	"tail":      {"j1", "j2"},
-	"compacted": {"j1", "j2"},
 }

@@ -49,11 +49,12 @@ func ExtChaos() (*Report, error) {
 		recovery           unit.Time
 	}
 	outs := map[string]outcome{}
-	for _, s := range []sched.Scheduler{
+	schedulers := []sched.Scheduler{
 		sched.EchelonMADD{Backfill: true},
 		sched.CoflowMADD{Backfill: true},
 		sched.Fair{},
-	} {
+	}
+	for _, s := range schedulers {
 		healthy, err := run(s, false)
 		if err != nil {
 			return nil, err
@@ -73,7 +74,8 @@ func ExtChaos() (*Report, error) {
 	}
 
 	e, c := outs["echelon-madd+bf"], outs["coflow-madd+bf"]
-	for name, o := range outs {
+	for _, s := range schedulers { // in list order: the checks print deterministically
+		name, o := s.Name(), outs[s.Name()]
 		r.check("chaos never beats the healthy run ("+name+")",
 			o.chaos >= o.healthy-unit.Time(unit.Eps) && o.chaosTd >= o.healthyTd-unit.Time(unit.Eps),
 			"makespan %v vs %v, tardiness %v vs %v", o.chaos, o.healthy, o.chaosTd, o.healthyTd)

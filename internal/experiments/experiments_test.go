@@ -65,3 +65,35 @@ func TestRegistryIDsUnique(t *testing.T) {
 		t.Errorf("only %d experiments registered", len(seen))
 	}
 }
+
+// TestE12CheckOrder: E12's checks come out in one order, run after run, with
+// the per-scheduler checks in the order the schedulers run. (They were
+// emitted in map iteration order, so two runs of echelon-bench differed.)
+func TestE12CheckOrder(t *testing.T) {
+	names := func() []string {
+		r, err := ExtChaos()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, c := range r.Checks {
+			out = append(out, c.Name)
+		}
+		return out
+	}
+	first := names()
+	for run := 0; run < 3; run++ {
+		if again := names(); strings.Join(again, "\n") != strings.Join(first, "\n") {
+			t.Fatalf("run %d checks %q, first run %q", run+2, again, first)
+		}
+	}
+	var order []string
+	for _, name := range first {
+		if i := strings.LastIndex(name, " ("); strings.HasPrefix(name, "chaos never beats") && i > 0 {
+			order = append(order, strings.TrimSuffix(name[i+2:], ")"))
+		}
+	}
+	if want := "echelon-madd+bf coflow-madd+bf fair"; strings.Join(order, " ") != want {
+		t.Errorf("per-scheduler checks in order %q, want %q", order, want)
+	}
+}

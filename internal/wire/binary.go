@@ -1,4 +1,4 @@
-// Binary framing for protocol version 4.
+// Binary framing, protocol version 4: every frame but the handshake's.
 //
 // A binary frame is a fixed 8-byte header followed by the body:
 //
@@ -7,24 +7,21 @@
 //	[2:4] flags    big-endian; bit 0 = heartbeat payload present
 //	[4:8] length   big-endian body length, <= MaxFrame
 //
-// Hot message types (flow events, batches, allocations, heartbeats, job
-// updates, errors) use hand-rolled field encodings: uvarint-length-prefixed
-// strings, big-endian float64 for scalar quantities, uvarint counters. The
-// two cold, structurally open-ended types (register, submit_job) embed their
-// JSON encoding as the frame body — they happen once per job, and reusing
-// encoding/json there keeps the two codecs trivially equivalent on the
-// hardest structures (core.Spec trees).
+// Bodies are hand-rolled field encodings: uvarint-length-prefixed strings,
+// big-endian float64 for scalar quantities, varint counters. The cold,
+// structurally open-ended types (register, submit_job) use AppendRegister and
+// AppendJobSpec, the same encodings the journal keeps.
 //
-// Observational identity with the JSON codec is part of the contract (the
-// cross-codec fuzz target enforces it): the binary encoders reject the same
-// values json.Marshal rejects (NaN and infinite floats) and reproduce JSON's
-// round-trip canonicalizations (a heartbeat's pointer presence, a nil versus
-// empty allocation map, an empty host list decoding as nil).
+// A binary round trip is observationally a JSON round trip of the same
+// struct (the cross-codec tests hold it to that, with encoding/json as the
+// reference): the encoders reject the values json.Marshal rejects (NaN and
+// infinite floats), and the decoders reproduce JSON's round-trip
+// canonicalizations (a heartbeat's pointer presence, a nil versus empty
+// allocation map, an empty host list decoding as nil).
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -43,9 +40,9 @@ const (
 	flagHeartbeatPayload uint16 = 1 << 0
 )
 
-// Message kinds, one per Message.Type.
+// Message kinds, one per binary-framed Message.Type; a hello has none, being
+// JSON-framed (handshake.go).
 const (
-	kindHello      = 1
 	kindRegister   = 2
 	kindUnregister = 3
 	kindFlowEvent  = 4
@@ -83,8 +80,6 @@ func appendBinaryFrame(b []byte, m *Message) ([]byte, error) {
 	var kind byte
 	var flags uint16
 	switch m.Type {
-	case TypeHello:
-		kind = kindHello
 	case TypeRegister:
 		kind = kindRegister
 	case TypeUnregister:
@@ -127,11 +122,8 @@ func appendBinaryFrame(b []byte, m *Message) ([]byte, error) {
 // appendBinaryBody appends the body for m's type.
 func appendBinaryBody(b []byte, m *Message) ([]byte, error) {
 	switch m.Type {
-	case TypeHello:
-		b = AppendString(b, m.Hello.Agent)
-		return binary.AppendVarint(b, int64(m.Hello.Version)), nil
 	case TypeRegister:
-		return appendJSONBody(b, Message{Type: m.Type, Register: m.Register})
+		return AppendRegister(b, m.Register)
 	case TypeUnregister:
 		return AppendString(b, m.Unregister.GroupID), nil
 	case TypeFlowEvent:
@@ -147,7 +139,7 @@ func appendBinaryBody(b []byte, m *Message) ([]byte, error) {
 		b = AppendString(b, m.Error.Msg)
 		return AppendString(b, m.Error.Code), nil
 	case TypeSubmitJob:
-		return appendJSONBody(b, Message{Type: m.Type, SubmitJob: m.SubmitJob})
+		return AppendJobSpec(b, &m.SubmitJob.Job)
 	case TypeJobUpdate:
 		return appendJobUpdate(b, m.JobUpdate)
 	case TypeFlowBatch:
@@ -221,18 +213,6 @@ func appendJobUpdate(b []byte, u *JobUpdate) ([]byte, error) {
 	return AppendString(b, u.Reason), nil
 }
 
-// appendJSONBody embeds the envelope's JSON encoding as the frame body, for
-// the cold structurally-open message types. By-value on purpose: the callers
-// rebuild a minimal envelope so the marshal's boxing escapes this copy, not
-// the hot path's.
-func appendJSONBody(b []byte, m Message) ([]byte, error) {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal: %w", err)
-	}
-	return append(b, body...), nil
-}
-
 // AppendString appends s as a uvarint length followed by its bytes.
 func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -261,7 +241,7 @@ var (
 )
 
 // kindTypes names each binary frame kind's message type.
-var kindTypes = [...]string{kindHello: TypeHello, kindRegister: TypeRegister, kindUnregister: TypeUnregister,
+var kindTypes = [...]string{kindRegister: TypeRegister, kindUnregister: TypeUnregister,
 	kindFlowEvent: TypeFlowEvent, kindAllocation: TypeAllocation, kindHeartbeat: TypeHeartbeat, kindError: TypeError,
 	kindSubmitJob: TypeSubmitJob, kindJobUpdate: TypeJobUpdate, kindFlowBatch: TypeFlowBatch}
 
@@ -269,16 +249,16 @@ var kindTypes = [...]string{kindHello: TypeHello, kindRegister: TypeRegister, ki
 // the hot path (group and flow IDs, host names) are interned on the codec so
 // steady-state decodes stop allocating them.
 func (c *Codec) decodeBinary(kind byte, flags uint16, body []byte, m *Message) error {
-	if kind == kindRegister || kind == kindSubmitJob {
-		return decodeJSONEnvelope(body, m) // the envelope carries its own type; no tail check on JSON
-	}
 	if int(kind) >= len(kindTypes) || kindTypes[kind] == "" {
 		return fmt.Errorf("wire: unknown binary frame kind %d", kind)
 	}
 	r := Reader{b: body, names: c}
 	switch kind {
-	case kindHello:
-		m.Hello = &Hello{Agent: r.Str(), Version: int(r.Varint())}
+	case kindRegister:
+		reg := r.Register()
+		m.Register = &reg
+	case kindSubmitJob:
+		m.SubmitJob = &SubmitJob{Job: r.JobSpec()}
 	case kindUnregister:
 		m.Unregister = &Unregister{GroupID: r.Str()}
 	case kindFlowEvent:

@@ -52,15 +52,11 @@ func sampleMessages(t *testing.T) []Message {
 	}
 }
 
-// roundTrip sends m through a fresh codec (binary framing iff bin) and
-// decodes it back.
-func roundTrip(t *testing.T, m Message, bin bool) Message {
+// roundTrip sends m through a fresh codec and decodes it back.
+func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
 	var buf bytes.Buffer
 	c := NewCodec(rw{&buf})
-	if bin {
-		c.EnableBinary()
-	}
 	if err := c.Send(m); err != nil {
 		t.Fatalf("send %+v: %v", m, err)
 	}
@@ -71,18 +67,18 @@ func roundTrip(t *testing.T, m Message, bin bool) Message {
 	return got
 }
 
-// TestCrossCodecEquivalence is the unit-level half of the cross-codec
-// contract: every sample message round-trips through both framings to
-// deeply-equal results, and the two results equal each other.
+// TestCrossCodecEquivalence is the unit-level half of the codec contract:
+// every sample message round-trips through the codec to exactly what a
+// json.Marshal/Unmarshal round trip of the struct yields, and to itself.
 func TestCrossCodecEquivalence(t *testing.T) {
 	for i, m := range sampleMessages(t) {
-		viaJSON := roundTrip(t, m, false)
-		viaBin := roundTrip(t, m, true)
-		if !reflect.DeepEqual(viaJSON, viaBin) {
-			t.Errorf("case %d: codecs disagree\njson   %+v\nbinary %+v", i, viaJSON, viaBin)
+		ref := viaJSON(t, m)
+		got := roundTrip(t, m)
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("case %d: codec departs from the JSON reference\njson  %+v\ncodec %+v", i, ref, got)
 		}
-		if !reflect.DeepEqual(m, viaBin) {
-			t.Errorf("case %d: binary round trip lossy\nsent %+v\ngot  %+v", i, m, viaBin)
+		if !reflect.DeepEqual(m, got) {
+			t.Errorf("case %d: round trip lossy\nsent %+v\ngot  %+v", i, m, got)
 		}
 	}
 }
@@ -92,7 +88,6 @@ func TestCrossCodecEquivalence(t *testing.T) {
 func TestBinaryFrameShape(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(rw{&buf})
-	c.EnableBinary()
 	if err := c.Send(Message{Type: TypeHeartbeat, Heartbeat: &Heartbeat{Nonce: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -114,31 +109,23 @@ func TestBinaryFrameShape(t *testing.T) {
 	}
 }
 
-// TestBinaryNegotiation: a codec sends JSON frames until EnableBinary.
+// TestBinaryNegotiation: there is nothing left to negotiate. From a codec's
+// first frame on, a hello goes out JSON-framed and every other message
+// binary, and a fresh receiver decodes both.
 func TestBinaryNegotiation(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(rw{&buf})
-	if err := c.Send(Message{Type: TypeHeartbeat}); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes()[0]; b > 0x01 {
-		t.Errorf("pre-negotiation first byte = %#x, want a JSON length prefix", b)
-	}
-	buf.Reset()
-	c.EnableBinary()
-	if !c.BinarySends() {
-		t.Error("BinarySends() false after EnableBinary")
-	}
-	if err := c.Send(Message{Type: TypeHeartbeat}); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes()[0]; b != binaryMagic {
-		t.Errorf("post-negotiation first byte = %#x, want %#x", b, binaryMagic)
-	}
-	// The receive side needs no negotiation: a fresh JSON-only codec decodes
-	// the binary frame.
-	if m, err := NewCodec(rw{&buf}).Recv(); err != nil || m.Type != TypeHeartbeat {
-		t.Errorf("un-negotiated receiver: %+v, %v", m, err)
+	for _, m := range sampleMessages(t) {
+		buf.Reset()
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if first := buf.Bytes()[0]; (m.Type == TypeHello) != (first <= 0x01) || (m.Type != TypeHello && first != binaryMagic) {
+			t.Errorf("%s opens with %#x", m.Type, first)
+		}
+		if got, err := NewCodec(rw{&buf}).Recv(); err != nil || got.Type != m.Type {
+			t.Errorf("fresh receiver on %s: %+v, %v", m.Type, got, err)
+		}
 	}
 }
 
@@ -161,28 +148,28 @@ func TestSendSingleWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	msgs := []Message{
+		{Type: TypeHello, Hello: &Hello{Agent: "a1", Version: ProtocolVersion}},
 		{Type: TypeHeartbeat},
 		{Type: TypeRegister, Register: &reg},
 		{Type: TypeFlowEvent, FlowEvent: &FlowEvent{GroupID: "g", FlowID: "f", Event: EventReleased}},
 	}
-	for _, bin := range []bool{false, true} {
-		w := &countingWriter{}
-		c := NewCodec(struct {
-			io.Reader
-			io.Writer
-		}{new(bytes.Buffer), w})
-		if bin {
-			c.EnableBinary()
+	w := &countingWriter{}
+	c := NewCodec(struct {
+		io.Reader
+		io.Writer
+	}{new(bytes.Buffer), w})
+	for i, m := range msgs {
+		before := w.writes
+		if err := c.Send(m); err != nil {
+			t.Fatalf("send %d: %v", i, err)
 		}
-		for i, m := range msgs {
-			before := w.writes
-			if err := c.Send(m); err != nil {
-				t.Fatalf("binary=%v send %d: %v", bin, i, err)
-			}
-			if got := w.writes - before; got != 1 {
-				t.Errorf("binary=%v message %d took %d writes, want 1", bin, i, got)
-			}
+		if got := w.writes - before; got != 1 {
+			t.Errorf("%s took %d writes, want 1", m.Type, got)
 		}
+	}
+	before := w.writes
+	if err := c.Refuse("no"); err != nil || w.writes-before != 1 {
+		t.Errorf("refusal: %v, %d writes", err, w.writes-before)
 	}
 }
 
@@ -191,19 +178,17 @@ func TestSendSingleWrite(t *testing.T) {
 // under both framings — never a clean io.EOF, which callers treat as an
 // orderly hangup.
 func TestRecvTruncationErrors(t *testing.T) {
-	for _, bin := range []bool{false, true} {
+	for _, m := range []Message{
+		{Type: TypeHello, Hello: &Hello{Agent: "agent", Version: ProtocolVersion}},
+		{Type: TypeFlowEvent, FlowEvent: &FlowEvent{GroupID: "group", FlowID: "flow", Event: EventFinished}},
+	} {
 		var buf bytes.Buffer
-		c := NewCodec(rw{&buf})
-		if bin {
-			c.EnableBinary()
-		}
-		if err := c.Send(Message{Type: TypeFlowEvent,
-			FlowEvent: &FlowEvent{GroupID: "group", FlowID: "flow", Event: EventFinished}}); err != nil {
+		if err := NewCodec(rw{&buf}).Send(m); err != nil {
 			t.Fatal(err)
 		}
 		raw := buf.Bytes()
 		hdrLen := 4
-		if bin {
+		if raw[0] == binaryMagic {
 			hdrLen = binaryHeaderSize
 		}
 		cuts := []struct {
@@ -218,16 +203,16 @@ func TestRecvTruncationErrors(t *testing.T) {
 			c := NewCodec(readOnly{bytes.NewReader(raw[:cut.n])})
 			_, err := c.Recv()
 			if !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Errorf("binary=%v %s: err = %v, want io.ErrUnexpectedEOF", bin, cut.name, err)
+				t.Errorf("%s %s: err = %v, want io.ErrUnexpectedEOF", m.Type, cut.name, err)
 			}
 			if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Errorf("binary=%v %s: truncation surfaced as clean EOF", bin, cut.name)
+				t.Errorf("%s %s: truncation surfaced as clean EOF", m.Type, cut.name)
 			}
 		}
 		// An empty stream remains a clean EOF.
 		c2 := NewCodec(readOnly{bytes.NewReader(nil)})
 		if _, err := c2.Recv(); err != io.EOF {
-			t.Errorf("binary=%v empty stream: err = %v, want io.EOF", bin, err)
+			t.Errorf("%s empty stream: err = %v, want io.EOF", m.Type, err)
 		}
 	}
 }
@@ -237,7 +222,6 @@ func TestRecvTruncationErrors(t *testing.T) {
 func TestBinaryRecvResumesMidFrame(t *testing.T) {
 	var buf bytes.Buffer
 	send := NewCodec(rw{&buf})
-	send.EnableBinary()
 	if err := send.Send(Message{Type: TypeFlowEvent,
 		FlowEvent: &FlowEvent{GroupID: "g", FlowID: "f", Event: EventFinished}}); err != nil {
 		t.Fatal(err)
@@ -270,6 +254,51 @@ func TestBinaryRecvResumesMidFrame(t *testing.T) {
 	}
 }
 
+// regressionFlowEventJSON is a valid flow_event envelope in JSON, the body
+// the register/submit_job kind-confusion regression carried.
+const regressionFlowEventJSON = `{"type":"flow_event","flow_event":{"group_id":"g","flow_id":"f","event":"released"}}`
+
+// TestRecvRefusesJSONOutsideHandshake: a JSON-framed frame is accepted only
+// if it carries a hello or an error; every other message, valid as it may
+// be, is refused, and so are the other payloads a handshake body might carry.
+func TestRecvRefusesJSONOutsideHandshake(t *testing.T) {
+	for _, body := range []string{
+		regressionFlowEventJSON,
+		`{"type":"heartbeat"}`,
+		`{"type":"unregister","unregister":{"group_id":"g"}}`,
+		`{"type":"submit_job","submit_job":{"job":{"id":"j","paradigm":"dp","workers":1,"layers":1,"iterations":1}}}`,
+		`{"type":"allocation","allocation":{"rates":{"f":1}}}`,
+	} {
+		if m, err := NewCodec(readOnly{bytes.NewReader(frame([]byte(body)))}).Recv(); err == nil {
+			t.Errorf("%s: accepted %+v", body, m)
+		}
+	}
+	for _, tc := range []struct {
+		body string
+		want Message
+	}{
+		{`{"type":"hello","hello":{"agent":"a1","version":3}}`, Message{Type: TypeHello, Hello: &Hello{Agent: "a1", Version: 3}}},
+		{`{"type":"error","error":{"msg":"no"}}`, Message{Type: TypeError, Error: &Error{Msg: "no"}}},
+		{`{"type":"hello","hello":{"agent":"a1"},"flow_event":{"group_id":"g"}}`, Message{Type: TypeHello, Hello: &Hello{Agent: "a1"}}},
+	} {
+		got, err := NewCodec(readOnly{bytes.NewReader(frame([]byte(tc.body)))}).Recv()
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: %+v, %v; want %+v", tc.body, got, err, tc.want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := NewCodec(rw{&buf}).Refuse("version 3 refused"); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Bytes()[0] > 0x01 {
+		t.Errorf("refusal opens with %#x, want a JSON length prefix", buf.Bytes()[0])
+	}
+	var legacy Message // a peer decoding the refusal as a whole envelope
+	if err := json.Unmarshal(buf.Bytes()[4:], &legacy); err != nil || legacy.Error == nil || legacy.Error.Msg != "version 3 refused" {
+		t.Errorf("refusal as a legacy envelope: %+v, %v", legacy, err)
+	}
+}
+
 // binaryFrame builds a raw binary frame for hostile-input tests.
 func binaryFrame(kind byte, flags uint16, body []byte) []byte {
 	b := []byte{binaryMagic, kind, byte(flags >> 8), byte(flags), 0, 0, 0, 0}
@@ -293,7 +322,13 @@ func TestBinaryHostileFrames(t *testing.T) {
 		{"allocation count exceeds body", binaryFrame(kindAllocation, 0, []byte{1, 0xFF, 0xFF, 0x03})},
 		{"job update bad status", binaryFrame(kindJobUpdate, 0, []byte{1, 'j', 9, 0, 0})},
 		{"heartbeat flagged but empty", binaryFrame(kindHeartbeat, flagHeartbeatPayload, nil)},
-		{"register junk json", binaryFrame(kindRegister, 0, []byte("{nope"))},
+		{"register junk", binaryFrame(kindRegister, 0, []byte("{nope"))},
+		// Regression: register and submit_job frames used to carry a JSON
+		// envelope whose own type won over the frame's kind, so this frame
+		// came out of Recv as a flow_event.
+		{"register kind, flow_event JSON body", binaryFrame(kindRegister, 0, []byte(regressionFlowEventJSON))},
+		{"submit_job kind, flow_event JSON body", binaryFrame(kindSubmitJob, 0, []byte(regressionFlowEventJSON))},
+		{"binary-framed hello (kind 1)", binaryFrame(1, 0, []byte{2, 'a', '1', 8})},
 		{"oversize length", func() []byte {
 			f := binaryFrame(kindHeartbeat, 0, nil)
 			binary.BigEndian.PutUint32(f[4:8], MaxFrame+1)
@@ -312,20 +347,21 @@ func TestBinaryHostileFrames(t *testing.T) {
 // values json.Marshal rejects, keeping the accepted-input sets identical.
 func TestBinaryRejectsNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, bin := range []bool{false, true} {
-			msgs := []Message{
-				{Type: TypeFlowEvent, FlowEvent: &FlowEvent{GroupID: "g", FlowID: "f", Event: EventResumed, Offset: unit.Bytes(math.Abs(v))}},
-				{Type: TypeAllocation, Allocation: &Allocation{Rates: map[string]unit.Rate{"f": unit.Rate(v)}}},
+		job := sampleJob()
+		job.Params = unit.Bytes(v)
+		msgs := []Message{
+			{Type: TypeFlowEvent, FlowEvent: &FlowEvent{GroupID: "g", FlowID: "f", Event: EventResumed, Offset: unit.Bytes(math.Abs(v))}},
+			{Type: TypeAllocation, Allocation: &Allocation{Rates: map[string]unit.Rate{"f": unit.Rate(v)}}},
+			{Type: TypeRegister, Register: &Register{GroupID: "g", Arrangement: core.Spec{Kind: "coflow"}, Weight: math.Abs(v)}},
+			{Type: TypeSubmitJob, SubmitJob: &SubmitJob{Job: job}},
+		}
+		for i, m := range msgs {
+			var buf bytes.Buffer
+			if err := NewCodec(rw{&buf}).Send(m); err == nil {
+				t.Errorf("case %d: non-finite %v accepted", i, v)
 			}
-			for i, m := range msgs {
-				var buf bytes.Buffer
-				c := NewCodec(rw{&buf})
-				if bin {
-					c.EnableBinary()
-				}
-				if err := c.Send(m); err == nil {
-					t.Errorf("binary=%v case %d: non-finite %v accepted", bin, i, v)
-				}
+			if buf.Len() != 0 {
+				t.Errorf("case %d: refused message wrote %d bytes", i, buf.Len())
 			}
 		}
 	}
@@ -438,7 +474,6 @@ func TestFlowBatchValidate(t *testing.T) {
 func TestBinaryDecodeInterns(t *testing.T) {
 	var buf bytes.Buffer
 	send := NewCodec(rw{&buf})
-	send.EnableBinary()
 	m := Message{Type: TypeFlowEvent, FlowEvent: &FlowEvent{GroupID: "job/dp/0", FlowID: "flow-17", Event: EventReleased}}
 	for i := 0; i < 64; i++ {
 		if err := send.Send(m); err != nil {

@@ -64,6 +64,24 @@ func FuzzRecv(f *testing.F) {
 	f.Add(frame([]byte(`{"type":"flow_event","flow_event":{"event":"resumed","offset":-3}}`)))
 	f.Add(frame([]byte(`not json at all`)))
 	f.Add(frame(nil))
+	// Regression: a register frame whose body was a JSON flow_event envelope
+	// decoded as that flow_event.
+	f.Add(binaryFrame(kindRegister, 0, []byte(regressionFlowEventJSON)))
+	f.Add(binaryFrame(kindSubmitJob, 0, []byte(regressionFlowEventJSON)))
+	// A valid JSON-framed message outside the handshake: refused.
+	f.Add(frame([]byte(regressionFlowEventJSON)))
+	// The cold frames, binary.
+	for _, m := range []Message{
+		{Type: TypeRegister, Register: &Register{GroupID: "g", Arrangement: core.Spec{Kind: "staged", Gaps: []unit.Time{1}},
+			Flows: []FlowSpec{{ID: "f", Src: "w1", Dst: "w2", Size: 1}}}},
+		{Type: TypeSubmitJob, SubmitJob: &SubmitJob{Job: JobSpec{ID: "j", Paradigm: "dp", Workers: 1, Layers: 1, Iterations: 1}}},
+	} {
+		b, err := appendBinaryFrame(nil, &m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCodec(readOnly{bytes.NewReader(data)})
@@ -86,8 +104,9 @@ func FuzzRecv(f *testing.F) {
 }
 
 // FuzzRoundTrip builds syntactically valid messages from fuzzed fields and
-// checks Send/Recv is lossless: what one peer frames, the other decodes
-// bit-for-bit.
+// checks Send/Recv is lossless — what one peer frames, the other decodes
+// bit-for-bit — and equal to a json.Marshal/Unmarshal round trip of the
+// struct.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add("hello", "a1", 2, "g", "f", "released", 0.0, 1.5)
 	f.Add("flow_event", "", 0, "job/pp", "f0", "resumed", 4096.0, 0.0)
@@ -148,15 +167,20 @@ func FuzzRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(m, got) {
 			t.Fatalf("round trip mismatch:\nsent %+v\ngot  %+v", m, got)
 		}
+		if ref := viaJSON(t, m); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("codec departs from the JSON reference:\njson  %+v\ncodec %+v", ref, got)
+		}
 	})
 }
 
-// FuzzCrossCodec is the differential oracle over the two framings: a message
-// built from fuzzed fields is sent through a JSON codec and a binary codec,
-// and both must agree — identical accept/reject verdicts, and deeply-equal
-// decoded messages on accept. Checked-in seed corpora under
-// testdata/fuzz/FuzzCrossCodec cover every message type, heartbeat nonce
-// shapes, and boundary batch/host counts.
+// FuzzCrossCodec is the differential oracle between the codec and
+// encoding/json, the reference: a message built from fuzzed fields is sent
+// through the codec and round-tripped through json.Marshal/Unmarshal as a
+// struct, and the two must agree — the codec accepts exactly what validates
+// and JSON can carry, and decodes exactly what the JSON round trip yields
+// (nil versus empty, omitted fields, pointer presence). Checked-in seed
+// corpora under testdata/fuzz/FuzzCrossCodec cover every message type,
+// heartbeat nonce shapes, and boundary batch/host counts.
 func FuzzCrossCodec(f *testing.F) {
 	// typ selects the message; count drives batch/host/rate-map sizes (its
 	// sign selects nil-vs-empty and payload presence corners).
@@ -174,7 +198,8 @@ func FuzzCrossCodec(f *testing.F) {
 	f.Add("submit_job", "", 0, "", "j0", "", 0.0, 0.0, uint64(0), 2, "", "")
 	f.Add("job_update", "", 2, "", "j0", "", 0.0, 0.0, uint64(0), 3, "w1", "no fit")
 	f.Add("error", "", 0, "boom", "", "", 0.0, 0.0, uint64(0), 0, "", "throttled")
-	// Non-finite floats: refused by both codecs' sends, and at decode.
+	// Non-finite floats: JSON cannot carry them, so the codec refuses them
+	// on send, and at decode.
 	f.Add("flow_event", "", 0, "g", "f", "resumed", math.NaN(), 0.0, uint64(0), 0, "", "")
 	f.Add("flow_batch", "", 0, "g", "f", "resumed", math.Inf(1), 0.0, uint64(0), 3, "", "")
 	f.Add("allocation", "", 0, "", "f", "", 0.0, math.Inf(-1), uint64(0), 2, "", "")
@@ -254,51 +279,46 @@ func FuzzCrossCodec(f *testing.F) {
 		case TypeError:
 			m.Error = &Error{Msg: groupID, Code: reason}
 		default:
-			// Unknown types must be rejected by both send paths.
-			for _, bin := range []bool{false, true} {
-				var buf bytes.Buffer
-				c := NewCodec(rw{&buf})
-				if bin {
-					c.EnableBinary()
-				}
-				if err := c.Send(m); err == nil {
-					t.Fatalf("binary=%v accepted unknown type %q", bin, typ)
-				}
+			// Unknown types must be refused, never framed.
+			var buf bytes.Buffer
+			if err := NewCodec(rw{&buf}).Send(m); err == nil {
+				t.Fatalf("accepted unknown type %q", typ)
 			}
 			return
 		}
 
-		sendOne := func(bin bool) (Message, error) {
-			var buf bytes.Buffer
-			c := NewCodec(rw{&buf})
-			if bin {
-				c.EnableBinary()
-			}
-			if err := c.Send(m); err != nil {
-				return Message{}, err
-			}
-			got, err := c.Recv()
-			if err != nil {
-				t.Fatalf("binary=%v Recv failed on own Send output: %v", bin, err)
-			}
-			return got, nil
+		var buf bytes.Buffer
+		c := NewCodec(rw{&buf})
+		sendErr := c.Send(m)
+		raw, refErr := json.Marshal(m)
+		if refErr == nil {
+			refErr = m.Validate()
 		}
-		viaJSON, errJSON := sendOne(false)
-		viaBin, errBin := sendOne(true)
-		if (errJSON == nil) != (errBin == nil) {
-			t.Fatalf("codecs disagree on acceptance: json=%v binary=%v", errJSON, errBin)
+		if (sendErr == nil) != (refErr == nil) {
+			t.Fatalf("codec and JSON reference disagree on acceptance: codec %v, json %v", sendErr, refErr)
 		}
-		if errJSON != nil {
+		if sendErr != nil {
 			if m.Validate() == nil && finiteIn {
-				t.Fatalf("both codecs rejected a valid message: %v", errJSON)
+				t.Fatalf("codec refused a valid message: %v", sendErr)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("refused message wrote %d bytes", buf.Len())
 			}
 			return
 		}
-		if !reflect.DeepEqual(viaJSON, viaBin) {
-			t.Fatalf("codecs decode differently:\njson   %+v\nbinary %+v", viaJSON, viaBin)
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("Recv failed on own Send output: %v", err)
 		}
-		if !reflect.DeepEqual(m, viaBin) {
-			t.Fatalf("binary round trip lossy:\nsent %+v\ngot  %+v", m, viaBin)
+		var ref Message
+		if err := json.Unmarshal(raw, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("codec departs from the JSON reference:\njson  %+v\ncodec %+v", ref, got)
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Fatalf("round trip lossy:\nsent %+v\ngot  %+v", m, got)
 		}
 	})
 }

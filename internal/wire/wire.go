@@ -3,21 +3,19 @@
 // function + per-flow size/source/destination, §5) and flow lifecycle
 // events; the Coordinator pushes bandwidth allocations back.
 //
-// Two framings share the stream. The legacy framing (protocol ≤3) is a
-// 4-byte big-endian length followed by a JSON body. Protocol 4 adds a
-// fixed-width binary framing with a zero-allocation fast path for the hot
-// message types; its frames open with the magic byte 0xEC, which can never
-// begin a legal JSON length prefix (MaxFrame caps the first length byte at
-// 0x01), so a receiver distinguishes the two framings per frame with no
-// negotiation state. The send side is negotiated: a peer only sends binary
-// frames after learning from Hello.Version that the other end is v4.
+// Every message has exactly one encoding. The handshake — an agent's hello,
+// and the one error that refuses it — is a 4-byte big-endian length followed
+// by a JSON body (handshake.go), so that a peer of any protocol revision can
+// read why it was refused. Every other message is a binary frame (binary.go)
+// opening with the magic byte 0xEC, which can never begin a legal JSON length
+// prefix (MaxFrame caps the first length byte at 0x01): a receiver tells the
+// two framings apart per frame, with no negotiation state.
 package wire
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -30,23 +28,17 @@ import (
 // unbounded allocation.
 const MaxFrame = 16 << 20
 
-// ProtocolVersion is the current control-protocol revision. Version 2 added
-// reconnect support: Hello.Version, and the "resumed" flow event carrying a
-// byte offset so a rejoining agent can continue an in-flight transfer.
-// Version 3 added the optional Heartbeat payload: a coordinator may ping a
-// version>=3 agent with a nonce'd heartbeat, which the agent echoes back
-// verbatim so the coordinator can measure per-agent RTT for gray-failure
-// (straggler) detection. Nonce-less heartbeats keep their version-2
-// semantics. Version 4 added the binary framing (see binary.go) and the
-// flow_batch message; a v4 peer may send either framing, and sends binary
-// only to peers that announced version >= 4. The coordinator accepts
-// version 0 (field absent, pre-versioning agents) through ProtocolVersion.
+// ProtocolVersion is the control-protocol revision, and the only one a
+// coordinator accepts: a hello announcing any other version is refused with
+// one JSON-framed error naming this one. Version 2 added reconnect support:
+// Hello.Version, and the "resumed" flow event carrying a byte offset so a
+// rejoining agent can continue an in-flight transfer. Version 3 added the
+// optional Heartbeat payload: a coordinator pings an agent with a nonce'd
+// heartbeat, which the agent echoes back verbatim so the coordinator can
+// measure per-agent RTT for gray-failure (straggler) detection; nonce-less
+// heartbeats are plain keepalives. Version 4 made every frame after the
+// handshake binary (see binary.go) and added the flow_batch message.
 const ProtocolVersion = 4
-
-// JSONProtocolVersion is the highest revision restricted to the JSON
-// framing. A v4 build forced into JSON compatibility mode announces this
-// version so the peer never selects binary sends toward it.
-const JSONProtocolVersion = 3
 
 // Message type tags.
 const (
@@ -92,8 +84,8 @@ type FlowSpec struct {
 // takes over its previous session: parked groups are revived in place.
 type Hello struct {
 	Agent string `json:"agent"`
-	// Version is the sender's ProtocolVersion; zero means a pre-versioning
-	// peer (treated as version-1 semantics, no resume support).
+	// Version is the sender's ProtocolVersion (zero: a pre-versioning peer,
+	// which a coordinator refuses like any other version but its own).
 	Version int `json:"version,omitempty"`
 }
 
@@ -136,10 +128,10 @@ func RegisterOf(g *core.EchelonFlow) (Register, error) {
 	return Register{GroupID: g.ID, Arrangement: spec, Flows: flows, Weight: g.Weight}, nil
 }
 
-// AppendRegister appends r's binary encoding, for stores that keep
-// registrations (register frames on the wire carry JSON). A round trip
-// through it equals one through JSON: a nil flow list stays nil, an empty one
-// empty, and non-finite floats are refused.
+// AppendRegister appends r's binary encoding: a register frame's body, and
+// the form journals keep. A round trip through it equals one through JSON: a
+// nil flow list stays nil, an empty one empty, and non-finite floats are
+// refused.
 func AppendRegister(b []byte, r *Register) ([]byte, error) {
 	b = AppendString(AppendString(b, r.GroupID), r.Arrangement.Kind)
 	b, err := AppendFloat(b, float64(r.Arrangement.T))
@@ -297,9 +289,9 @@ func (j JobSpec) Validate() error {
 	return nil
 }
 
-// AppendJobSpec appends j's binary encoding, for stores that keep specs
-// (submit_job frames on the wire carry JSON). Non-finite floats are refused,
-// as JSON refuses them.
+// AppendJobSpec appends j's binary encoding: a submit_job frame's body, and
+// the form journals keep. Non-finite floats are refused, as JSON refuses
+// them.
 func AppendJobSpec(b []byte, j *JobSpec) ([]byte, error) {
 	b = AppendString(AppendString(AppendString(b, j.ID), j.Tenant), j.Paradigm)
 	for _, n := range [...]int{j.Workers, j.Layers, j.Buckets, j.Micro, j.Prefetch, j.Iterations} {
@@ -445,19 +437,18 @@ func (m Message) Validate() error {
 }
 
 // Codec frames messages over a byte stream. Send is safe for concurrent
-// use; Recv must be called from a single reader goroutine. Recv accepts
-// both framings on any frame boundary (the binary magic byte disambiguates);
-// Send emits the legacy JSON framing until EnableBinary switches it to the
-// protocol-4 binary framing.
+// use; Recv must be called from a single reader goroutine. Send frames a
+// hello in the handshake framing and every other message in binary; Refuse
+// sends the handshake's refusal. Recv accepts a binary frame of any kind and
+// a JSON-framed frame only if it is part of the handshake.
 type Codec struct {
 	r  *bufio.Reader
 	w  io.Writer
-	mu sync.Mutex // serializes Send and guards the send framing + buffer
+	mu sync.Mutex // serializes Send and Refuse, and guards sendBuf
 	rx uint64     // bytes consumed by Recv, including partial frames
 
-	// binary selects the outbound framing; sendBuf is the reusable frame
-	// assembly buffer (header + body in one Write call), guarded by mu.
-	binary  bool
+	// sendBuf is the reusable frame assembly buffer (header + body in one
+	// Write call), guarded by mu.
 	sendBuf []byte
 
 	// names interns strings decoded off binary frames: group and flow IDs
@@ -487,75 +478,42 @@ func NewCodec(rw io.ReadWriter) *Codec {
 	return &Codec{r: bufio.NewReader(rw), w: rw}
 }
 
-// EnableBinary switches the send path to the protocol-4 binary framing.
-// Call it only once the peer is known to speak version >= 4 (from its
-// Hello); the receive path needs no switch. Safe to call concurrently with
-// Send: messages already being framed finish under their framing.
-func (c *Codec) EnableBinary() {
-	c.mu.Lock()
-	c.binary = true
-	c.mu.Unlock()
-}
-
-// BinarySends reports whether the send path uses the binary framing.
-func (c *Codec) BinarySends() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.binary
-}
+// EnableBinary does nothing: every frame after the hello is binary from the
+// start, so there is no send mode left to switch.
+//
+// Deprecated: kept only because the control-plane benchmark module still
+// calls it; delete it with those calls.
+func (c *Codec) EnableBinary() {}
 
 // Send frames and writes one message. Header and body are assembled into
 // one buffer and handed to the stream as a single Write, so a message costs
-// one syscall on a raw conn regardless of framing.
+// one syscall on a raw conn.
 func (c *Codec) Send(m Message) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var b []byte
 	var err error
-	b := c.sendBuf[:0]
-	if c.binary {
-		b, err = appendBinaryFrame(b, &m)
+	if m.Type == TypeHello {
+		b, err = appendHandshakeFrame(c.sendBuf[:0], m)
 	} else {
-		b, err = appendJSONFrame(b, m)
+		b, err = appendBinaryFrame(c.sendBuf[:0], &m)
 	}
 	if err != nil {
 		return err
 	}
-	c.sendBuf = b[:0] // keep the grown capacity for the next frame
+	return c.writeLocked(b)
+}
+
+// writeLocked hands one assembled frame to the stream, keeping the buffer's
+// grown capacity for the next one. Caller holds c.mu.
+func (c *Codec) writeLocked(b []byte) error {
+	c.sendBuf = b[:0]
 	if _, err := c.w.Write(b); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
-	return nil
-}
-
-// appendJSONFrame appends a legacy frame: 4-byte big-endian length + JSON.
-// It takes the envelope by value so the marshal's interface boxing cannot
-// force Send's envelope onto the heap and tax the binary fast path with it.
-func appendJSONFrame(b []byte, m Message) ([]byte, error) {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal: %w", err)
-	}
-	if len(body) > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	b = append(b, hdr[:]...)
-	return append(b, body...), nil
-}
-
-// decodeJSONEnvelope unmarshals a JSON body into *m through a local copy:
-// json.Unmarshal's boxing then heap-allocates the local, not the caller's
-// envelope, so Recv's binary fast path stays allocation-free.
-func decodeJSONEnvelope(body []byte, m *Message) error {
-	var jm Message
-	if err := json.Unmarshal(body, &jm); err != nil {
-		return fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	*m = jm
 	return nil
 }
 
@@ -579,8 +537,8 @@ func (c *Codec) headerLen() int {
 // Recv reads and validates one message. A Recv that fails on a retryable
 // read error — a net.Conn deadline timeout in particular — may be called
 // again: decoding resumes from the exact byte where the previous call
-// stopped, even mid-frame. Both framings are accepted; each frame declares
-// its own.
+// stopped, even mid-frame. Each frame declares its own framing; a
+// JSON-framed frame that is not part of the handshake is refused.
 func (c *Codec) Recv() (Message, error) {
 	if !c.inBody {
 		for c.hdrN < c.headerLen() {
@@ -634,7 +592,7 @@ func (c *Codec) Recv() (Message, error) {
 		if err := c.decodeBinary(c.kind, c.flags, c.body.Bytes(), &m); err != nil {
 			return Message{}, err
 		}
-	} else if err := decodeJSONEnvelope(c.body.Bytes(), &m); err != nil {
+	} else if err := decodeHandshake(c.body.Bytes(), &m); err != nil {
 		return Message{}, err
 	}
 	// One oversized frame must not pin its high-water buffer forever.
