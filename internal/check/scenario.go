@@ -382,8 +382,8 @@ func (c *compiled) simOptions(s sched.Scheduler) (sim.Options, fabric.Fabric) {
 		Interval:        c.sc.Interval,
 		IntervalOnly:    c.sc.IntervalOnly,
 		RecordRates:     true,
-		CapacityChanges: append([]sim.CapacityChange(nil), c.caps...),
-		Dilations:       append([]sim.DilationChange(nil), c.dils...),
+		CapacityChanges: c.caps,
+		Dilations:       c.dils,
 	}, net
 }
 

@@ -181,6 +181,24 @@ func (g *Graph) Dependents(id string) []string {
 	return nil
 }
 
+// Index returns the insertion position of the node with the given ID, or -1.
+// Positions are what Succ and NumPred take, and Nodes returns in their order.
+func (g *Graph) Index(id string) int {
+	if i, ok := g.idx[id]; ok {
+		return int(i)
+	}
+	return -1
+}
+
+// Succ returns the positions of the nodes depending on the node at position
+// i, in registration order. The slice is a read-only view of the graph's own
+// storage: callers must not modify it, and it is valid only until the next
+// Depend or Merge.
+func (g *Graph) Succ(i int) []int32 { return g.succ[i] }
+
+// NumPred returns how many nodes the node at position i depends on.
+func (g *Graph) NumPred(i int) int { return len(g.pred[i]) }
+
 // Roots returns nodes with no dependencies, in insertion order.
 func (g *Graph) Roots() []*Node {
 	var out []*Node

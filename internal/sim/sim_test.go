@@ -667,3 +667,36 @@ func TestDilationValidation(t *testing.T) {
 		}
 	}
 }
+
+// New sorts the change schedules in copies: the caller's slices keep their
+// order.
+func TestNewLeavesOptionsUnchanged(t *testing.T) {
+	g := dag.New()
+	g.MustAdd(&dag.Node{ID: "f", Kind: dag.Comm, Src: "a", Dst: "b", Size: 8})
+	g.MustAdd(&dag.Node{ID: "c", Kind: dag.Compute, Host: "a", Duration: 8})
+	net := fabric.NewNetwork()
+	net.AddUniformHosts(2, "a", "b")
+	caps := []CapacityChange{{At: 5, Host: "a", Egress: 2, Ingress: 2}, {At: 1, Host: "a", Egress: 1, Ingress: 1}}
+	dils := []DilationChange{{At: 5, Host: "a", Factor: 1}, {At: 1, Host: "a", Factor: 2}}
+	wantCaps := append([]CapacityChange(nil), caps...)
+	wantDils := append([]DilationChange(nil), dils...)
+	s, err := New(Options{Graph: g, Net: net, Scheduler: sched.Fair{}, CapacityChanges: caps, Dilations: dils})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range caps {
+		if caps[i] != wantCaps[i] {
+			t.Errorf("CapacityChanges after New+Run = %+v, want %+v", caps, wantCaps)
+			break
+		}
+	}
+	for i := range dils {
+		if dils[i] != wantDils[i] {
+			t.Errorf("Dilations after New+Run = %+v, want %+v", dils, wantDils)
+			break
+		}
+	}
+}
