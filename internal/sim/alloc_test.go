@@ -75,3 +75,30 @@ func BenchmarkSim_Mix(b *testing.B) {
 		})
 	}
 }
+
+// TestPlanCacheDecisionsPinned runs BenchmarkSim_Mix's workload with a fresh
+// plan cache on each fabric and pins the cache's counters: every hit, miss
+// and invalidation decision must stay what it is.
+func TestPlanCacheDecisionsPinned(t *testing.T) {
+	want := map[string]sched.CacheStats{
+		"bigswitch": {Hits: 153, Misses: 4258, Invalidations: 585},
+		"leafspine": {Hits: 5, Misses: 4029, Invalidations: 438},
+	}
+	w := paradigmMix(t)
+	for _, spec := range mixFabrics {
+		cache := sched.NewPlanCache()
+		s, err := sim.New(sim.Options{Graph: w.Graph, Net: mixFabric(t, spec), Arrangements: w.Arrangements,
+			Scheduler: sched.EchelonMADD{Backfill: true, Cache: cache}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := cache.Stats()
+		got.Entries = 0
+		if got != want[shortName(spec)] {
+			t.Errorf("%s: cache stats %+v, want %+v", shortName(spec), got, want[shortName(spec)])
+		}
+	}
+}

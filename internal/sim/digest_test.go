@@ -171,7 +171,39 @@ func digestCases() []digestCase {
 			return sim.Options{Graph: g, Net: net, Scheduler: echelon(), Arrangements: arrs, RecordRates: true}
 		}},
 	)
+	// EchelonMADD's other planning modes, uncached, so a bug the cached and
+	// uncached passes share cannot hide behind their equivalence.
+	variants := []struct {
+		name    string
+		s       sched.EchelonMADD
+		weights bool
+	}{
+		{"echelon-plain", sched.EchelonMADD{}, false},
+		{"echelon-ltf", sched.EchelonMADD{Order: sched.LargestTardinessFirst, Backfill: true}, false},
+		{"echelon-gedf", sched.EchelonMADD{GlobalEDF: true, Backfill: true}, false},
+		{"echelon-weighted", sched.EchelonMADD{Weighted: true, Backfill: true}, true},
+	}
+	for _, spec := range mixFabrics {
+		for _, v := range variants {
+			cases = append(cases, digestCase{"mix/" + shortName(spec) + "/" + v.name, func(t *testing.T) sim.Options {
+				o := mixOpts(t, spec, v.s, nil)
+				if v.weights {
+					o.Weights = mixWeights(o.Arrangements)
+				}
+				return o
+			}})
+		}
+	}
 	return cases
+}
+
+// mixWeights gives the mix's groups weights 1, 2 and 3 in turn, by group ID.
+func mixWeights(arrs map[string]core.Arrangement) map[string]float64 {
+	weights := make(map[string]float64, len(arrs))
+	for i, id := range sortedKeys(arrs) {
+		weights[id] = float64(1 + i%3)
+	}
+	return weights
 }
 
 // zeroChain is a hand-built graph of zero-size flows and zero-duration
