@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
@@ -56,17 +57,34 @@ var ErrStopped = errors.New("sched: pass stopped by its budget")
 // stopped reports whether the pass must stop at this boundary.
 func (s *Snapshot) stopped() bool { return s.Stop != nil && s.Stop() }
 
+// validation is Validate's scratch, pooled so that a warm Validate
+// allocates nothing: the flow IDs seen so far, and per group the position in
+// its member list just past the last member found.
+type validation struct {
+	seen   map[string]struct{}
+	cursor map[*GroupState]int
+}
+
+var validations = sync.Pool{New: func() any {
+	return &validation{seen: make(map[string]struct{}), cursor: make(map[*GroupState]int)}
+}}
+
 // Validate checks internal consistency of the snapshot.
 func (s *Snapshot) Validate() error {
-	seen := make(map[string]bool, len(s.Flows))
+	v := validations.Get().(*validation)
+	defer func() {
+		clear(v.seen)
+		clear(v.cursor)
+		validations.Put(v)
+	}()
 	for _, fs := range s.Flows {
 		if fs.Flow == nil {
 			return fmt.Errorf("sched: snapshot flow with nil core flow")
 		}
-		if seen[fs.Flow.ID] {
+		if _, dup := v.seen[fs.Flow.ID]; dup {
 			return fmt.Errorf("sched: snapshot has duplicate flow %q", fs.Flow.ID)
 		}
-		seen[fs.Flow.ID] = true
+		v.seen[fs.Flow.ID] = struct{}{}
 		if fs.Remaining < 0 {
 			return fmt.Errorf("sched: flow %q has negative remaining volume", fs.Flow.ID)
 		}
@@ -74,11 +92,31 @@ func (s *Snapshot) Validate() error {
 		if !ok {
 			return fmt.Errorf("sched: flow %q references unknown group %q", fs.Flow.ID, fs.GroupID)
 		}
-		if g.Group.Flow(fs.Flow.ID) == nil {
+		if !v.member(g, fs.Flow.ID) {
 			return fmt.Errorf("sched: flow %q is not a member of group %q", fs.Flow.ID, fs.GroupID)
 		}
 	}
 	return nil
+}
+
+// member reports whether the group has a flow with the given ID, as
+// g.Group.Flow does. The search starts at the group's cursor and wraps
+// around: a snapshot lists a group's flows mostly in member order, so each
+// search is usually one comparison.
+func (v *validation) member(g *GroupState, id string) bool {
+	flows := g.Group.Flows
+	start := v.cursor[g]
+	for k := range flows {
+		p := start + k
+		if p >= len(flows) {
+			p -= len(flows)
+		}
+		if flows[p].ID == id {
+			v.cursor[g] = p + 1
+			return true
+		}
+	}
+	return false
 }
 
 // Deadline returns the flow's ideal finish time under its group's
