@@ -2,7 +2,9 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"echelonflow/internal/fabric"
@@ -93,6 +95,61 @@ type DeltaEchelon struct {
 	mu   sync.Mutex
 	st   *deltaState
 	last DeltaOutcome
+	a    applyScratch
+}
+
+// applyScratch is Apply's working state, reused across calls under mu so
+// that a warm Apply allocates nothing but the rate map it returns.
+type applyScratch struct {
+	grp     grouping     // the snapshot's flows by group
+	groups  []applyGroup // parallel to grp.ids
+	order   []int32      // grp's groups in ascending ID order
+	seeds   map[fabric.LinkKey]struct{}
+	keys    []fabric.LinkKey
+	comp    []*FlowState // the component's flows, in snapshot order
+	compIDs []string
+	spare   []*deltaGroup // records for declared groups to reuse
+}
+
+// applyGroup is one live group's part in an Apply.
+type applyGroup struct {
+	prev     *deltaGroup // the group's record at the last pass; nil if untracked
+	declared bool
+	fresh    *deltaGroup // a declared group's new record, installed on success
+	ports    map[fabric.LinkKey]struct{}
+	comp     bool
+}
+
+// record returns an empty deltaGroup, reusing a spare one when it can.
+func (a *applyScratch) record() *deltaGroup {
+	if n := len(a.spare); n > 0 {
+		g := a.spare[n-1]
+		a.spare = a.spare[:n-1]
+		return g
+	}
+	return &deltaGroup{ports: make(map[fabric.LinkKey]struct{})}
+}
+
+// recycle empties a record no longer in the state and keeps it for reuse.
+func (a *applyScratch) recycle(g *deltaGroup) {
+	clear(g.flowIDs)
+	g.flowIDs = g.flowIDs[:0]
+	clear(g.ports)
+	a.spare = append(a.spare, g)
+}
+
+// reset drops the scratch's references into the snapshot, but for compIDs,
+// which the last outcome reports, and recycles the records a fallback left
+// uninstalled.
+func (a *applyScratch) reset() {
+	for k := range a.groups {
+		if g := a.groups[k].fresh; g != nil {
+			a.recycle(g)
+		}
+	}
+	clear(a.groups)
+	clear(a.comp)
+	a.grp.reset()
 }
 
 // NewDelta wraps an EchelonMADD scheduler with the incremental path.
@@ -109,11 +166,14 @@ func (d *DeltaEchelon) PlanCache() *PlanCache { return d.inner.Cache }
 // Inner returns the wrapped scheduler (for tests and experiment tables).
 func (d *DeltaEchelon) Inner() EchelonMADD { return d.inner }
 
-// LastOutcome reports what the most recent Apply did.
+// LastOutcome reports what the most recent Apply did. Its Replanned slice
+// is the caller's own.
 func (d *DeltaEchelon) LastOutcome() DeltaOutcome {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.last
+	out := d.last
+	out.Replanned = append([]string(nil), d.last.Replanned...)
+	return out
 }
 
 // Schedule implements Scheduler: a full pass that also rebuilds the
@@ -166,27 +226,37 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 		return fall("time-regression")
 	}
 
-	ids, byGroup := groupedFlows(snap)
-	inDelta := make(map[string]bool, len(delta.Groups))
+	a := &d.a
+	defer a.reset()
+	a.grp.build(snap.Flows)
+	a.groups = resize(a.groups, len(a.grp.ids))
+	a.order = a.order[:0]
+	for k := range a.grp.ids {
+		a.order = append(a.order, int32(k))
+	}
+	slices.SortFunc(a.order, func(x, y int32) int { return strings.Compare(a.grp.ids[x], a.grp.ids[y]) })
 	for _, id := range delta.Groups {
-		inDelta[id] = true
+		if k, live := a.grp.slots[id]; live {
+			a.groups[k].declared = true
+		}
 	}
 
 	// Any membership drift outside the declared delta voids the patch.
-	for _, id := range ids {
-		prev, tracked := st.groups[id]
-		if !tracked {
-			if !inDelta[id] {
+	for _, k := range a.order {
+		g := &a.groups[k]
+		g.prev = st.groups[a.grp.ids[k]]
+		if g.prev == nil {
+			if !g.declared {
 				return fall("untracked-group")
 			}
 			continue
 		}
-		if !inDelta[id] && !equalFlowIDs(prev.flowIDs, byGroup[id]) {
+		if !g.declared && !equalFlowIDs(g.prev.flowIDs, snap.Flows, a.grp.group(k)) {
 			return fall("undeclared-drift")
 		}
 	}
 	for id := range st.groups {
-		if _, live := byGroup[id]; !live && !inDelta[id] {
+		if _, live := a.grp.slots[id]; !live && !slices.Contains(delta.Groups, id) {
 			return fall("undeclared-drift")
 		}
 	}
@@ -195,53 +265,58 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 	// membership unchanged, and a topology mutation would have bumped the
 	// fabric generation — their footprint from the last pass is current, so
 	// reuse it. Only the declared groups compute fresh link sets.
-	gports := make(map[string]map[fabric.LinkKey]struct{}, len(ids))
-	for _, id := range ids {
-		if prev, tracked := st.groups[id]; tracked && !inDelta[id] {
-			gports[id] = prev.ports
+	for _, k := range a.order {
+		g := &a.groups[k]
+		if g.prev != nil && !g.declared {
+			g.ports = g.prev.ports
 			continue
 		}
-		ports := make(map[fabric.LinkKey]struct{}, 2*len(byGroup[id]))
-		addFlowPorts(ports, net, byGroup[id])
-		gports[id] = ports
+		g.fresh = a.record()
+		a.keys = addFlowPorts(g.fresh.ports, net, snap.Flows, a.grp.group(k), a.keys)
+		g.ports = g.fresh.ports
 	}
 
 	// Seed the affected-link set from the changed groups' footprints — both
 	// the previous one (covers finished/unregistered flows) and the current
 	// one (covers newly released flows) — then close over current groups
 	// sharing any of those links.
-	seeds := make(map[fabric.LinkKey]struct{})
+	if a.seeds == nil {
+		a.seeds = make(map[fabric.LinkKey]struct{})
+	}
+	clear(a.seeds)
 	for _, id := range delta.Groups {
 		if prev := st.groups[id]; prev != nil {
 			for pk := range prev.ports {
-				seeds[pk] = struct{}{}
+				a.seeds[pk] = struct{}{}
 			}
 		}
-		for pk := range gports[id] {
-			seeds[pk] = struct{}{}
+		if k, live := a.grp.slots[id]; live {
+			for pk := range a.groups[k].ports {
+				a.seeds[pk] = struct{}{}
+			}
 		}
 	}
-	comp := make(map[string]bool, len(ids))
 	for changed := true; changed; {
 		changed = false
-		for _, id := range ids {
-			if comp[id] || !intersectsPorts(gports[id], seeds) {
+		for _, k := range a.order {
+			g := &a.groups[k]
+			if g.comp || !intersectsPorts(g.ports, a.seeds) {
 				continue
 			}
-			comp[id] = true
-			for pk := range gports[id] {
-				seeds[pk] = struct{}{}
+			g.comp = true
+			for pk := range g.ports {
+				a.seeds[pk] = struct{}{}
 			}
 			changed = true
 		}
 	}
-	compIDs := make([]string, 0, len(comp))
-	for _, id := range ids {
-		if comp[id] {
-			compIDs = append(compIDs, id)
+	a.compIDs = a.compIDs[:0]
+	for _, k := range a.order {
+		if a.groups[k].comp {
+			a.compIDs = append(a.compIDs, a.grp.ids[k])
 		}
 	}
-	if len(compIDs) == len(ids) && len(ids) > 1 {
+	if len(a.compIDs) == len(a.order) && len(a.order) > 1 {
 		// The event touches everything: a full pass does the same work and
 		// recaptures the incremental state.
 		return fall("component-spans-all")
@@ -249,10 +324,10 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 
 	// Hold every flow outside the component at its previous rate.
 	rates := make(map[string]unit.Rate, len(snap.Flows))
-	compFlows := make([]*FlowState, 0, len(snap.Flows))
-	for _, fs := range snap.Flows {
-		if comp[fs.GroupID] {
-			compFlows = append(compFlows, fs)
+	a.comp = a.comp[:0]
+	for i, fs := range snap.Flows {
+		if a.groups[a.grp.of[i]].comp {
+			a.comp = append(a.comp, fs)
 			continue
 		}
 		r, ok := st.rates[fs.Flow.ID]
@@ -261,14 +336,14 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 		}
 		rates[fs.Flow.ID] = r
 	}
-	held := len(snap.Flows) - len(compFlows)
+	held := len(snap.Flows) - len(a.comp)
 
 	// Replan the component exactly as Schedule plans the full set — the same
 	// allocate pass, over a link table of the component's flows only. Note:
 	// no prune — the component is not the full live-group set, so pruning
 	// here would evict live entries (the hazard PlanCache.prune guards
 	// against).
-	lt := acquireLinkTable(snap, net, compFlows)
+	lt := acquireLinkTable(snap, net, a.comp)
 	defer lt.release()
 	if err := d.inner.allocate(lt, snap, lt.groups(snap)); err != nil {
 		if errors.Is(err, ErrStopped) {
@@ -284,30 +359,43 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 
 	// Incremental state update: only the declared groups' membership (and so
 	// footprint) changed since the last pass; every other group's record
-	// carries over untouched. The freshly built rate map becomes the new
-	// state — the caller gets its own copy.
+	// carries over untouched. The state's rates change in place: the
+	// declared groups' previous flows leave, the component's flows take
+	// their new rates, and every held flow keeps its entry.
 	st.now = snap.Now
-	st.rates = rates
 	for _, id := range delta.Groups {
-		flows := byGroup[id]
-		if len(flows) == 0 {
-			delete(st.groups, id)
+		if prev := st.groups[id]; prev != nil {
+			for _, fid := range prev.flowIDs {
+				delete(st.rates, fid)
+			}
+		}
+	}
+	lt.writeRates(st.rates)
+	for _, id := range delta.Groups {
+		k, live := a.grp.slots[id]
+		if !live {
+			if prev := st.groups[id]; prev != nil {
+				delete(st.groups, id)
+				a.recycle(prev)
+			}
 			continue
 		}
-		g := &deltaGroup{flowIDs: make([]string, 0, len(flows)), ports: gports[id]}
-		for _, fs := range flows {
-			g.flowIDs = append(g.flowIDs, fs.Flow.ID)
+		g := &a.groups[k]
+		if g.fresh == nil {
+			continue // declared twice, installed already
 		}
-		sort.Strings(g.flowIDs)
-		st.groups[id] = g
+		for _, i := range a.grp.group(k) {
+			g.fresh.flowIDs = append(g.fresh.flowIDs, snap.Flows[i].Flow.ID)
+		}
+		slices.Sort(g.fresh.flowIDs)
+		if g.prev != nil {
+			a.recycle(g.prev)
+		}
+		st.groups[id] = g.fresh
+		g.fresh = nil
 	}
-	out := make(map[string]unit.Rate, len(rates))
-	for id, r := range rates {
-		out[id] = r
-	}
-	d.last = DeltaOutcome{Applied: true, Replanned: append([]string(nil), compIDs...), Held: held}
-	sort.Strings(d.last.Replanned)
-	return out, true, nil
+	d.last = DeltaOutcome{Applied: true, Replanned: a.compIDs, Held: held}
+	return rates, true, nil
 }
 
 // captureDeltaState records the allocation and per-group footprints of a
@@ -323,31 +411,36 @@ func captureDeltaState(snap *Snapshot, net fabric.Fabric, rates map[string]unit.
 	for id, r := range rates {
 		st.rates[id] = r
 	}
-	_, byGroup := groupedFlows(snap)
-	for id, flows := range byGroup {
+	var gr grouping
+	gr.build(snap.Flows)
+	var keys []fabric.LinkKey
+	for k, id := range gr.ids {
+		idx := gr.group(int32(k))
 		g := &deltaGroup{
-			flowIDs: make([]string, 0, len(flows)),
-			ports:   make(map[fabric.LinkKey]struct{}, 2*len(flows)),
+			flowIDs: make([]string, 0, len(idx)),
+			ports:   make(map[fabric.LinkKey]struct{}, 2*len(idx)),
 		}
-		for _, fs := range flows {
-			g.flowIDs = append(g.flowIDs, fs.Flow.ID)
+		for _, i := range idx {
+			g.flowIDs = append(g.flowIDs, snap.Flows[i].Flow.ID)
 		}
-		sort.Strings(g.flowIDs)
-		addFlowPorts(g.ports, net, flows)
+		slices.Sort(g.flowIDs)
+		keys = addFlowPorts(g.ports, net, snap.Flows, idx, keys)
 		st.groups[id] = g
 	}
 	return st
 }
 
-// addFlowPorts adds every link the flows touch to the set.
-func addFlowPorts(set map[fabric.LinkKey]struct{}, net fabric.Fabric, flows []*FlowState) {
-	var lbuf []fabric.LinkKey
-	for _, fs := range flows {
-		lbuf = net.FlowLinks(fs.Flow.Src, fs.Flow.Dst, lbuf[:0])
-		for _, k := range lbuf {
+// addFlowPorts adds every link the indexed flows touch to the set. It
+// returns keys, FlowLinks' buffer, for reuse.
+func addFlowPorts(set map[fabric.LinkKey]struct{}, net fabric.Fabric, flows []*FlowState, idx []int32, keys []fabric.LinkKey) []fabric.LinkKey {
+	for _, i := range idx {
+		fs := flows[i]
+		keys = net.FlowLinks(fs.Flow.Src, fs.Flow.Dst, keys[:0])
+		for _, k := range keys {
 			set[k] = struct{}{}
 		}
 	}
+	return keys
 }
 
 func intersectsPorts(a map[fabric.LinkKey]struct{}, b map[fabric.LinkKey]struct{}) bool {
@@ -362,16 +455,17 @@ func intersectsPorts(a map[fabric.LinkKey]struct{}, b map[fabric.LinkKey]struct{
 	return false
 }
 
-// equalFlowIDs reports whether sorted prev equals the flows' ID set. Flow
-// IDs are unique within a validated snapshot, so equal lengths plus every
-// current ID present in prev implies set equality.
-func equalFlowIDs(prev []string, flows []*FlowState) bool {
-	if len(prev) != len(flows) {
+// equalFlowIDs reports whether sorted prev equals the indexed flows' ID
+// set. Flow IDs are unique within a validated snapshot, so equal lengths
+// plus every current ID present in prev implies set equality.
+func equalFlowIDs(prev []string, flows []*FlowState, idx []int32) bool {
+	if len(prev) != len(idx) {
 		return false
 	}
-	for _, fs := range flows {
-		i := sort.SearchStrings(prev, fs.Flow.ID)
-		if i == len(prev) || prev[i] != fs.Flow.ID {
+	for _, i := range idx {
+		id := flows[i].Flow.ID
+		j := sort.SearchStrings(prev, id)
+		if j == len(prev) || prev[j] != id {
 			return false
 		}
 	}

@@ -20,7 +20,7 @@ type Instrumented struct {
 	errs  *telemetry.Counter
 
 	// Cache counters export deltas of the PlanCache's cumulative stats,
-	// sampled after each Schedule call under mu.
+	// sampled after each Schedule and Apply call under mu.
 	hits, misses, invals *telemetry.Counter
 	mu                   sync.Mutex
 	last                 CacheStats
@@ -75,6 +75,7 @@ func (i *InstrumentedDelta) Apply(snap *Snapshot, net fabric.Fabric, d Delta) (m
 	t0 := time.Now()
 	rates, ok, err := i.delta.Apply(snap, net, d)
 	i.lat.Observe(time.Since(t0).Seconds())
+	i.sampleCache()
 	return rates, ok, err
 }
 
@@ -104,14 +105,22 @@ func (i *Instrumented) Schedule(snap *Snapshot, net fabric.Fabric) (map[string]u
 	if err != nil {
 		i.errs.Inc()
 	}
-	if i.hits != nil {
-		st := i.PlanCache().Stats()
-		i.mu.Lock()
-		i.hits.Add(st.Hits - i.last.Hits)
-		i.misses.Add(st.Misses - i.last.Misses)
-		i.invals.Add(st.Invalidations - i.last.Invalidations)
-		i.last = st
-		i.mu.Unlock()
-	}
+	i.sampleCache()
 	return rates, err
+}
+
+// sampleCache exports the plan cache's counter growth since the last
+// sample. Stats is read under mu, so every sample is at least as new as the
+// one before it and no difference wraps.
+func (i *Instrumented) sampleCache() {
+	if i.hits == nil {
+		return
+	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	st := i.PlanCache().Stats()
+	i.hits.Add(st.Hits - i.last.Hits)
+	i.misses.Add(st.Misses - i.last.Misses)
+	i.invals.Add(st.Invalidations - i.last.Invalidations)
+	i.last = st
 }

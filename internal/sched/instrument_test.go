@@ -105,3 +105,34 @@ func TestInstrumentForwardsPlanCache(t *testing.T) {
 		t.Error("second identical schedule should have hit the plan cache")
 	}
 }
+
+// Plan-cache lookups on the delta path reach the exported counters when
+// Apply returns, not at the next full Schedule.
+func TestInstrumentedDeltaExportsCacheStats(t *testing.T) {
+	cache := NewPlanCache()
+	inner := EchelonMADD{Backfill: true, Cache: cache}
+	reg := telemetry.NewRegistry()
+	ds, ok := Instrument(NewDelta(inner), reg).(DeltaScheduler)
+	if !ok {
+		t.Fatal("instrumented delta scheduler lost its Apply")
+	}
+	snap, net := instrumentSnapshot(t)
+	if _, err := ds.Schedule(snap, net); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok, err := ds.Apply(snap, net, Delta{Groups: []string{"g"}}); err != nil || !ok {
+			t.Fatalf("Apply %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	name := ds.Name()
+	hits := reg.Counter("echelon_plan_cache_hits_total", "", "scheduler", name).Value()
+	misses := reg.Counter("echelon_plan_cache_misses_total", "", "scheduler", name).Value()
+	st := cache.Stats()
+	if hits != st.Hits || misses != st.Misses {
+		t.Errorf("exported hits/misses = %d/%d, cache stats = %d/%d", hits, misses, st.Hits, st.Misses)
+	}
+	if st.Hits < 5 {
+		t.Errorf("cache stats %+v: want a hit per Apply", st)
+	}
+}
