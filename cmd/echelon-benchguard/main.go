@@ -7,18 +7,13 @@
 //	go test -bench 'BenchmarkSchedule_' -benchtime 2x -run '^$' . | \
 //	    go run ./cmd/echelon-benchguard -baseline BENCH_sched.json
 //
-// the live job-pipeline loadgen (BENCH_loadgen.json):
-//
-//	echelon-loadgen -coordinator ... -bench | \
-//	    go run ./cmd/echelon-benchguard -baseline BENCH_loadgen.json
-//
 // and the wire codec microbenchmarks (BENCH_wire.json):
 //
 //	go test -bench 'BenchmarkWire_' -run '^$' ./internal/wire | \
 //	    go run ./cmd/echelon-benchguard -baseline BENCH_wire.json
 //
 // The guard parses the custom per-call metrics ("ns/schedcall",
-// "allocs/schedcall", "ns/flowevent") and the wire suite's standard
+// "allocs/schedcall") and the wire suite's standard
 // "ns/op"/"allocs/op", matches each benchmark to its baseline entry, and
 // exits non-zero if a metric exceeds the baseline by more than the
 // threshold factor (default 1.25). It is meant as an advisory CI gate:
@@ -49,12 +44,11 @@ type baseline struct {
 // WARN instead of failing the run — used for newly added sizes whose
 // baselines have not yet stabilized across runners.
 type metrics struct {
-	NsPerCall      float64 `json:"ns_per_schedcall"`
-	AllocsPerCall  float64 `json:"allocs_per_schedcall"`
-	NsPerFlowEvent float64 `json:"ns_per_flowevent"`
-	NsPerMsg       float64 `json:"ns_per_msg"`
-	AllocsPerMsg   float64 `json:"allocs_per_msg"`
-	Advisory       bool    `json:"advisory,omitempty"`
+	NsPerCall     float64 `json:"ns_per_schedcall"`
+	AllocsPerCall float64 `json:"allocs_per_schedcall"`
+	NsPerMsg      float64 `json:"ns_per_msg"`
+	AllocsPerMsg  float64 `json:"allocs_per_msg"`
+	Advisory      bool    `json:"advisory,omitempty"`
 }
 
 // measurement is one parsed benchmark line.
@@ -68,10 +62,6 @@ type measurement struct {
 // count, and the optional suffix selecting the cache-disabled,
 // telemetry-wrapped, or per-event (incremental vs full) configuration.
 var benchLine = regexp.MustCompile(`^BenchmarkSchedule_(\d+)Hosts(\d+)Jobs(_NoCache|_Instrumented|_Deadline|_DeltaEvent|_FullEvent)?(?:-\d+)?\s+(.*)$`)
-
-// loadgenLine matches echelon-loadgen's -bench output, capturing the job
-// and tenant counts.
-var loadgenLine = regexp.MustCompile(`^BenchmarkLoadgen_(\d+)Jobs(\d+)Tenants(?:-\d+)?\s+(.*)$`)
 
 // wireLine matches the wire codec round-trip benchmarks, capturing the
 // message shape. These report the standard testing.B metrics, one full
@@ -88,17 +78,7 @@ func parseBench(r io.Reader) ([]measurement, error) {
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
-			if lg := loadgenLine.FindStringSubmatch(sc.Text()); lg != nil {
-				meas := measurement{
-					Key:     fmt.Sprintf("%sjobs_%stenants", lg[1], lg[2]),
-					Variant: "live",
-				}
-				var err error
-				if meas.NsPerFlowEvent, err = metricValue(lg[3], "ns/flowevent"); err != nil {
-					return nil, fmt.Errorf("%s: %v", sc.Text(), err)
-				}
-				out = append(out, meas)
-			} else if w := wireLine.FindStringSubmatch(sc.Text()); w != nil {
+			if w := wireLine.FindStringSubmatch(sc.Text()); w != nil {
 				meas := measurement{Key: strings.ToLower(w[1]), Variant: "binary"}
 				var err error
 				if meas.NsPerMsg, err = metricValue(w[2], "ns/op"); err != nil {
@@ -180,7 +160,6 @@ func check(meas []measurement, base *baseline, threshold float64) (lines []strin
 		}{
 			{"ns/schedcall", m.NsPerCall, want.NsPerCall},
 			{"allocs/schedcall", m.AllocsPerCall, want.AllocsPerCall},
-			{"ns/flowevent", m.NsPerFlowEvent, want.NsPerFlowEvent},
 			{"ns/msg", m.NsPerMsg, want.NsPerMsg},
 			{"allocs/msg", m.AllocsPerMsg, want.AllocsPerMsg},
 		} {
@@ -237,7 +216,7 @@ func main() {
 		os.Exit(2)
 	}
 	if len(meas) == 0 {
-		fmt.Fprintln(os.Stderr, "no BenchmarkSchedule_*/BenchmarkLoadgen_*/BenchmarkWire_* results found in input")
+		fmt.Fprintln(os.Stderr, "no BenchmarkSchedule_*/BenchmarkWire_* results found in input")
 		os.Exit(2)
 	}
 

@@ -141,54 +141,6 @@ func TestCheckSkipsUnknownKeys(t *testing.T) {
 	}
 }
 
-const sampleLoadgen = `echelon-loadgen: 64 jobs (64 admitted, 0 rejected, 0 retries), 51200 flow events in 3.10s (16516 events/s)
-echelon-loadgen: admission wait p50=2ms p95=11ms max=40ms
-BenchmarkLoadgen_64Jobs4Tenants 1 3100000000 ns/op 60546.9 ns/flowevent 16516 events/sec
-`
-
-const sampleLoadgenBaseline = `{
-  "suite": "BenchmarkLoadgen_*",
-  "results": {
-    "64jobs_4tenants": {
-      "live": {"ns_per_flowevent": 60546.9, "advisory": true}
-    }
-  }
-}`
-
-// TestParseLoadgenBench pins the loadgen suite's line format and the
-// advisory-only gating its baseline ships with.
-func TestParseLoadgenBench(t *testing.T) {
-	meas, err := parseBench(strings.NewReader(sampleLoadgen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(meas) != 1 {
-		t.Fatalf("parsed %d measurements, want 1: %+v", len(meas), meas)
-	}
-	want := measurement{Key: "64jobs_4tenants", Variant: "live", metrics: metrics{NsPerFlowEvent: 60546.9}}
-	if meas[0] != want {
-		t.Errorf("measurement = %+v, want %+v", meas[0], want)
-	}
-
-	var base baseline
-	if err := json.Unmarshal([]byte(sampleLoadgenBaseline), &base); err != nil {
-		t.Fatal(err)
-	}
-	lines, regressed := check(meas, &base, 1.25)
-	if regressed || len(lines) != 1 || !strings.HasPrefix(lines[0], "ok") {
-		t.Errorf("baseline-equal loadgen run: regressed=%v lines=%v", regressed, lines)
-	}
-	// 3x slowdown on an advisory baseline: WARN, never FAIL.
-	meas[0].NsPerFlowEvent *= 3
-	lines, regressed = check(meas, &base, 1.25)
-	if regressed {
-		t.Errorf("advisory loadgen regression failed the run:\n%s", strings.Join(lines, "\n"))
-	}
-	if len(lines) != 1 || !strings.HasPrefix(lines[0], "WARN") {
-		t.Errorf("want one WARN line, got %v", lines)
-	}
-}
-
 func TestParseBenchIgnoresForeignLines(t *testing.T) {
 	meas, err := parseBench(strings.NewReader("BenchmarkOther-4 1 5 ns/op\nrandom noise\n"))
 	if err != nil {

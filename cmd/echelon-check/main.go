@@ -33,7 +33,7 @@ func main() {
 	repros := flag.String("repros", "testdata/repros", "directory for shrunk failing scenarios")
 	budget := flag.Int("shrink", 400, "shrinker budget in check runs per failure")
 	repro := flag.String("repro", "", "path to a scenario or repro JSON to re-check instead of generating")
-	fabricFlag := flag.String("fabric", "bigswitch", "network model scenarios run on: bigswitch | leafspine[:hosts=N,spines=N,oversub=R] | extern:<cmd>")
+	fabricFlag := flag.String("fabric", "bigswitch", "network model scenarios run on: bigswitch | leafspine[:hosts=N,spines=N,oversub=R]")
 	verbose := flag.Bool("v", false, "print every seed, not just failures")
 	flag.Parse()
 
@@ -99,49 +99,26 @@ func main() {
 
 // fabricBuilder maps the -fabric flag to the check harness backend hook.
 // bigswitch returns nil, keeping the harness's native (byte-identical)
-// default path. For extern, one external process is launched up front and
-// rebound to each scenario's host set, so checking thousands of scenarios
-// (the shrinker alone re-runs hundreds) does not spawn a subprocess per run.
+// default path.
 func fabricBuilder(s string) (func(hosts []check.HostSpec) fabric.Fabric, error) {
 	spec, err := fabric.ParseSpec(s)
 	if err != nil {
 		return nil, err
 	}
-	toCaps := func(hosts []check.HostSpec) []fabric.HostCap {
+	if spec.Kind == "bigswitch" {
+		return nil, nil
+	}
+	return func(hosts []check.HostSpec) fabric.Fabric {
 		caps := make([]fabric.HostCap, len(hosts))
 		for i, h := range hosts {
 			caps[i] = fabric.HostCap{Name: h.Name, Egress: h.Egress, Ingress: h.Ingress}
 		}
-		return caps
-	}
-	switch spec.Kind {
-	case "bigswitch":
-		return nil, nil
-	case "extern":
-		proto, err := fabric.NewExtern(fabric.NewNetwork(), spec.Command, fabric.ExternOptions{
-			Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-		})
+		f, err := spec.Build(caps)
 		if err != nil {
-			return nil, err
+			panic(err) // geometry was validated by ParseSpec
 		}
-		return func(hosts []check.HostSpec) fabric.Fabric {
-			n := fabric.NewNetwork()
-			for _, h := range hosts {
-				if err := n.AddHost(h.Name, "", h.Egress, h.Ingress); err != nil {
-					panic(err) // generator-controlled names: cannot collide
-				}
-			}
-			return proto.Rebind(n)
-		}, nil
-	default:
-		return func(hosts []check.HostSpec) fabric.Fabric {
-			f, err := spec.Build(toCaps(hosts))
-			if err != nil {
-				panic(err) // geometry was validated by ParseSpec
-			}
-			return f
-		}, nil
-	}
+		return f
+	}, nil
 }
 
 // checkRepro re-runs one saved scenario (bare, or wrapped in the repro

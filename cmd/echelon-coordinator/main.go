@@ -76,7 +76,7 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "per-frame write deadline on agent sockets (default 10s)")
 	admin := flag.String("admin", "", "telemetry HTTP address serving /metrics, /healthz, /events and /debug/pprof (empty disables)")
 	chaos := flag.Bool("chaos", false, "with -admin, mount a POST /chaos fault-injection endpoint (sched-stall, agent-stall, fsync-stall) — soak testing only, never in production")
-	fabricFlag := flag.String("fabric", "bigswitch", "network model: bigswitch | leafspine[:hosts=N,spines=N,oversub=R] (spines=1 for racks) | extern:<cmd>")
+	fabricFlag := flag.String("fabric", "bigswitch", "network model: bigswitch | leafspine[:hosts=N,spines=N,oversub=R] (spines=1 for racks)")
 	flag.Var(&hosts, "host", "host capacity spec name=rate or name[a-b]=rate (repeatable)")
 	flag.Parse()
 
@@ -84,20 +84,19 @@ func main() {
 	if err != nil {
 		log.Fatalf("echelon-coordinator: %v", err)
 	}
-	inner := fabric.NewNetwork()
+	hostNet := fabric.NewNetwork()
 	for _, spec := range hosts {
-		if err := addHostSpec(inner, spec); err != nil {
+		if err := addHostSpec(hostNet, spec); err != nil {
 			log.Fatalf("echelon-coordinator: %v", err)
 		}
 	}
-	if inner.Len() == 0 {
+	if hostNet.Len() == 0 {
 		log.Fatal("echelon-coordinator: at least one -host spec is required")
 	}
-	var net0 fabric.Fabric = inner
-	switch fspec.Kind {
-	case "leafspine":
-		caps := make([]fabric.HostCap, 0, inner.Len())
-		for _, h := range inner.Hosts() {
+	var net0 fabric.Fabric = hostNet
+	if fspec.Kind == "leafspine" {
+		caps := make([]fabric.HostCap, 0, hostNet.Len())
+		for _, h := range hostNet.Hosts() {
 			caps = append(caps, fabric.HostCap{Name: h.Name, Egress: h.Egress, Ingress: h.Ingress})
 		}
 		ls, err := fspec.Build(caps)
@@ -106,13 +105,6 @@ func main() {
 		}
 		net0 = ls
 		log.Printf("echelon-coordinator: fabric %s", fspec)
-	case "extern":
-		e, err := fabric.NewExtern(inner, fspec.Command, fabric.ExternOptions{Logf: log.Printf})
-		if err != nil {
-			log.Fatalf("echelon-coordinator: %v", err)
-		}
-		defer e.Close()
-		net0 = e
 	}
 
 	var s sched.Scheduler

@@ -10,10 +10,6 @@
 //
 //	echelon-coordinator -listen 127.0.0.1:7100 -queue -host 'w[0-3]=1e9' &
 //	echelon-loadgen -coordinator 127.0.0.1:7100 -tenants 4 -jobs 64 -iterations 8
-//
-// With -bench the summary line is machine-readable for echelon-benchguard:
-//
-//	echelon-loadgen ... -bench | go run ./cmd/echelon-benchguard -baseline BENCH_loadgen.json
 package main
 
 import (
@@ -86,7 +82,6 @@ func main() {
 	paradigms := flag.String("paradigms", "dp,ps,pp,1f1b,tp,fsdp", "paradigm mix to draw jobs from")
 	flag.Int64Var(&cfg.seed, "seed", 1, "job stream seed")
 	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Minute, "overall run deadline")
-	bench := flag.Bool("bench", false, "print a benchguard-parsable benchmark line")
 	flag.BoolVar(&cfg.verbose, "v", false, "log each job transition")
 	flag.Parse()
 	cfg.paradigms = strings.Split(*paradigms, ",")
@@ -101,14 +96,6 @@ func main() {
 		st.submitted, st.admitted, st.rejected, st.throttled, evs, secs, float64(evs)/secs)
 	fmt.Printf("echelon-loadgen: admission wait p50=%s p95=%s max=%s\n",
 		st.waitQuantile(0.50), st.waitQuantile(0.95), st.waitQuantile(1.0))
-	if *bench {
-		nsPerEvent := 0.0
-		if evs > 0 {
-			nsPerEvent = float64(st.elapsed.Nanoseconds()) / float64(evs)
-		}
-		fmt.Printf("BenchmarkLoadgen_%dJobs%dTenants 1 %d ns/op %.1f ns/flowevent %.0f events/sec\n",
-			cfg.jobs, cfg.tenants, st.elapsed.Nanoseconds(), nsPerEvent, float64(evs)/secs)
-	}
 	if st.admitted == 0 {
 		fmt.Fprintln(os.Stderr, "echelon-loadgen: no job was admitted; is the coordinator running with -queue?")
 		os.Exit(1)

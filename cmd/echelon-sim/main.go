@@ -41,7 +41,7 @@ func main() {
 		gantt      = flag.Bool("gantt", true, "print the compute timeline")
 		flows      = flag.Bool("flows", false, "print the per-flow report")
 		faultsFile = flag.String("faults", "", "JSON fault schedule to replay (see examples/faults/)")
-		fabricFlag = flag.String("fabric", "bigswitch", "network model: bigswitch | leafspine[:hosts=N,spines=N,oversub=R] | extern:<cmd>")
+		fabricFlag = flag.String("fabric", "bigswitch", "network model: bigswitch | leafspine[:hosts=N,spines=N,oversub=R]")
 	)
 	flag.Parse()
 
@@ -66,9 +66,6 @@ func main() {
 	net, err := spec.Build(caps)
 	if err != nil {
 		fatal(err)
-	}
-	if e, ok := net.(*fabric.Extern); ok {
-		defer e.Close()
 	}
 	opts := sim.Options{Graph: w.Graph, Net: net, Scheduler: s, Arrangements: w.Arrangements}
 	if *faultsFile != "" {

@@ -23,10 +23,10 @@ type Config struct {
 	Scheduler func() sched.Scheduler
 	// Fabric, when set, builds each run's fabric from the scenario's host
 	// specs instead of the default big-switch Network — the backend-matrix
-	// hook (leaf-spine, external timing). Every simulation and oracle replay
-	// inside one Run shares the builder, so differential oracles compare
-	// like against like. The builder must attach exactly the scenario's
-	// hosts with the given NIC capacities.
+	// hook (leaf-spine). Every simulation and oracle replay inside one Run
+	// shares the builder, so differential oracles compare like against
+	// like. The builder must attach exactly the scenario's hosts with the
+	// given NIC capacities.
 	Fabric func(hosts []HostSpec) fabric.Fabric
 }
 

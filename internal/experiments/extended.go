@@ -14,7 +14,6 @@ import (
 	"echelonflow/internal/metrics"
 	"echelonflow/internal/sched"
 	"echelonflow/internal/sim"
-	"echelonflow/internal/topology"
 	"echelonflow/internal/unit"
 	"echelonflow/internal/wire"
 )
@@ -290,27 +289,29 @@ func ExtWeightedTardiness() (*Report, error) {
 // cluster, and only a global, arrangement-aware scheduler serves both.
 func ExtMixedParadigms() (*Report, error) {
 	r := &Report{ID: "e5", Title: "Mixed paradigms on a shared, fragmented cluster"}
-	cluster := topology.New()
+	// Four hosts with two GPUs each behind an 8 B/s NIC. Every GPU slot
+	// n<i>/g<g> is its own endpoint with half its host's NIC, so co-located
+	// workers contend for host bandwidth. Both jobs are spread one slot per
+	// host, the fragmenting pattern of a busy cluster: pp takes each host's
+	// g0 and dp its g1, so each spans 4 hosts where 2 would do.
+	net := fabric.NewNetwork()
+	var ppSlots, dpSlots []string
 	for i := 0; i < 4; i++ {
-		if err := cluster.AddHost(fmt.Sprintf("n%d", i), 2, 8, 8); err != nil {
-			return nil, err
+		for g := 0; g < 2; g++ {
+			if err := net.AddHost(fmt.Sprintf("n%d/g%d", i, g), "", 4, 4); err != nil {
+				return nil, err
+			}
 		}
-	}
-	ppPlace, err := cluster.Place("pp", 4, topology.Spread)
-	if err != nil {
-		return nil, err
-	}
-	dpPlace, err := cluster.Place("dp", 4, topology.Spread)
-	if err != nil {
-		return nil, err
+		ppSlots = append(ppSlots, fmt.Sprintf("n%d/g0", i))
+		dpSlots = append(dpSlots, fmt.Sprintf("n%d/g1", i))
 	}
 	ppJob := ddlt.PipelineGPipe{
 		Name: "pp", Model: ddlt.Uniform("m", 4, 2, 5, 1, 1),
-		Workers: ppPlace.Slots, MicroBatches: 4, Iterations: 1,
+		Workers: ppSlots, MicroBatches: 4, Iterations: 1,
 	}
 	dpJob := ddlt.DPAllReduce{
 		Name: "dp", Model: ddlt.Uniform("m", 4, 8, 1, 0.5, 0.5),
-		Workers: dpPlace.Slots, BucketCount: 2, Iterations: 1,
+		Workers: dpSlots, BucketCount: 2, Iterations: 1,
 	}
 	schedulers := []sched.Scheduler{
 		sched.EchelonMADD{Backfill: true},
@@ -333,7 +334,7 @@ func ExtMixedParadigms() (*Report, error) {
 			return nil, err
 		}
 		simr, err := sim.New(sim.Options{
-			Graph: merged.Graph, Net: cluster.Fabric(), Scheduler: s, Arrangements: merged.Arrangements,
+			Graph: merged.Graph, Net: net, Scheduler: s, Arrangements: merged.Arrangements,
 		})
 		if err != nil {
 			return nil, err
@@ -352,8 +353,7 @@ func ExtMixedParadigms() (*Report, error) {
 		"%.4g vs %.4g", e[2], c[2])
 	r.check("echelon serves both paradigms", e[0] <= c[0]*1.05 && e[1] <= c[1]*1.05,
 		"pp %.4g vs %.4g; dp %.4g vs %.4g", e[0], c[0], e[1], c[1])
-	r.note("Placement: both jobs Spread across 4 hosts x 2 GPUs (fragmentation %d and %d).",
-		cluster.Fragmentation(ppPlace), cluster.Fragmentation(dpPlace))
+	r.note("Placement: both jobs Spread across 4 hosts x 2 GPUs (fragmentation 2 and 2).")
 	return r, nil
 }
 

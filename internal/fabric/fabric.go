@@ -56,12 +56,10 @@ type Network struct {
 	up, down  []Link
 	spineLink map[string]int
 
-	// gen counts every mutation (topology or capacity); topoGen counts
-	// only topology mutations (hosts/leaves added or moved). Schedulers key
-	// cached capacity profiles and scheduling plans on these so a
-	// SetCapacity or AddHost between scheduling rounds invalidates them.
-	gen     uint64
-	topoGen uint64
+	// gen counts every mutation (topology or capacity). Schedulers key
+	// cached capacity profiles and scheduling plans on it so a SetCapacity
+	// or AddHost between scheduling rounds invalidates them.
+	gen uint64
 }
 
 // NewNetwork returns an empty one-spine network: a big switch until leaves
@@ -92,10 +90,6 @@ func newNetwork(spines int) *Network {
 // capacities and topology.
 func (n *Network) Generation() uint64 { return n.gen }
 
-// TopoGeneration increases only when hosts or leaves are added or hosts
-// move; capacity rewrites on existing links leave it unchanged.
-func (n *Network) TopoGeneration() uint64 { return n.topoGen }
-
 // AddLeaf registers a leaf switch with uniform per-spine link capacities:
 // every one of its spine uplinks and downlinks gets upPerSpine/downPerSpine.
 func (n *Network) AddLeaf(name string, upPerSpine, downPerSpine unit.Rate) error {
@@ -117,7 +111,6 @@ func (n *Network) AddLeaf(name string, upPerSpine, downPerSpine unit.Rate) error
 		n.down = append(n.down, Link{Key: LinkKey{Kind: LinkDown, Name: link}, Capacity: downPerSpine})
 	}
 	n.gen++
-	n.topoGen++
 	return nil
 }
 
@@ -148,7 +141,6 @@ func (n *Network) AddHost(name, leaf string, egress, ingress unit.Rate) error {
 	n.hosts[name] = &Host{Name: name, Egress: egress, Ingress: ingress}
 	n.names = append(n.names, name)
 	n.gen++
-	n.topoGen++
 	return nil
 }
 
@@ -163,9 +155,9 @@ func (n *Network) AddUniformHosts(c unit.Rate, names ...string) {
 }
 
 // MoveHost re-attaches a host to a different leaf, so placement sweeps can
-// compare layouts on one fabric. A real move bumps the topology generation,
-// so plan caches and delta state keyed on it are discarded; a no-op move
-// mutates nothing.
+// compare layouts on one fabric. A real move bumps the generation, so plan
+// caches and delta state keyed on it are discarded; a no-op move mutates
+// nothing.
 func (n *Network) MoveHost(name, leaf string) error {
 	if n.hosts[name] == nil {
 		return fmt.Errorf("fabric: unknown host %q", name)
@@ -179,7 +171,6 @@ func (n *Network) MoveHost(name, leaf string) error {
 	}
 	n.leafOf[name] = li
 	n.gen++
-	n.topoGen++
 	return nil
 }
 

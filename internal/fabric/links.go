@@ -57,21 +57,18 @@ type Link struct {
 
 // Fabric is the scheduling abstraction over a network model: hosts with
 // addressable port capacities, plus the full set of capacity-constrained
-// links and the per-flow path over them. The native Network implements it,
-// and Extern wraps a Network with an external timing process.
+// links and the per-flow path over them. The native Network implements it.
 //
 // Contract: FlowLinks must be deterministic in (src, dst, topology) and must
 // return every link a src→dst flow consumes capacity on, host NICs included,
 // in a stable order. Links must enumerate every link FlowLinks can return,
 // in a deterministic order, grouped so that all LinkEgress keys precede all
 // LinkIngress keys (Feasible reports violations in Links order). Generation
-// must change on every capacity or topology mutation and TopoGeneration on
-// every topology mutation, so schedulers can key caches on them.
+// must change on every capacity or topology mutation, so schedulers can key
+// caches on it.
 type Fabric interface {
 	// Generation counts every mutation (topology or capacity).
 	Generation() uint64
-	// TopoGeneration counts only topology mutations.
-	TopoGeneration() uint64
 	// Host returns the named host, or nil.
 	Host(name string) *Host
 	// Hosts returns all hosts in a deterministic (insertion) order.

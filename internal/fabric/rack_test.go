@@ -64,9 +64,9 @@ func TestRackValidation(t *testing.T) {
 	}
 	// A core-attached host moved onto the first leaf is a real move.
 	n.AddUniformHosts(1, "c")
-	topo := n.TopoGeneration()
-	if err := n.MoveHost("c", "r"); err != nil || n.LeafOf("c") != "r" || n.TopoGeneration() == topo {
-		t.Errorf("core-to-leaf move: err %v, leaf %q", err, n.LeafOf("c"))
+	gen = n.Generation()
+	if err := n.MoveHost("c", "r"); err != nil || n.LeafOf("c") != "r" || n.Generation() == gen {
+		t.Errorf("core-to-leaf move: err %v, leaf %q, generation %d -> %d", err, n.LeafOf("c"), gen, n.Generation())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"echelonflow/internal/unit"
 )
@@ -27,19 +26,13 @@ type HostCap struct {
 //	leafspine:hosts=2,spines=4,oversub=1
 //	leafspine:hosts=4,spines=1,oversub=2
 //	                                   racks of 4: one-spine leaves, 2:1 uplinks
-//	extern:<command line>              external timing process over bigswitch
 type Spec struct {
-	Kind string // "bigswitch" | "leafspine" | "extern"
+	Kind string // "bigswitch" | "leafspine"
 
 	// Leaf-spine geometry (Kind "leafspine").
 	HostsPerLeaf int
 	Spines       int
 	Oversub      float64
-
-	// External timing process (Kind "extern"). Timeout 0 means
-	// DefaultExternTimeout.
-	Command []string
-	Timeout time.Duration
 }
 
 // ParseSpec parses a -fabric flag value.
@@ -85,14 +78,8 @@ func ParseSpec(s string) (*Spec, error) {
 			}
 		}
 		return sp, nil
-	case "extern":
-		cmd := strings.Fields(rest)
-		if len(cmd) == 0 {
-			return nil, fmt.Errorf("fabric: extern needs a command, e.g. extern:echelon-netsim")
-		}
-		return &Spec{Kind: "extern", Command: cmd}, nil
 	default:
-		return nil, fmt.Errorf("fabric: unknown backend %q (want bigswitch, leafspine[:opts] or extern:<cmd>)", kind)
+		return nil, fmt.Errorf("fabric: unknown backend %q (want bigswitch or leafspine[:opts])", kind)
 	}
 }
 
@@ -101,8 +88,6 @@ func (sp *Spec) String() string {
 	switch sp.Kind {
 	case "leafspine":
 		return fmt.Sprintf("leafspine:hosts=%d,spines=%d,oversub=%g", sp.HostsPerLeaf, sp.Spines, sp.Oversub)
-	case "extern":
-		return "extern:" + strings.Join(sp.Command, " ")
 	default:
 		return sp.Kind
 	}
@@ -113,12 +98,17 @@ func (sp *Spec) String() string {
 // HostsPerLeaf at a time to leaves l0, l1, ... in the order given, sizing
 // each leaf's per-spine links so the leaf's core bandwidth is its attached
 // NIC bandwidth divided by Oversub (per direction, so heterogeneous NICs are
-// respected). An extern fabric wraps the big-switch model: structure and
-// feasibility stay native, timing queries go to the external process.
+// respected).
 func (sp *Spec) Build(hosts []HostCap) (Fabric, error) {
 	switch sp.Kind {
 	case "bigswitch":
-		return sp.buildNetwork(hosts)
+		n := NewNetwork()
+		for _, h := range hosts {
+			if err := n.AddHost(h.Name, "", h.Egress, h.Ingress); err != nil {
+				return nil, err
+			}
+		}
+		return n, nil
 	case "leafspine":
 		ls, err := NewLeafSpine(sp.Spines)
 		if err != nil {
@@ -143,23 +133,7 @@ func (sp *Spec) Build(hosts []HostCap) (Fabric, error) {
 			}
 		}
 		return ls, nil
-	case "extern":
-		inner, err := sp.buildNetwork(hosts)
-		if err != nil {
-			return nil, err
-		}
-		return NewExtern(inner, sp.Command, ExternOptions{Timeout: sp.Timeout})
 	default:
 		return nil, fmt.Errorf("fabric: unknown backend %q", sp.Kind)
 	}
-}
-
-func (sp *Spec) buildNetwork(hosts []HostCap) (*Network, error) {
-	n := NewNetwork()
-	for _, h := range hosts {
-		if err := n.AddHost(h.Name, "", h.Egress, h.Ingress); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
 }

@@ -7,30 +7,35 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
+	const unknownBackend = `fabric: unknown backend "extern" (want bigswitch or leafspine[:opts])`
 	cases := []struct {
 		in   string
 		want string
 		err  bool
+		msg  string // the exact error, where the case pins it
 	}{
 		{in: "bigswitch", want: "bigswitch"},
 		{in: "", want: "bigswitch"},
 		{in: "leafspine", want: "leafspine:hosts=4,spines=2,oversub=3"},
 		{in: "leafspine:hosts=2,spines=4,oversub=1", want: "leafspine:hosts=2,spines=4,oversub=1"},
 		{in: "leafspine:oversub=1.5", want: "leafspine:hosts=4,spines=2,oversub=1.5"},
-		{in: "extern:netsim -model clos", want: "extern:netsim -model clos"},
 		{in: "bigswitch:x", err: true},
 		{in: "leafspine:hosts=0", err: true},
 		{in: "leafspine:spines=-1", err: true},
 		{in: "leafspine:oversub=0", err: true},
 		{in: "leafspine:color=blue", err: true},
-		{in: "extern:", err: true},
 		{in: "torus", err: true},
+		// extern:<cmd> names no backend; it is refused like any other.
+		{in: "extern:timing-model -scale 2", err: true, msg: unknownBackend},
+		{in: "extern:", err: true, msg: unknownBackend},
 	}
 	for _, c := range cases {
 		sp, err := ParseSpec(c.in)
 		if c.err {
 			if err == nil {
 				t.Errorf("ParseSpec(%q): want error, got %v", c.in, sp)
+			} else if c.msg != "" && err.Error() != c.msg {
+				t.Errorf("ParseSpec(%q): error %q, want %q", c.in, err, c.msg)
 			}
 			continue
 		}
