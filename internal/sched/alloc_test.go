@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"echelonflow/internal/fabric"
 	"echelonflow/internal/unit"
 )
 
@@ -69,16 +70,21 @@ func TestScheduleAllocs(t *testing.T) {
 	}
 }
 
-// Pooled link tables, validation scratch and a shared plan cache's reused
+// Pooled link tables, their path tables and a shared plan cache's reused
 // entries must not leak state between concurrent passes: four goroutines
-// scheduling their own snapshots through one cached scheduler get the
-// allocation an uncached scheduler computes alone.
+// scheduling their own snapshots through one cached scheduler, alternating
+// between two fabrics, get the allocation an uncached scheduler computes
+// alone on each.
 func TestPooledStateConcurrent(t *testing.T) {
 	nets, names := deltaFabrics(t)
-	net := nets["leafspine"]
-	want, err := EchelonMADD{Backfill: true}.Schedule(eightJobs(t, names), net)
-	if err != nil {
-		t.Fatal(err)
+	fabrics := []fabric.Fabric{nets["leafspine"], nets["bigswitch"]}
+	var wants []map[string]unit.Rate
+	for _, net := range fabrics {
+		want, err := EchelonMADD{Backfill: true}.Schedule(eightJobs(t, names), net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants = append(wants, want)
 	}
 	e := EchelonMADD{Backfill: true, Cache: NewPlanCache()}
 	var wg sync.WaitGroup
@@ -91,14 +97,15 @@ func TestPooledStateConcurrent(t *testing.T) {
 				if i%10 == 0 {
 					e.Cache.InvalidateAll()
 				}
-				got, err := e.Schedule(snap, net)
+				f := (i + w) % 2
+				got, err := e.Schedule(snap, fabrics[f])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				for id, r := range want {
+				for id, r := range wants[f] {
 					if got[id] != r {
-						t.Errorf("flow %s: rate %v, want %v", id, got[id], r)
+						t.Errorf("fabric %d, flow %s: rate %v, want %v", f, id, got[id], r)
 						return
 					}
 				}

@@ -183,7 +183,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if st := nilCache.Stats(); st != (CacheStats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
-	if _, ok := nilCache.lookup(snap, acquireLinkTable(snap, net, snap.Flows), &passGroup{id: "p"}); ok {
+	if _, ok := nilCache.lookup(snap, mustLinkTable(t, snap, net), &passGroup{id: "p"}); ok {
 		t.Fatal("nil cache reported a hit")
 	}
 }

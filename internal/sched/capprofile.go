@@ -16,20 +16,13 @@ import (
 	"echelonflow/internal/unit"
 )
 
-// profile is a piecewise-constant free-capacity timeline for one direction
-// of one host port, used to plan time-varying reservations. Segment i spans
+// profile is a piecewise-constant free-capacity timeline for one link, used
+// to plan time-varying reservations. Segment i spans
 // [times[i], times[i+1]) (the last extends to infinity) with free[i]
 // capacity remaining.
 type profile struct {
 	times []unit.Time
 	free  []unit.Rate
-}
-
-func (p *profile) clone() *profile {
-	return &profile{
-		times: append([]unit.Time(nil), p.times...),
-		free:  append([]unit.Rate(nil), p.free...),
-	}
 }
 
 // reset rewinds the profile to a single full-capacity segment starting at
@@ -106,70 +99,6 @@ type fillSegment struct {
 	rate     unit.Rate
 }
 
-// pairFill plans an earliest-first transmission of vol bytes between the
-// two port profiles inside [from, to]: at every instant it uses the minimum
-// of the two free capacities. It returns the planned segments and whether
-// the full volume fits. Nothing is committed.
-func pairFill(src, dst *profile, from, to unit.Time, vol unit.Bytes) ([]fillSegment, bool) {
-	if vol.Zeroish() {
-		return nil, true
-	}
-	if to <= from {
-		return nil, false
-	}
-	// Merge breakpoints from both profiles within [from, to].
-	cuts := mergeBreaks(src, dst, from, to)
-	var fills []fillSegment
-	remaining := vol
-	for i := 0; i+1 <= len(cuts)-1; i++ {
-		a, b := cuts[i], cuts[i+1]
-		r := unit.MinRate(src.freeAt(a), dst.freeAt(a))
-		if r <= unit.Rate(unit.Eps) {
-			continue
-		}
-		span := b - a
-		capVol := r.Over(span)
-		if float64(capVol) >= float64(remaining)-unit.Eps {
-			// Volume exhausts within this segment.
-			end := a + remaining.At(r)
-			fills = append(fills, fillSegment{from: a, to: end, rate: r})
-			return fills, true
-		}
-		fills = append(fills, fillSegment{from: a, to: b, rate: r})
-		remaining -= capVol
-	}
-	return fills, false
-}
-
-// mergeBreaks returns the sorted breakpoints of both profiles clipped to
-// [from, to], always including both endpoints. An infinite "to" is replaced
-// by a horizon far beyond the last finite breakpoint.
-func mergeBreaks(src, dst *profile, from, to unit.Time) []unit.Time {
-	if to.IsInf() {
-		last := from
-		if n := len(src.times); n > 0 && src.times[n-1] > last {
-			last = src.times[n-1]
-		}
-		if n := len(dst.times); n > 0 && dst.times[n-1] > last {
-			last = dst.times[n-1]
-		}
-		to = last + 1e12
-	}
-	out := make([]unit.Time, 0, 2+len(src.times)+len(dst.times))
-	out = append(out, from, to)
-	for _, t := range src.times {
-		if t > from && t < to {
-			out = append(out, t)
-		}
-	}
-	for _, t := range dst.times {
-		if t > from && t < to {
-			out = append(out, t)
-		}
-	}
-	return sortedBreaks(out)
-}
-
 // sortedBreaks sorts breakpoints ascending and drops exact duplicates in
 // place — the same set-of-times semantics the planners relied on when
 // breakpoints were collected in a map, without the per-call map.
@@ -182,14 +111,6 @@ func sortedBreaks(ts []unit.Time) []unit.Time {
 		}
 	}
 	return out
-}
-
-// commit subtracts the planned segments from both profiles.
-func commit(src, dst *profile, fills []fillSegment) {
-	for _, f := range fills {
-		src.reserve(f.from, f.to, f.rate)
-		dst.reserve(f.from, f.to, f.rate)
-	}
 }
 
 // rateAt returns the planned rate at instant t (zero if no segment covers it).

@@ -70,97 +70,23 @@ func TestProfileReserveToInfinity(t *testing.T) {
 	}
 }
 
-func TestProfileCloneIsIndependent(t *testing.T) {
-	p := newProfile(0, 10)
-	c := p.clone()
-	c.reserve(0, 5, 9)
-	if p.freeAt(2) != 10 {
-		t.Error("clone mutation leaked into original")
+// rateAt reads a plan's rate at an instant: a segment covers [from, to)
+// up to unit.Eps at either end, and no segment means zero.
+func TestRateAt(t *testing.T) {
+	fills := []fillSegment{{from: 0, to: 2, rate: 2}, {from: 2, to: 3, rate: 1}, {from: 5, to: 6, rate: 4}}
+	tests := []struct {
+		t    unit.Time
+		want unit.Rate
+	}{
+		{-1, 0}, {0, 2}, {1.5, 2}, {2, 1}, {2.5, 1}, {3, 0}, {4, 0}, {5, 4}, {6, 0}, {99, 0},
 	}
-}
-
-func TestPairFillSimple(t *testing.T) {
-	src := newProfile(0, 2)
-	dst := newProfile(0, 1)
-	fills, ok := pairFill(src, dst, 0, 10, 3)
-	if !ok {
-		t.Fatal("fill should fit")
+	for _, tt := range tests {
+		if got := rateAt(fills, tt.t); got != tt.want {
+			t.Errorf("rateAt(%v) = %v, want %v", tt.t, got, tt.want)
+		}
 	}
-	// Limited by dst (rate 1): 3 bytes in [0,3].
-	if len(fills) != 1 || !fills[0].to.ApproxEq(3) || fills[0].rate != 1 {
-		t.Errorf("fills = %+v", fills)
-	}
-	if got := finishOf(fills); !got.ApproxEq(3) {
-		t.Errorf("finishOf = %v", got)
-	}
-}
-
-func TestPairFillAcrossSegments(t *testing.T) {
-	src := newProfile(0, 2)
-	src.reserve(0, 2, 1.5) // only 0.5 free in [0,2]
-	dst := newProfile(0, 2)
-	fills, ok := pairFill(src, dst, 0, 10, 3)
-	if !ok {
-		t.Fatal("fill should fit")
-	}
-	// [0,2] at 0.5 => 1 byte; remaining 2 at rate 2 => [2,3].
-	if len(fills) != 2 {
-		t.Fatalf("fills = %+v", fills)
-	}
-	if fills[0].rate != 0.5 || !fills[1].to.ApproxEq(3) || fills[1].rate != 2 {
-		t.Errorf("fills = %+v", fills)
-	}
-}
-
-func TestPairFillDoesNotFit(t *testing.T) {
-	src := newProfile(0, 1)
-	dst := newProfile(0, 1)
-	if _, ok := pairFill(src, dst, 0, 2, 5); ok {
-		t.Error("5 bytes cannot fit in 2 seconds at rate 1")
-	}
-	if _, ok := pairFill(src, dst, 3, 3, 1); ok {
-		t.Error("empty window accepted")
-	}
-}
-
-func TestPairFillZeroVolume(t *testing.T) {
-	src := newProfile(0, 1)
-	dst := newProfile(0, 1)
-	fills, ok := pairFill(src, dst, 0, 1, 0)
-	if !ok || len(fills) != 0 {
-		t.Errorf("zero-volume fill = %v, %v", fills, ok)
-	}
-}
-
-func TestPairFillSkipsDeadSegments(t *testing.T) {
-	src := newProfile(0, 1)
-	src.reserve(0, 2, 1) // no capacity in [0,2]
-	dst := newProfile(0, 1)
-	fills, ok := pairFill(src, dst, 0, 5, 2)
-	if !ok {
-		t.Fatal("fill should fit after the dead segment")
-	}
-	if !fills[0].from.ApproxEq(2) || !finishOf(fills).ApproxEq(4) {
-		t.Errorf("fills = %+v", fills)
-	}
-}
-
-func TestCommitAndRateAt(t *testing.T) {
-	src := newProfile(0, 2)
-	dst := newProfile(0, 2)
-	fills, ok := pairFill(src, dst, 0, 10, 4)
-	if !ok {
-		t.Fatal("fill failed")
-	}
-	commit(src, dst, fills)
-	if got := src.freeAt(1); got != 0 {
-		t.Errorf("src free after commit = %v", got)
-	}
-	if got := rateAt(fills, 0); got != 2 {
-		t.Errorf("rateAt(0) = %v", got)
-	}
-	if got := rateAt(fills, 99); got != 0 {
-		t.Errorf("rateAt(99) = %v", got)
+	if got := rateAt(nil, 0); got != 0 {
+		t.Errorf("rateAt of no plan = %v, want 0", got)
 	}
 }
 

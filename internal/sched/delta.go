@@ -219,16 +219,14 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 	case st.net != net || st.netGen != net.Generation():
 		return fall("fabric-generation")
 	}
-	if err := snap.Validate(); err != nil {
+	a := &d.a
+	defer a.reset()
+	if err := a.grp.build(snap, snap.Flows); err != nil {
 		return fall("invalid-snapshot")
 	}
 	if snap.Now < st.now {
 		return fall("time-regression")
 	}
-
-	a := &d.a
-	defer a.reset()
-	a.grp.build(snap.Flows)
 	a.groups = resize(a.groups, len(a.grp.ids))
 	a.order = a.order[:0]
 	for k := range a.grp.ids {
@@ -343,9 +341,12 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 	// no prune — the component is not the full live-group set, so pruning
 	// here would evict live entries (the hazard PlanCache.prune guards
 	// against).
-	lt := acquireLinkTable(snap, net, a.comp)
+	lt, err := acquireLinkTable(snap, net, a.comp)
+	if err != nil {
+		return fall("invalid-snapshot") // unreachable: a.grp checked every flow
+	}
 	defer lt.release()
-	if err := d.inner.allocate(lt, snap, lt.groups(snap)); err != nil {
+	if err := d.inner.allocate(lt, snap, lt.groups()); err != nil {
 		if errors.Is(err, ErrStopped) {
 			d.last = DeltaOutcome{Reason: "stopped"}
 			return nil, false, err
@@ -412,7 +413,9 @@ func captureDeltaState(snap *Snapshot, net fabric.Fabric, rates map[string]unit.
 		st.rates[id] = r
 	}
 	var gr grouping
-	gr.build(snap.Flows)
+	if err := gr.build(snap, snap.Flows); err != nil {
+		panic(err) // unreachable: both callers hold a validated snapshot
+	}
 	var keys []fabric.LinkKey
 	for k, id := range gr.ids {
 		idx := gr.group(int32(k))

@@ -105,21 +105,22 @@ type deadlineClass struct {
 // owns it and reuses it on the next pass.
 type passGroup struct {
 	id      string
+	state   *GroupState
 	idx     []int32 // the group's flows as link-table indices, in snapshot order
 	classes []deadlineClass
 	floor   unit.Time // achieved tardiness: the group cannot do better
 	solo    unit.Time // ranking metric, see rank
 }
 
-// groups partitions the table's flows into their EchelonFlows, ordered by
-// group ID for determinism, each with its deadline classes resolved. The
-// groups and everything they point to belong to the table.
-func (lt *linkTable) groups(snap *Snapshot) []*passGroup {
-	lt.grp.build(lt.flows)
+// groups turns the table's grouping into its EchelonFlows, ordered by group
+// ID for determinism, each with its deadline classes resolved. The groups
+// and everything they point to belong to the table.
+func (lt *linkTable) groups() []*passGroup {
 	lt.gbuf = resize(lt.gbuf, len(lt.grp.ids))
 	lt.gorder = lt.gorder[:0]
 	for k, id := range lt.grp.ids {
-		lt.gbuf[k] = passGroup{id: id, idx: lt.grp.group(int32(k)), floor: unit.MaxTime(0, snap.Groups[id].AchievedTardiness)}
+		st := lt.grp.states[k]
+		lt.gbuf[k] = passGroup{id: id, state: st, idx: lt.grp.group(int32(k)), floor: unit.MaxTime(0, st.AchievedTardiness)}
 		lt.gorder = append(lt.gorder, &lt.gbuf[k])
 	}
 	slices.SortFunc(lt.gorder, func(a, b *passGroup) int { return strings.Compare(a.id, b.id) })
@@ -372,7 +373,7 @@ func (e EchelonMADD) rank(lt *linkTable, snap *Snapshot, groups []*passGroup) er
 	}
 	if e.Weighted {
 		for _, g := range groups {
-			g.solo = unit.Time(float64(g.solo) / snap.Groups[g.id].Group.EffectiveWeight())
+			g.solo = unit.Time(float64(g.solo) / g.state.Group.EffectiveWeight())
 		}
 	}
 	slices.SortStableFunc(groups, func(x, y *passGroup) int {
@@ -478,16 +479,16 @@ func (e EchelonMADD) allocate(lt *linkTable, snap *Snapshot, groups []*passGroup
 
 // Schedule implements Scheduler.
 func (e EchelonMADD) Schedule(snap *Snapshot, net fabric.Fabric) (map[string]unit.Rate, error) {
-	if err := snap.Validate(); err != nil {
-		return nil, err
-	}
 	rates := make(map[string]unit.Rate, len(snap.Flows))
 	if len(snap.Flows) == 0 {
 		return rates, nil
 	}
-	lt := acquireLinkTable(snap, net, snap.Flows)
+	lt, err := acquireLinkTable(snap, net, snap.Flows)
+	if err != nil {
+		return nil, err
+	}
 	defer lt.release()
-	groups := lt.groups(snap)
+	groups := lt.groups()
 	if e.Cache != nil {
 		lt.names = lt.names[:0]
 		for _, g := range groups {

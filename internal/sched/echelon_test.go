@@ -9,10 +9,20 @@ import (
 	"echelonflow/internal/unit"
 )
 
+// mustLinkTable builds a link table over every flow of snap.
+func mustLinkTable(t *testing.T, snap *Snapshot, net fabric.Fabric) *linkTable {
+	t.Helper()
+	lt, err := acquireLinkTable(snap, net, snap.Flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lt
+}
+
 func TestClassesOf(t *testing.T) {
 	g := pipelineGroup(t, "p", 2, 1, 1, 1)
 	snap := buildSnapshot(t, 0, map[string]*core.EchelonFlow{"p": g}, nil)
-	classes := acquireLinkTable(snap, singleLinkNet(t), snap.Flows).groups(snap)[0].classes
+	classes := mustLinkTable(t, snap, singleLinkNet(t)).groups()[0].classes
 	if len(classes) != 3 {
 		t.Fatalf("pipeline classes = %d, want 3", len(classes))
 	}
@@ -24,7 +34,7 @@ func TestClassesOf(t *testing.T) {
 
 	cg := coflowGroup(t, "c", 1, 2, 3)
 	snapC := buildSnapshot(t, 0, map[string]*core.EchelonFlow{"c": cg}, nil)
-	classesC := acquireLinkTable(snapC, singleLinkNet(t), snapC.Flows).groups(snapC)[0].classes
+	classesC := mustLinkTable(t, snapC, singleLinkNet(t)).groups()[0].classes
 	if len(classesC) != 1 || len(classesC[0].flows) != 3 {
 		t.Errorf("coflow classes = %+v", classesC)
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -11,14 +12,14 @@ import (
 
 // linkTable is the planning substrate of one EchelonMADD pass, shared by the
 // full pass (built over every snapshot flow) and the delta path (built over
-// the replanned component's flows). Each flow's path is resolved once
-// through the fabric's FlowLinks and interned to dense pass-local link ids;
-// capacities are read once per link. Everything the planner keeps per link —
-// free-capacity timelines, class volumes, residuals, usage — is a slice
-// indexed by link id, and everything it keeps per flow is a slice parallel
-// to the flows the table was built over. A pass therefore costs
-// O(flows × path length) whatever the fabric's size, and hashes each link
-// key once.
+// the replanned component's flows). Each flow's path is looked up in the
+// table's pathTable and mapped to dense pass-local link ids; capacities come
+// from the same table. Everything the planner keeps per link — free-capacity
+// timelines, class volumes, residuals, usage — is a slice indexed by link
+// id, and everything it keeps per flow is a slice parallel to the flows the
+// table was built over. A pass therefore costs O(flows × path length)
+// whatever the fabric's size, with one pair lookup and one group lookup per
+// flow.
 //
 // Exactness: every per-link float sum (reservations, class volumes, residual
 // takes, usage) is accumulated in the order of the flows slice, which is
@@ -37,11 +38,11 @@ import (
 //
 // Tables are pooled; one is used by one goroutine at a time.
 type linkTable struct {
-	net fabric.Fabric
-	now unit.Time
+	net   fabric.Fabric
+	now   unit.Time
+	paths pathTable
 
 	// Per link, in first-touch order.
-	ids   map[fabric.LinkKey]int32
 	caps  []unit.Rate
 	profs []profile
 	vol   []unit.Bytes // class volume crossing the link; zero outside classLambda
@@ -72,7 +73,6 @@ type linkTable struct {
 	classes    []deadlineClass
 
 	// Scratch.
-	keys   []fabric.LinkKey
 	hot    []int32 // links with vol set
 	breaks []unit.Time
 	rem    []unit.Bytes
@@ -81,41 +81,44 @@ type linkTable struct {
 	names  []string     // the pass's group IDs, for PlanCache.prune
 }
 
-var linkTables = sync.Pool{New: func() any {
-	return &linkTable{ids: make(map[fabric.LinkKey]int32)}
-}}
+var linkTables = sync.Pool{New: func() any { return new(linkTable) }}
 
-// acquireLinkTable resolves flows against net into a pooled table with every
-// touched link at full capacity from snap.Now and every rate zero.
-func acquireLinkTable(snap *Snapshot, net fabric.Fabric, flows []*FlowState) *linkTable {
+// acquireLinkTable checks flows against snap as Snapshot.Validate does and
+// resolves them against net into a pooled table with every touched link at
+// full capacity from snap.Now and every rate zero. On error it returns no
+// table.
+func acquireLinkTable(snap *Snapshot, net fabric.Fabric, flows []*FlowState) (*linkTable, error) {
 	lt := linkTables.Get().(*linkTable)
+	if err := lt.grp.build(snap, flows); err != nil {
+		lt.release()
+		return nil, err
+	}
 	lt.net, lt.now, lt.badEndpoint = net, snap.Now, false
 	lt.caps, lt.profs, lt.vol, lt.acc = lt.caps[:0], lt.profs[:0], lt.vol[:0], lt.acc[:0]
 	lt.flows, lt.deadline, lt.path = lt.flows[:0], lt.deadline[:0], lt.path[:0]
 	lt.segs, lt.rate = lt.segs[:0], lt.rate[:0]
 	lt.off = append(lt.off[:0], 0)
-	for _, fs := range flows {
-		src, dst := fs.Flow.Src, fs.Flow.Dst
-		if src == dst || net.Host(src) == nil || net.Host(dst) == nil {
-			lt.badEndpoint = true
-		}
-		lt.keys = net.FlowLinks(src, dst, lt.keys[:0])
-		for _, k := range lt.keys {
-			l, ok := lt.ids[k]
-			if !ok {
-				l = lt.addLink(k)
+	pt := &lt.paths
+	pt.begin(net, len(flows))
+	for i, fs := range flows {
+		p := pt.pair(fs.Flow.Src, fs.Flow.Dst)
+		lt.badEndpoint = lt.badEndpoint || pt.bad[p]
+		for _, l := range pt.links[pt.off[p]:pt.off[p+1]] {
+			if pt.stamp[l] != pt.pass {
+				pt.stamp[l], pt.local[l] = pt.pass, lt.addLink(pt.caps[l])
 			}
-			lt.path = append(lt.path, l)
+			lt.path = append(lt.path, pt.local[l])
 		}
 		lt.off = append(lt.off, int32(len(lt.path)))
 		lt.flows = append(lt.flows, fs)
-		lt.deadline = append(lt.deadline, snap.Deadline(fs))
+		g := lt.grp.states[lt.grp.of[i]]
+		lt.deadline = append(lt.deadline, g.Group.Arrangement.Deadline(fs.Flow.Stage, g.Reference))
 		lt.segs = append(lt.segs, nil)
 		lt.rate = append(lt.rate, 0)
 	}
 	lt.greedy = resize(lt.greedy, len(flows))
 	lt.paced = resize(lt.paced, len(flows))
-	return lt
+	return lt, nil
 }
 
 // resize returns s with length n, keeping the elements of its backing
@@ -127,11 +130,10 @@ func resize[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-// addLink interns a link, reusing a pooled profile's arrays when it can.
-func (lt *linkTable) addLink(k fabric.LinkKey) int32 {
+// addLink gives a link of capacity c the next pass-local id, reusing a
+// pooled profile's arrays when it can.
+func (lt *linkTable) addLink(c unit.Rate) int32 {
 	l := len(lt.caps)
-	lt.ids[k] = int32(l)
-	c := lt.net.LinkCapacity(k)
 	lt.caps = append(lt.caps, c)
 	lt.vol = append(lt.vol, 0)
 	lt.acc = append(lt.acc, 0)
@@ -145,9 +147,10 @@ func (lt *linkTable) addLink(k fabric.LinkKey) int32 {
 }
 
 // release returns the table to the pool, dropping its references into the
-// snapshot and the fabric.
+// snapshot. The path table keeps its fabric: its cached paths stay valid
+// for the fabric's current generation, and holding the value keeps its
+// identity from being reused by another fabric.
 func (lt *linkTable) release() {
-	clear(lt.ids)
 	lt.grp.reset()
 	clear(lt.flows)
 	clear(lt.segs)
@@ -157,30 +160,139 @@ func (lt *linkTable) release() {
 	linkTables.Put(lt)
 }
 
+// maxPairs bounds the host pairs a path table caches: a pass that would
+// take it past the bound starts from an empty table.
+const maxPairs = 1 << 12
+
+// hostPair is a flow's (src, dst).
+type hostPair struct{ src, dst string }
+
+// pathTable holds, for one fabric value at one generation, every host pair
+// a pass has met: its path as table link ids and whether an endpoint is
+// unknown or both are the same host (the check fabric.Feasible makes
+// first). Each table link's capacity is read once. Between mutations a
+// fabric's paths and capacities are fixed (the Fabric contract bumps
+// Generation on every one), so a pass asks the fabric nothing for a pair
+// it has met; a different fabric value or a new generation empties the
+// table. A pass maps table links to its own dense ids through stamp and
+// local: stamp[l] == pass when link l already has a pass id, local[l].
+type pathTable struct {
+	net  fabric.Fabric
+	gen  uint64
+	pass uint32
+
+	// Per pair. Pair p crosses links[off[p]:off[p+1]].
+	pairs map[hostPair]int32
+	off   []int32
+	links []int32
+	bad   []bool
+
+	// Per table link.
+	ids   map[fabric.LinkKey]int32
+	caps  []unit.Rate
+	stamp []uint32
+	local []int32
+
+	keys []fabric.LinkKey // FlowLinks' buffer
+}
+
+// begin starts a pass of n flows over net, emptying the table when net is
+// another fabric, has mutated, or n new pairs could cross maxPairs — never
+// mid-pass, when table links already have pass ids.
+func (pt *pathTable) begin(net fabric.Fabric, n int) {
+	if gen := net.Generation(); pt.net != net || pt.gen != gen || len(pt.bad)+n > maxPairs {
+		if pt.pairs == nil {
+			pt.pairs, pt.ids = make(map[hostPair]int32), make(map[fabric.LinkKey]int32)
+		}
+		clear(pt.pairs)
+		clear(pt.ids)
+		pt.net, pt.gen = net, gen
+		pt.off = append(pt.off[:0], 0)
+		pt.links, pt.bad = pt.links[:0], pt.bad[:0]
+		pt.caps, pt.stamp, pt.local = pt.caps[:0], pt.stamp[:0], pt.local[:0]
+	}
+	if pt.pass++; pt.pass == 0 {
+		clear(pt.stamp)
+		pt.pass = 1
+	}
+}
+
+// pair returns the number of the (src, dst) pair, resolving its path on
+// first sight.
+func (pt *pathTable) pair(src, dst string) int32 {
+	hp := hostPair{src, dst}
+	if p, ok := pt.pairs[hp]; ok {
+		return p
+	}
+	p := int32(len(pt.bad))
+	pt.pairs[hp] = p
+	pt.bad = append(pt.bad, src == dst || pt.net.Host(src) == nil || pt.net.Host(dst) == nil)
+	pt.keys = pt.net.FlowLinks(src, dst, pt.keys[:0])
+	for _, k := range pt.keys {
+		l, ok := pt.ids[k]
+		if !ok {
+			l = int32(len(pt.caps))
+			pt.ids[k] = l
+			pt.caps = append(pt.caps, pt.net.LinkCapacity(k))
+			pt.stamp = append(pt.stamp, 0)
+			pt.local = append(pt.local, 0)
+		}
+		pt.links = append(pt.links, l)
+	}
+	pt.off = append(pt.off, int32(len(pt.links)))
+	return p
+}
+
 // grouping partitions a flow list by group ID, allocating nothing once
-// warm: groups are numbered by first appearance, and group k's members, as
-// indices into the list in list order, are members[start[k]:start[k+1]].
+// warm: groups are numbered by first appearance, group k's state is
+// states[k], and its members, as indices into the list in list order, are
+// members[start[k]:start[k+1]]. Building it is also Snapshot.Validate: the
+// one pass that looks each flow's group up resolves each group's state once.
 type grouping struct {
-	slots   map[string]int32 // group ID to number
-	ids     []string         // group k's ID
-	of      []int32          // flow i's group
+	slots   map[string]int32    // group ID to number
+	seen    map[string]struct{} // the flow IDs met so far
+	ids     []string            // group k's ID
+	states  []*GroupState
+	cursor  []int // group k's member search start, see member
+	of      []int32
 	start   []int32
 	next    []int32 // placement cursor per group
 	members []int32
 }
 
-// build partitions flows.
-func (gr *grouping) build(flows []*FlowState) {
+// build partitions flows, checking each against snap in Validate's order
+// and returning the first failure's error.
+func (gr *grouping) build(snap *Snapshot, flows []*FlowState) error {
 	if gr.slots == nil {
-		gr.slots = make(map[string]int32)
+		gr.slots, gr.seen = make(map[string]int32), make(map[string]struct{})
 	}
-	gr.ids, gr.of = gr.ids[:0], gr.of[:0]
+	gr.ids, gr.states, gr.cursor, gr.of = gr.ids[:0], gr.states[:0], gr.cursor[:0], gr.of[:0]
 	for _, fs := range flows {
+		if fs.Flow == nil {
+			return fmt.Errorf("sched: snapshot flow with nil core flow")
+		}
+		id := fs.Flow.ID
+		n := len(gr.seen)
+		if gr.seen[id] = struct{}{}; len(gr.seen) == n {
+			return fmt.Errorf("sched: snapshot has duplicate flow %q", id)
+		}
+		if fs.Remaining < 0 {
+			return fmt.Errorf("sched: flow %q has negative remaining volume", id)
+		}
 		k, ok := gr.slots[fs.GroupID]
 		if !ok {
+			g, known := snap.Groups[fs.GroupID]
+			if !known {
+				return fmt.Errorf("sched: flow %q references unknown group %q", id, fs.GroupID)
+			}
 			k = int32(len(gr.ids))
 			gr.slots[fs.GroupID] = k
 			gr.ids = append(gr.ids, fs.GroupID)
+			gr.states = append(gr.states, g)
+			gr.cursor = append(gr.cursor, 0)
+		}
+		if !gr.member(k, id) {
+			return fmt.Errorf("sched: flow %q is not a member of group %q", id, fs.GroupID)
 		}
 		gr.of = append(gr.of, k)
 	}
@@ -198,6 +310,27 @@ func (gr *grouping) build(flows []*FlowState) {
 		gr.members[gr.next[k]] = int32(i)
 		gr.next[k]++
 	}
+	return nil
+}
+
+// member reports whether group k has a flow with the given ID, as
+// Group.Flow does. The search starts at the group's cursor and wraps
+// around: a snapshot lists a group's flows mostly in member order, so each
+// search is usually one comparison.
+func (gr *grouping) member(k int32, id string) bool {
+	flows := gr.states[k].Group.Flows
+	start := gr.cursor[k]
+	for j := range flows {
+		p := start + j
+		if p >= len(flows) {
+			p -= len(flows)
+		}
+		if flows[p].ID == id {
+			gr.cursor[k] = p + 1
+			return true
+		}
+	}
+	return false
 }
 
 // group returns group k's members.
@@ -205,10 +338,12 @@ func (gr *grouping) group(k int32) []int32 {
 	return gr.members[gr.start[k]:gr.start[k+1]:gr.start[k+1]]
 }
 
-// reset drops the references to the flows' group IDs.
+// reset drops the references to the flows' IDs and groups.
 func (gr *grouping) reset() {
 	clear(gr.slots)
+	clear(gr.seen)
 	clear(gr.ids)
+	clear(gr.states)
 }
 
 // links returns the link ids flow i crosses, in FlowLinks order.

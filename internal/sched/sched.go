@@ -2,9 +2,7 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-	"sync"
 
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
@@ -57,66 +55,18 @@ var ErrStopped = errors.New("sched: pass stopped by its budget")
 // stopped reports whether the pass must stop at this boundary.
 func (s *Snapshot) stopped() bool { return s.Stop != nil && s.Stop() }
 
-// validation is Validate's scratch, pooled so that a warm Validate
-// allocates nothing: the flow IDs seen so far, and per group the position in
-// its member list just past the last member found.
-type validation struct {
-	seen   map[string]struct{}
-	cursor map[*GroupState]int
-}
-
-var validations = sync.Pool{New: func() any {
-	return &validation{seen: make(map[string]struct{}), cursor: make(map[*GroupState]int)}
-}}
-
-// Validate checks internal consistency of the snapshot.
+// Validate checks internal consistency of the snapshot: every flow has a
+// core flow, a unique ID, no negative remaining volume, and a group in
+// Groups that lists it. It makes the checks of the grouping a planning pass
+// builds, on a pooled link table's grouping, so a warm Validate allocates
+// nothing.
 func (s *Snapshot) Validate() error {
-	v := validations.Get().(*validation)
+	lt := linkTables.Get().(*linkTable)
 	defer func() {
-		clear(v.seen)
-		clear(v.cursor)
-		validations.Put(v)
+		lt.grp.reset()
+		linkTables.Put(lt)
 	}()
-	for _, fs := range s.Flows {
-		if fs.Flow == nil {
-			return fmt.Errorf("sched: snapshot flow with nil core flow")
-		}
-		if _, dup := v.seen[fs.Flow.ID]; dup {
-			return fmt.Errorf("sched: snapshot has duplicate flow %q", fs.Flow.ID)
-		}
-		v.seen[fs.Flow.ID] = struct{}{}
-		if fs.Remaining < 0 {
-			return fmt.Errorf("sched: flow %q has negative remaining volume", fs.Flow.ID)
-		}
-		g, ok := s.Groups[fs.GroupID]
-		if !ok {
-			return fmt.Errorf("sched: flow %q references unknown group %q", fs.Flow.ID, fs.GroupID)
-		}
-		if !v.member(g, fs.Flow.ID) {
-			return fmt.Errorf("sched: flow %q is not a member of group %q", fs.Flow.ID, fs.GroupID)
-		}
-	}
-	return nil
-}
-
-// member reports whether the group has a flow with the given ID, as
-// g.Group.Flow does. The search starts at the group's cursor and wraps
-// around: a snapshot lists a group's flows mostly in member order, so each
-// search is usually one comparison.
-func (v *validation) member(g *GroupState, id string) bool {
-	flows := g.Group.Flows
-	start := v.cursor[g]
-	for k := range flows {
-		p := start + k
-		if p >= len(flows) {
-			p -= len(flows)
-		}
-		if flows[p].ID == id {
-			v.cursor[g] = p + 1
-			return true
-		}
-	}
-	return false
+	return lt.grp.build(s, s.Flows)
 }
 
 // Deadline returns the flow's ideal finish time under its group's

@@ -67,47 +67,56 @@ func pipelineGroup(t *testing.T, id string, T unit.Time, sizes ...unit.Bytes) *c
 	return g
 }
 
+// Validate's checks run flow by flow, each flow's in a fixed order, and the
+// first failure is the error. EchelonMADD.Schedule returns that same error,
+// and DeltaEchelon.Apply falls back rather than patch the snapshot.
 func TestSnapshotValidate(t *testing.T) {
 	g := coflowGroup(t, "g", 1)
 	f := g.Flows[0]
-	ok := &Snapshot{
-		Groups: map[string]*GroupState{"g": {Group: g}},
-		Flows:  []*FlowState{{Flow: f, GroupID: "g", Remaining: 1}},
-	}
+	groups := func() map[string]*GroupState { return map[string]*GroupState{"g": {Group: g}} }
+	ok := &Snapshot{Groups: groups(), Flows: []*FlowState{{Flow: f, GroupID: "g", Remaining: 1}}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid snapshot rejected: %v", err)
 	}
-	bad := &Snapshot{
-		Groups: map[string]*GroupState{},
-		Flows:  []*FlowState{{Flow: f, GroupID: "missing", Remaining: 1}},
-	}
-	if err := bad.Validate(); err == nil {
-		t.Error("unknown group accepted")
-	}
-	neg := &Snapshot{
-		Groups: map[string]*GroupState{"g": {Group: g}},
-		Flows:  []*FlowState{{Flow: f, GroupID: "g", Remaining: -1}},
-	}
-	if err := neg.Validate(); err == nil {
-		t.Error("negative remaining accepted")
-	}
-	dup := &Snapshot{
-		Groups: map[string]*GroupState{"g": {Group: g}},
-		Flows: []*FlowState{
-			{Flow: f, GroupID: "g", Remaining: 1},
-			{Flow: f, GroupID: "g", Remaining: 1},
-		},
-	}
-	if err := dup.Validate(); err == nil {
-		t.Error("duplicate flow accepted")
-	}
 	alien := &core.Flow{ID: "alien", Src: "a", Dst: "b", Size: 1}
-	wrong := &Snapshot{
-		Groups: map[string]*GroupState{"g": {Group: g}},
-		Flows:  []*FlowState{{Flow: alien, GroupID: "g", Remaining: 1}},
+	cases := []struct {
+		name  string
+		flows []*FlowState
+		want  string
+	}{
+		{"nil flow", []*FlowState{{Flow: f, GroupID: "g", Remaining: 1}, {GroupID: "g", Remaining: 1}},
+			`sched: snapshot flow with nil core flow`},
+		{"duplicate", []*FlowState{{Flow: f, GroupID: "g", Remaining: 1}, {Flow: f, GroupID: "g", Remaining: 1}},
+			`sched: snapshot has duplicate flow "g-f0"`},
+		{"duplicate before negative", []*FlowState{{Flow: f, GroupID: "g", Remaining: 1}, {Flow: f, GroupID: "g", Remaining: -1}},
+			`sched: snapshot has duplicate flow "g-f0"`},
+		{"negative remaining", []*FlowState{{Flow: f, GroupID: "missing", Remaining: -1}},
+			`sched: flow "g-f0" has negative remaining volume`},
+		{"unknown group", []*FlowState{{Flow: f, GroupID: "missing", Remaining: 1}},
+			`sched: flow "g-f0" references unknown group "missing"`},
+		{"non-member", []*FlowState{{Flow: f, GroupID: "g", Remaining: 1}, {Flow: alien, GroupID: "g", Remaining: 1}},
+			`sched: flow "alien" is not a member of group "g"`},
 	}
-	if err := wrong.Validate(); err == nil {
-		t.Error("non-member flow accepted")
+	net := singleLinkNet(t)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := &Snapshot{Groups: groups(), Flows: c.flows}
+			if err := bad.Validate(); err == nil || err.Error() != c.want {
+				t.Errorf("Validate: %v, want %s", err, c.want)
+			}
+			if _, err := (EchelonMADD{Backfill: true}).Schedule(bad, net); err == nil || err.Error() != c.want {
+				t.Errorf("Schedule: %v, want %s", err, c.want)
+			}
+			d := NewDelta(EchelonMADD{Backfill: true})
+			if _, err := d.Schedule(&Snapshot{Groups: groups(), Flows: ok.Flows}, net); err != nil {
+				t.Fatal(err)
+			}
+			rates, applied, err := d.Apply(bad, net, Delta{Groups: []string{"g"}})
+			if rates != nil || applied || err != nil || d.LastOutcome().Reason != "invalid-snapshot" {
+				t.Errorf("Apply: rates %v, ok=%v, err=%v, outcome %+v; want a fallback for invalid-snapshot",
+					rates, applied, err, d.LastOutcome())
+			}
+		})
 	}
 }
 
