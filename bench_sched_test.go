@@ -20,7 +20,6 @@ import (
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
 	"echelonflow/internal/sim"
-	"echelonflow/internal/telemetry"
 	"echelonflow/internal/unit"
 )
 
@@ -167,17 +166,6 @@ func BenchmarkSchedule_256Hosts8Jobs(b *testing.B) {
 
 func BenchmarkSchedule_256Hosts8Jobs_NoCache(b *testing.B) {
 	benchSchedule(b, 256, 8, echelonNoCache)
-}
-
-// echelonInstrumented wraps the production configuration in the telemetry
-// layer with a live registry — the cost of an -admin endpoint being
-// configured, tracked as its own BENCH_sched.json variant.
-func echelonInstrumented() sched.Scheduler {
-	return sched.Instrument(echelonCached(), telemetry.NewRegistry())
-}
-
-func BenchmarkSchedule_256Hosts8Jobs_Instrumented(b *testing.B) {
-	benchSchedule(b, 256, 8, echelonInstrumented)
 }
 
 // budgetedScheduler arms every pass's Snapshot.Stop the way a coordinator

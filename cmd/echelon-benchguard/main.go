@@ -54,14 +54,14 @@ type metrics struct {
 // measurement is one parsed benchmark line.
 type measurement struct {
 	Key     string // e.g. "256hosts_8jobs"
-	Variant string // "pooled_cached", "pooled_nocache", "pooled_instrumented", "pooled_deadline", "pooled_delta" or "pooled_full_event"
+	Variant string // "pooled_cached", "pooled_nocache", "pooled_deadline", "pooled_delta" or "pooled_full_event"
 	metrics
 }
 
 // benchLine matches the scale benchmarks' names, capturing host count, job
-// count, and the optional suffix selecting the cache-disabled,
-// telemetry-wrapped, or per-event (incremental vs full) configuration.
-var benchLine = regexp.MustCompile(`^BenchmarkSchedule_(\d+)Hosts(\d+)Jobs(_NoCache|_Instrumented|_Deadline|_DeltaEvent|_FullEvent)?(?:-\d+)?\s+(.*)$`)
+// count, and the optional suffix selecting the cache-disabled, budgeted,
+// or per-event (incremental vs full) configuration.
+var benchLine = regexp.MustCompile(`^BenchmarkSchedule_(\d+)Hosts(\d+)Jobs(_NoCache|_Deadline|_DeltaEvent|_FullEvent)?(?:-\d+)?\s+(.*)$`)
 
 // wireLine matches the wire codec round-trip benchmarks, capturing the
 // message shape. These report the standard testing.B metrics, one full
@@ -98,8 +98,6 @@ func parseBench(r io.Reader) ([]measurement, error) {
 		switch m[3] {
 		case "_NoCache":
 			meas.Variant = "pooled_nocache"
-		case "_Instrumented":
-			meas.Variant = "pooled_instrumented"
 		case "_Deadline":
 			meas.Variant = "pooled_deadline"
 		case "_DeltaEvent":

@@ -13,7 +13,6 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSchedule_64Hosts4Jobs-4      	       2	  30212345 ns/op	     124.5 allocs/schedcall	  56141 ns/schedcall	  69.00 schedcalls/run
 BenchmarkSchedule_256Hosts8Jobs-4     	       2	 120212345 ns/op	     241.9 allocs/schedcall	 178752 ns/schedcall	  69.00 schedcalls/run
 BenchmarkSchedule_256Hosts8Jobs_NoCache-4 	   2	 150212345 ns/op	     238.8 allocs/schedcall	 230846 ns/schedcall	  69.00 schedcalls/run
-BenchmarkSchedule_256Hosts8Jobs_Instrumented-4 	   2	 122212345 ns/op	     245.1 allocs/schedcall	 180903 ns/schedcall	  69.00 schedcalls/run
 BenchmarkSchedule_2048Hosts64Jobs_DeltaEvent-4 	  50	    335472 ns/op	     533.0 allocs/schedcall	 315608 ns/schedcall
 BenchmarkSchedule_2048Hosts64Jobs_FullEvent-4 	  50	   2345278 ns/op	    3894 allocs/schedcall	2324675 ns/schedcall
 PASS
@@ -30,8 +29,7 @@ const sampleBaseline = `{
     },
     "256hosts_8jobs": {
       "pooled_cached": {"ns_per_schedcall": 178752, "allocs_per_schedcall": 241.9},
-      "pooled_nocache": {"ns_per_schedcall": 230846, "allocs_per_schedcall": 238.8},
-      "pooled_instrumented": {"ns_per_schedcall": 180903, "allocs_per_schedcall": 245.1}
+      "pooled_nocache": {"ns_per_schedcall": 230846, "allocs_per_schedcall": 238.8}
     },
     "2048hosts_64jobs": {
       "pooled_delta": {"ns_per_schedcall": 315608, "allocs_per_schedcall": 533.0, "advisory": true},
@@ -54,14 +52,13 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(meas) != 6 {
-		t.Fatalf("parsed %d measurements, want 6: %+v", len(meas), meas)
+	if len(meas) != 5 {
+		t.Fatalf("parsed %d measurements, want 5: %+v", len(meas), meas)
 	}
 	want := []measurement{
 		{Key: "64hosts_4jobs", Variant: "pooled_cached", metrics: metrics{NsPerCall: 56141, AllocsPerCall: 124.5}},
 		{Key: "256hosts_8jobs", Variant: "pooled_cached", metrics: metrics{NsPerCall: 178752, AllocsPerCall: 241.9}},
 		{Key: "256hosts_8jobs", Variant: "pooled_nocache", metrics: metrics{NsPerCall: 230846, AllocsPerCall: 238.8}},
-		{Key: "256hosts_8jobs", Variant: "pooled_instrumented", metrics: metrics{NsPerCall: 180903, AllocsPerCall: 245.1}},
 		{Key: "2048hosts_64jobs", Variant: "pooled_delta", metrics: metrics{NsPerCall: 315608, AllocsPerCall: 533.0}},
 		{Key: "2048hosts_64jobs", Variant: "pooled_full_event", metrics: metrics{NsPerCall: 2324675, AllocsPerCall: 3894}},
 	}
@@ -81,9 +78,9 @@ func TestCheckWithinThreshold(t *testing.T) {
 	if regressed {
 		t.Errorf("baseline-equal measurements flagged as regression:\n%s", strings.Join(lines, "\n"))
 	}
-	// 6 measurements x 2 metrics.
-	if len(lines) != 12 {
-		t.Errorf("got %d comparison lines, want 12", len(lines))
+	// 5 measurements x 2 metrics.
+	if len(lines) != 10 {
+		t.Errorf("got %d comparison lines, want 10", len(lines))
 	}
 }
 

@@ -46,7 +46,6 @@ func main() {
 	var hosts hostSpecs
 	listen := flag.String("listen", "127.0.0.1:7100", "control listen address")
 	schedName := flag.String("scheduler", "echelon", "echelon | coflow | fair")
-	delta := flag.Bool("delta", true, "with -scheduler echelon, patch single-flow events incrementally instead of re-solving every group (falls back to a full pass whenever equivalence is unprovable)")
 	coalesce := flag.Duration("coalesce", 0, "batch flow events arriving within this window into one reschedule (0 reschedules per event)")
 	interval := flag.Duration("interval", 0, "optional periodic rescheduling interval")
 	sessionTimeout := flag.Duration("session-timeout", 30*time.Second, "drop agents silent for this long (0 disables)")
@@ -110,12 +109,7 @@ func main() {
 	var s sched.Scheduler
 	switch *schedName {
 	case "echelon":
-		inner := sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}
-		if *delta {
-			s = sched.NewDelta(inner)
-		} else {
-			s = inner
-		}
+		s = sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
 	case "coflow":
 		s = sched.CoflowMADD{Backfill: true}
 	case "fair":
@@ -123,14 +117,6 @@ func main() {
 	default:
 		log.Fatalf("echelon-coordinator: unknown scheduler %q", *schedName)
 	}
-	if *schedName != "echelon" {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "delta" {
-				log.Printf("echelon-coordinator: -delta only applies to -scheduler echelon; %s reschedules fully", *schedName)
-			}
-		})
-	}
-
 	opts := coordinator.Options{
 		Net: net0, Scheduler: s, Interval: *interval, SessionTimeout: *sessionTimeout,
 		QuarantineTimeout: *quarantine, SnapshotEvery: *snapshotEvery, Coalesce: *coalesce,

@@ -131,10 +131,9 @@ type Options struct {
 	// Logf receives diagnostic output; defaults to log.Printf.
 	Logf func(format string, args ...interface{})
 	// Metrics, when non-nil, receives runtime counters/gauges/histograms
-	// (reschedule counts and latency, per-group tardiness, journal fsync
-	// latency, redial admission outcomes) and causes the Scheduler to be
-	// wrapped with sched.Instrument for per-call latency histograms. Nil
-	// disables all metric work.
+	// (reschedule counts and latency, per-call scheduler latency and plan
+	// cache counters, per-group tardiness, journal fsync latency, redial
+	// admission outcomes). Nil disables all metric work.
 	Metrics *telemetry.Registry
 	// Events, when non-nil, receives structured flow-lifecycle events
 	// (release/finish/resume, reschedule/allocation, park/revive/evict,
@@ -186,12 +185,14 @@ type Coordinator struct {
 	ratesPushed int // allocation entries actually sent (after delta filtering)
 
 	// cache is the scheduler's plan cache when it exposes one; lifecycle
-	// events invalidate the affected groups eagerly. Nil-safe.
-	cache *sched.PlanCache
+	// events invalidate the affected groups eagerly. Nil-safe. cacheSeen is
+	// its Stats as of the last exported scheduler call (guarded by mu).
+	cache     *sched.PlanCache
+	cacheSeen sched.CacheStats
 
 	// delta is the scheduler's incremental path when it implements
-	// sched.DeltaScheduler (resolved once in New, through the Instrument
-	// wrapper). Nil means every reschedule is a full Schedule.
+	// sched.DeltaScheduler (resolved once in New). Nil means every
+	// reschedule is a full Schedule.
 	delta sched.DeltaScheduler
 
 	// dirty is set by a pass that ran the max-min fair fallback and cleared
@@ -284,6 +285,12 @@ type coordTelemetry struct {
 	journalBroken  *telemetry.Gauge
 	softQuar       *telemetry.Counter
 	softRelease    *telemetry.Counter
+	schedLat       *telemetry.Histogram
+	schedCalls     *telemetry.Counter
+	schedErrors    *telemetry.Counter
+	cacheHits      *telemetry.Counter
+	cacheMisses    *telemetry.Counter
+	cacheInvals    *telemetry.Counter
 }
 
 // Metric family names the coordinator exposes. Kept as constants so tests
@@ -317,6 +324,12 @@ const (
 	MetricSoftQuarantines        = "echelon_soft_quarantines_total"
 	MetricSoftReleases           = "echelon_soft_releases_total"
 	MetricJournalBroken          = "echelon_journal_broken"
+	MetricSchedLat               = "echelon_schedule_seconds"
+	MetricSchedCalls             = "echelon_schedule_calls_total"
+	MetricSchedErrors            = "echelon_schedule_errors_total"
+	MetricPlanCacheHits          = "echelon_plan_cache_hits_total"
+	MetricPlanCacheMisses        = "echelon_plan_cache_misses_total"
+	MetricPlanCacheInvals        = "echelon_plan_cache_invalidations_total"
 )
 
 // New validates options and returns a Coordinator.
@@ -377,9 +390,6 @@ func New(opts Options) (*Coordinator, error) {
 			opts.DeadlineCooldown = 10 * opts.SchedDeadline
 		}
 	}
-	// Instrument is the identity when Metrics is nil, so the unconfigured
-	// scheduling path is untouched.
-	opts.Scheduler = sched.Instrument(opts.Scheduler, opts.Metrics)
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
@@ -434,6 +444,21 @@ func New(opts Options) (*Coordinator, error) {
 		journalBroken:  m.Gauge(MetricJournalBroken, "1 while the write-ahead journal is latched broken (fail-fast)."),
 		softQuar:       m.Counter(MetricSoftQuarantines, "Agents soft-quarantined for straggling heartbeat RTT."),
 		softRelease:    m.Counter(MetricSoftReleases, "Soft-quarantined agents released after RTT recovery."),
+	}
+	name := opts.Scheduler.Name()
+	c.tel.schedLat = m.Histogram(MetricSchedLat,
+		"Latency of scheduler calls (full Schedule or incremental Apply).", "scheduler", name)
+	c.tel.schedCalls = m.Counter(MetricSchedCalls,
+		"Scheduler calls (full Schedule or incremental Apply).", "scheduler", name)
+	c.tel.schedErrors = m.Counter(MetricSchedErrors,
+		"Scheduler calls (full Schedule or incremental Apply) that returned an error.", "scheduler", name)
+	if c.cache != nil {
+		c.tel.cacheHits = m.Counter(MetricPlanCacheHits,
+			"PlanCache lookups reusing a memoized solo ranking.", "scheduler", name)
+		c.tel.cacheMisses = m.Counter(MetricPlanCacheMisses,
+			"PlanCache lookups that fell through to a planning pass.", "scheduler", name)
+		c.tel.cacheInvals = m.Counter(MetricPlanCacheInvals,
+			"PlanCache entries dropped by lifecycle invalidation.", "scheduler", name)
 	}
 	c.tel.totalTard.Set(0)
 	if c.queue != nil {
@@ -983,7 +1008,9 @@ func (c *Coordinator) planLocked(ev *journalEvent, deltaGroups []string) *planne
 func (c *Coordinator) primaryPassLocked(snap *sched.Snapshot, deltaGroups []string) (map[string]unit.Rate, bool, error) {
 	if deltaGroups != nil && c.delta != nil {
 		if !c.dirty {
+			t0 := c.schedClock()
 			rates, ok, err := c.delta.Apply(snap, c.opts.Net, sched.Delta{Groups: deltaGroups})
+			c.observeSchedLocked(t0, err)
 			if err == nil && ok {
 				c.tel.deltaApplied.Inc()
 				return rates, false, nil
@@ -996,8 +1023,40 @@ func (c *Coordinator) primaryPassLocked(snap *sched.Snapshot, deltaGroups []stri
 		// also rebuilds the incremental state.
 		c.tel.deltaFallback.Inc()
 	}
+	t0 := c.schedClock()
 	rates, err := c.opts.Scheduler.Schedule(snap, c.opts.Net)
+	c.observeSchedLocked(t0, err)
 	return rates, true, err
+}
+
+// schedClock reads the clock at the start of a scheduler call, and only
+// when there are metrics to time it for.
+func (c *Coordinator) schedClock() time.Time {
+	if c.opts.Metrics == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeSchedLocked exports one scheduler call that began at t0 and
+// returned err: its latency, the call and error counts, and the plan
+// cache's counter growth since the previous call.
+func (c *Coordinator) observeSchedLocked(t0 time.Time, err error) {
+	if c.opts.Metrics == nil {
+		return
+	}
+	c.tel.schedLat.Observe(time.Since(t0).Seconds())
+	c.tel.schedCalls.Inc()
+	if err != nil {
+		c.tel.schedErrors.Inc()
+	}
+	if c.cache != nil {
+		st := c.cache.Stats()
+		c.tel.cacheHits.Add(st.Hits - c.cacheSeen.Hits)
+		c.tel.cacheMisses.Add(st.Misses - c.cacheSeen.Misses)
+		c.tel.cacheInvals.Add(st.Invalidations - c.cacheSeen.Invalidations)
+		c.cacheSeen = st
+	}
 }
 
 // budgetedPassLocked is the deadline budget's live decision for one pass, on
@@ -1886,17 +1945,6 @@ func (c *Coordinator) SetAgentStall(agent string, d time.Duration) error {
 // faults.FsyncStall live hook. Zero clears.
 func (c *Coordinator) SetFsyncStall(d time.Duration) {
 	c.fsyncStall.Store(int64(d))
-}
-
-// JournalBroken reports the latched journal failure, if any: after it the
-// coordinator keeps serving but stops journaling (fail-fast durability).
-func (c *Coordinator) JournalBroken() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.journal == nil {
-		return nil
-	}
-	return c.journal.Broken()
 }
 
 // Capacity reports a host's current capacities in the fabric model (the

@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
 	"echelonflow/internal/telemetry"
+	"echelonflow/internal/unit"
 	"echelonflow/internal/wire"
 )
 
@@ -162,5 +164,122 @@ func TestTelemetryNilRegistryUnchanged(t *testing.T) {
 	}
 	if got := c.Reschedules(); got == 0 {
 		t.Error("coordinator without telemetry stopped scheduling")
+	}
+}
+
+// countingDelta counts the calls a coordinator makes into its scheduler.
+type countingDelta struct {
+	*sched.DeltaEchelon
+	schedules, applies int
+}
+
+func (s *countingDelta) Schedule(snap *sched.Snapshot, net fabric.Fabric) (map[string]unit.Rate, error) {
+	s.schedules++
+	return s.DeltaEchelon.Schedule(snap, net)
+}
+
+func (s *countingDelta) Apply(snap *sched.Snapshot, net fabric.Fabric, d sched.Delta) (map[string]unit.Rate, bool, error) {
+	s.applies++
+	return s.DeltaEchelon.Apply(snap, net, d)
+}
+
+// The coordinator exports every scheduler call it makes, applied deltas and
+// full passes alike, in one call count that the latency histogram agrees
+// with; the plan cache's counters track the cache's own statistics; and
+// each failed pass is one scheduler error.
+func TestTelemetrySchedulerCalls(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	net := fabric.NewNetwork()
+	net.AddUniformHosts(10, "w1", "w2", "w3")
+	cache := sched.NewPlanCache()
+	s := &countingDelta{DeltaEchelon: sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: cache})}
+	reg := telemetry.NewRegistry()
+	c, err := New(Options{Net: net, Scheduler: s, Clock: clk.now, Logf: t.Logf, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dp, err := core.New("job/dp", core.Coflow{},
+		&core.Flow{ID: "d0", Src: "w2", Dst: "w3", Size: 30},
+		&core.Flow{ID: "d1", Src: "w3", Dst: "w2", Size: 30},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := core.New("job/solo", core.Coflow{}, &core.Flow{ID: "s0", Src: "w1", Dst: "w3", Size: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*core.EchelonFlow{pipelineGroup(t), dp} {
+		if err := c.RegisterGroup("a1", g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	event := func(group, flow, ev string) {
+		t.Helper()
+		if _, err := c.FlowEvent(wire.FlowEvent{GroupID: group, FlowID: flow, Event: ev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	event("job/pp", "f0", wire.EventReleased)
+	event("job/dp", "d0", wire.EventReleased)
+	event("job/dp", "d1", wire.EventReleased)
+	// A full pass at the same instant finds both planned groups unchanged.
+	if err := c.RegisterGroup("a1", solo); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(time.Second)
+	event("job/pp", "f0", wire.EventFinished)
+	event("job/pp", "f1", wire.EventReleased)
+	clk.advance(time.Second)
+	event("job/dp", "d0", wire.EventFinished)
+	event("job/dp", "d1", wire.EventFinished)
+	if _, err := c.UnregisterGroup("job/dp"); err != nil {
+		t.Fatal(err)
+	}
+	if s.applies == 0 || s.schedules == 0 {
+		t.Fatalf("script took %d applies and %d full passes, want both", s.applies, s.schedules)
+	}
+	name := s.Name()
+	calls := reg.Counter(MetricSchedCalls, "", "scheduler", name).Value()
+	observed := reg.Histogram(MetricSchedLat, "", "scheduler", name).Count()
+	if want := uint64(s.applies + s.schedules); calls != want || observed != want {
+		t.Errorf("calls counter %d, latency observations %d; scheduler saw %d applies + %d schedules",
+			calls, observed, s.applies, s.schedules)
+	}
+	st := cache.Stats()
+	hits := reg.Counter(MetricPlanCacheHits, "", "scheduler", name).Value()
+	misses := reg.Counter(MetricPlanCacheMisses, "", "scheduler", name).Value()
+	invals := reg.Counter(MetricPlanCacheInvals, "", "scheduler", name).Value()
+	if hits != st.Hits || misses != st.Misses || invals != st.Invalidations {
+		t.Errorf("exported hits/misses/invalidations %d/%d/%d, cache stats %+v", hits, misses, invals, st)
+	}
+	if st.Hits == 0 || st.Invalidations == 0 {
+		t.Errorf("cache stats %+v: the script should both hit and invalidate", st)
+	}
+
+	fail := false
+	reg = telemetry.NewRegistry()
+	c2, err := New(Options{Net: net, Scheduler: flakySched{inner: sched.EchelonMADD{Backfill: true}, fail: &fail},
+		Clock: clk.now, Logf: t.Logf, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.RegisterGroup("a1", pipelineGroup(t)); err != nil {
+		t.Fatal(err)
+	}
+	fail = true
+	failed := 0
+	for _, ev := range []string{wire.EventReleased, wire.EventFinished} {
+		if _, err := c2.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: ev}); err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no pass failed")
+	}
+	if got := reg.Counter(MetricSchedErrors, "", "scheduler", "flaky").Value(); got != uint64(failed) {
+		t.Errorf("errors counter %d, failed passes %d", got, failed)
 	}
 }

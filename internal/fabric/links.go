@@ -325,16 +325,6 @@ func NewResidualOf(f Fabric) *Residual {
 // Free returns the remaining capacity of one link (0 for unknown keys).
 func (r *Residual) Free(k LinkKey) unit.Rate { return r.free[k] }
 
-// EgressFree returns the remaining egress capacity of a host.
-func (r *Residual) EgressFree(host string) unit.Rate {
-	return r.free[LinkKey{Kind: LinkEgress, Name: host}]
-}
-
-// IngressFree returns the remaining ingress capacity of a host.
-func (r *Residual) IngressFree(host string) unit.Rate {
-	return r.free[LinkKey{Kind: LinkIngress, Name: host}]
-}
-
 // Available returns the largest rate a src→dst flow could still use: the
 // minimum residual over every link on its path.
 func (r *Residual) Available(src, dst string) unit.Rate {

@@ -120,12 +120,30 @@ func TestDeltaStoppedPassKeepsState(t *testing.T) {
 	sameRates(t, patch, full, "patch after stopped passes vs cold full")
 }
 
+// oneFlowSnapshot is a released 100-byte flow a->b in group "g" on a
+// two-host network.
+func oneFlowSnapshot(t *testing.T) (*Snapshot, *fabric.Network) {
+	t.Helper()
+	g, err := core.New("g", core.Coflow{}, &core.Flow{ID: "f", Src: "a", Dst: "b", Size: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := fabric.NewNetwork()
+	net.AddUniformHosts(100, "a", "b")
+	snap := &Snapshot{
+		Now:    1,
+		Groups: map[string]*GroupState{"g": {Group: g}},
+		Flows:  []*FlowState{{Flow: g.Flows[0], GroupID: "g", Remaining: 100, Release: 0}},
+	}
+	return snap, net
+}
+
 // Back-to-back passes armed with a budget no healthy pass comes near never
 // stop: there is no slot or helper goroutine left over from one pass for the
 // next to find busy.
 func TestDeadlineBackToBackPassesNeverBusy(t *testing.T) {
 	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
-	snap, net := instrumentSnapshot(t)
+	snap, net := oneFlowSnapshot(t)
 	snap.Stop, _ = stopAfter(1 << 30)
 	const passes = 20000
 	for i := 0; i < passes; i++ {

@@ -163,9 +163,6 @@ func (d *DeltaEchelon) Name() string { return d.inner.Name() + "+delta" }
 // PlanCache exposes the inner scheduler's cache for eager invalidation.
 func (d *DeltaEchelon) PlanCache() *PlanCache { return d.inner.Cache }
 
-// Inner returns the wrapped scheduler (for tests and experiment tables).
-func (d *DeltaEchelon) Inner() EchelonMADD { return d.inner }
-
 // LastOutcome reports what the most recent Apply did. Its Replanned slice
 // is the caller's own.
 func (d *DeltaEchelon) LastOutcome() DeltaOutcome {
