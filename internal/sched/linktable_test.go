@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -122,8 +123,11 @@ func TestPassCostIndependentOfFabricSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled link tables, and their path tables, at random")
 	}
-	// A collection between passes may empty the pool the path table lives in.
+	// A collection between passes may empty the pool the path table lives in,
+	// and a pass that moves to another P misses the table the last one put
+	// in its own P's private slot.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	type counts struct{ flowLinks, linkCapacity, links int }
 	for _, kind := range []string{"bigswitch", "leafspine"} {
 		t.Run(kind, func(t *testing.T) {
@@ -284,8 +288,9 @@ func pairJobs(t *testing.T, pairs [][2]string) *Snapshot {
 // does.
 func TestPathTableCrossesPairBound(t *testing.T) {
 	// A collection between passes may empty the pool the path table lives
-	// in, and the run would not cross the bound.
+	// in, and so may a pass on another P; the run would not cross the bound.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	names := hostNames(72) // 72·71 ordered pairs, more than a table keeps
 	caps := make(map[string]unit.Rate)
 	for i, name := range names {
