@@ -144,28 +144,17 @@ func benchSchedule(b *testing.B, hosts, jobs int, mk func() sched.Scheduler) {
 	b.ReportMetric(float64(calls)/float64(b.N), "schedcalls/run")
 }
 
-// echelonCached is the production configuration: EchelonMADD with backfill
-// and the cross-event plan cache.
-func echelonCached() sched.Scheduler {
-	return sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}
-}
-
-// echelonNoCache disables cross-event memoization; the comparison column
-// for BENCH_sched.json.
-func echelonNoCache() sched.Scheduler {
+// echelon is the production configuration: EchelonMADD with backfill.
+func echelon() sched.Scheduler {
 	return sched.EchelonMADD{Backfill: true}
 }
 
 func BenchmarkSchedule_64Hosts4Jobs(b *testing.B) {
-	benchSchedule(b, 64, 4, echelonCached)
+	benchSchedule(b, 64, 4, echelon)
 }
 
 func BenchmarkSchedule_256Hosts8Jobs(b *testing.B) {
-	benchSchedule(b, 256, 8, echelonCached)
-}
-
-func BenchmarkSchedule_256Hosts8Jobs_NoCache(b *testing.B) {
-	benchSchedule(b, 256, 8, echelonNoCache)
+	benchSchedule(b, 256, 8, echelon)
 }
 
 // budgetedScheduler arms every pass's Snapshot.Stop the way a coordinator
@@ -186,7 +175,7 @@ func (s budgetedScheduler) Schedule(snap *sched.Snapshot, net fabric.Fabric) (ma
 // budget, which no pass comes near: the benchmark prices the budget's
 // steady-state cost, one clock reading per group boundary.
 func echelonDeadline() sched.Scheduler {
-	return budgetedScheduler{EchelonMADD: sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}, budget: time.Minute}
+	return budgetedScheduler{EchelonMADD: sched.EchelonMADD{Backfill: true}, budget: time.Minute}
 }
 
 func BenchmarkSchedule_256Hosts8Jobs_Deadline(b *testing.B) {
@@ -199,10 +188,10 @@ func BenchmarkSchedule_256Hosts8Jobs_Deadline(b *testing.B) {
 // link table, grouping — ns/setup), the longest single group's plan, solo
 // or allocated (ns/group), and the backfill, clamp and feasibility check
 // after the last boundary (ns/tail). The overshoot past an expired budget is
-// the larger of the last two (ns/overshoot). Measured on a cold (cache-less)
-// full pass over the 64-job steady state, the worst case: every group is
-// planned twice. Each metric is the median over the b.N passes of that
-// pass's longest stretch, so a GC pause in one pass does not set it.
+// the larger of the last two (ns/overshoot). Measured on a full pass over
+// the 64-job steady state: every group is planned twice. Each metric is the
+// median over the b.N passes of that pass's longest stretch, so a GC pause
+// in one pass does not set it.
 func BenchmarkSchedule_4096Hosts64Jobs_Overshoot(b *testing.B) {
 	snap, net, _, err := buildEventWorld(4096, 64)
 	if err != nil {
@@ -249,7 +238,7 @@ func BenchmarkSchedule_512Hosts12Jobs(b *testing.B) {
 	if testing.Short() {
 		b.Skip("512-host mix skipped in -short mode")
 	}
-	benchSchedule(b, 512, 12, echelonCached)
+	benchSchedule(b, 512, 12, echelon)
 }
 
 // buildEventWorld assembles a steady-state snapshot for the per-event
@@ -298,8 +287,8 @@ func buildEventWorld(hosts, jobs int) (*sched.Snapshot, *fabric.Network, []strin
 // benchScheduleEvent measures the single-event hot path at steady state:
 // each iteration finishes (or re-releases) one flow of one group, then asks
 // either the incremental scheduler for a patch over the touched group
-// (delta=true) or the full scheduler for a cluster-wide re-solve with a warm
-// plan cache (delta=false) — the two paths a coordinator flow event can
+// (delta=true) or the full scheduler for a cluster-wide re-solve
+// (delta=false) — the two paths a coordinator flow event can
 // take. Only the scheduling call itself is timed.
 func benchScheduleEvent(b *testing.B, hosts, jobs int, delta bool) {
 	b.Helper()
@@ -307,8 +296,8 @@ func benchScheduleEvent(b *testing.B, hosts, jobs int, delta bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	deltaS := sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
-	fullS := sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}
+	deltaS := sched.NewDelta(sched.EchelonMADD{Backfill: true})
+	fullS := sched.EchelonMADD{Backfill: true}
 
 	// The toggled flow is each group's last pipeline stage; groups keep
 	// their seven other flows, so membership changes but never vanishes.
@@ -328,7 +317,8 @@ func benchScheduleEvent(b *testing.B, hosts, jobs int, delta bool) {
 		return snap
 	}
 
-	// One full pass warms the plan cache and captures the incremental state.
+	// One full pass warms the pooled tables and captures the incremental
+	// state.
 	if delta {
 		_, err = deltaS.Schedule(rebuild(), net)
 	} else {
@@ -348,7 +338,6 @@ func benchScheduleEvent(b *testing.B, hosts, jobs int, delta bool) {
 		snap := rebuild()
 		var before, after runtime.MemStats
 		if delta {
-			deltaS.PlanCache().InvalidateGroup(gid)
 			runtime.ReadMemStats(&before)
 			t0 := time.Now()
 			_, ok, err := deltaS.Apply(snap, net, sched.Delta{Groups: []string{gid}})
@@ -361,7 +350,6 @@ func benchScheduleEvent(b *testing.B, hosts, jobs int, delta bool) {
 				b.Fatalf("delta fell back on event %d: %s", i, deltaS.LastOutcome().Reason)
 			}
 		} else {
-			fullS.Cache.InvalidateGroup(gid)
 			runtime.ReadMemStats(&before)
 			t0 := time.Now()
 			_, err := fullS.Schedule(snap, net)

@@ -54,14 +54,14 @@ type metrics struct {
 // measurement is one parsed benchmark line.
 type measurement struct {
 	Key     string // e.g. "256hosts_8jobs"
-	Variant string // "pooled_cached", "pooled_nocache", "pooled_deadline", "pooled_delta" or "pooled_full_event"
+	Variant string // "pooled", "pooled_deadline", "pooled_delta" or "pooled_full_event"
 	metrics
 }
 
 // benchLine matches the scale benchmarks' names, capturing host count, job
-// count, and the optional suffix selecting the cache-disabled, budgeted,
-// or per-event (incremental vs full) configuration.
-var benchLine = regexp.MustCompile(`^BenchmarkSchedule_(\d+)Hosts(\d+)Jobs(_NoCache|_Deadline|_DeltaEvent|_FullEvent)?(?:-\d+)?\s+(.*)$`)
+// count, and the optional suffix selecting the budgeted or per-event
+// (incremental vs full) configuration.
+var benchLine = regexp.MustCompile(`^BenchmarkSchedule_(\d+)Hosts(\d+)Jobs(_Deadline|_DeltaEvent|_FullEvent)?(?:-\d+)?\s+(.*)$`)
 
 // wireLine matches the wire codec round-trip benchmarks, capturing the
 // message shape. These report the standard testing.B metrics, one full
@@ -93,11 +93,9 @@ func parseBench(r io.Reader) ([]measurement, error) {
 		}
 		meas := measurement{
 			Key:     fmt.Sprintf("%shosts_%sjobs", m[1], m[2]),
-			Variant: "pooled_cached",
+			Variant: "pooled",
 		}
 		switch m[3] {
-		case "_NoCache":
-			meas.Variant = "pooled_nocache"
 		case "_Deadline":
 			meas.Variant = "pooled_deadline"
 		case "_DeltaEvent":

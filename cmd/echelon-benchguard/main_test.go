@@ -12,7 +12,6 @@ pkg: echelonflow
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSchedule_64Hosts4Jobs-4      	       2	  30212345 ns/op	     124.5 allocs/schedcall	  56141 ns/schedcall	  69.00 schedcalls/run
 BenchmarkSchedule_256Hosts8Jobs-4     	       2	 120212345 ns/op	     241.9 allocs/schedcall	 178752 ns/schedcall	  69.00 schedcalls/run
-BenchmarkSchedule_256Hosts8Jobs_NoCache-4 	   2	 150212345 ns/op	     238.8 allocs/schedcall	 230846 ns/schedcall	  69.00 schedcalls/run
 BenchmarkSchedule_2048Hosts64Jobs_DeltaEvent-4 	  50	    335472 ns/op	     533.0 allocs/schedcall	 315608 ns/schedcall
 BenchmarkSchedule_2048Hosts64Jobs_FullEvent-4 	  50	   2345278 ns/op	    3894 allocs/schedcall	2324675 ns/schedcall
 PASS
@@ -24,12 +23,11 @@ const sampleBaseline = `{
   "results": {
     "64hosts_4jobs": {
       "seed": {"ns_per_schedcall": 126192, "allocs_per_schedcall": 1827},
-      "pooled_cached": {"ns_per_schedcall": 56141, "allocs_per_schedcall": 124.5},
+      "pooled": {"ns_per_schedcall": 56141, "allocs_per_schedcall": 124.5},
       "speedup": "2.2x"
     },
     "256hosts_8jobs": {
-      "pooled_cached": {"ns_per_schedcall": 178752, "allocs_per_schedcall": 241.9},
-      "pooled_nocache": {"ns_per_schedcall": 230846, "allocs_per_schedcall": 238.8}
+      "pooled": {"ns_per_schedcall": 178752, "allocs_per_schedcall": 241.9}
     },
     "2048hosts_64jobs": {
       "pooled_delta": {"ns_per_schedcall": 315608, "allocs_per_schedcall": 533.0, "advisory": true},
@@ -52,13 +50,12 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(meas) != 5 {
-		t.Fatalf("parsed %d measurements, want 5: %+v", len(meas), meas)
+	if len(meas) != 4 {
+		t.Fatalf("parsed %d measurements, want 4: %+v", len(meas), meas)
 	}
 	want := []measurement{
-		{Key: "64hosts_4jobs", Variant: "pooled_cached", metrics: metrics{NsPerCall: 56141, AllocsPerCall: 124.5}},
-		{Key: "256hosts_8jobs", Variant: "pooled_cached", metrics: metrics{NsPerCall: 178752, AllocsPerCall: 241.9}},
-		{Key: "256hosts_8jobs", Variant: "pooled_nocache", metrics: metrics{NsPerCall: 230846, AllocsPerCall: 238.8}},
+		{Key: "64hosts_4jobs", Variant: "pooled", metrics: metrics{NsPerCall: 56141, AllocsPerCall: 124.5}},
+		{Key: "256hosts_8jobs", Variant: "pooled", metrics: metrics{NsPerCall: 178752, AllocsPerCall: 241.9}},
 		{Key: "2048hosts_64jobs", Variant: "pooled_delta", metrics: metrics{NsPerCall: 315608, AllocsPerCall: 533.0}},
 		{Key: "2048hosts_64jobs", Variant: "pooled_full_event", metrics: metrics{NsPerCall: 2324675, AllocsPerCall: 3894}},
 	}
@@ -78,9 +75,9 @@ func TestCheckWithinThreshold(t *testing.T) {
 	if regressed {
 		t.Errorf("baseline-equal measurements flagged as regression:\n%s", strings.Join(lines, "\n"))
 	}
-	// 5 measurements x 2 metrics.
-	if len(lines) != 10 {
-		t.Errorf("got %d comparison lines, want 10", len(lines))
+	// 4 measurements x 2 metrics.
+	if len(lines) != 8 {
+		t.Errorf("got %d comparison lines, want 8", len(lines))
 	}
 }
 
@@ -108,7 +105,7 @@ func TestCheckAdvisoryWarnsOnly(t *testing.T) {
 
 func TestCheckFlagsRegression(t *testing.T) {
 	meas := []measurement{{
-		Key: "64hosts_4jobs", Variant: "pooled_cached",
+		Key: "64hosts_4jobs", Variant: "pooled",
 		metrics: metrics{NsPerCall: 56141 * 1.5, AllocsPerCall: 124.5},
 	}}
 	lines, regressed := check(meas, loadBaseline(t), 1.25)
@@ -119,7 +116,7 @@ func TestCheckFlagsRegression(t *testing.T) {
 
 func TestCheckAllocRegression(t *testing.T) {
 	meas := []measurement{{
-		Key: "64hosts_4jobs", Variant: "pooled_cached",
+		Key: "64hosts_4jobs", Variant: "pooled",
 		metrics: metrics{NsPerCall: 56141, AllocsPerCall: 124.5 * 2},
 	}}
 	if _, regressed := check(meas, loadBaseline(t), 1.25); !regressed {
@@ -128,7 +125,7 @@ func TestCheckAllocRegression(t *testing.T) {
 }
 
 func TestCheckSkipsUnknownKeys(t *testing.T) {
-	meas := []measurement{{Key: "9hosts_9jobs", Variant: "pooled_cached"}}
+	meas := []measurement{{Key: "9hosts_9jobs", Variant: "pooled"}}
 	lines, regressed := check(meas, loadBaseline(t), 1.25)
 	if regressed {
 		t.Error("missing baseline entry treated as regression")

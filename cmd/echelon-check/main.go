@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"echelonflow/internal/check"
@@ -29,7 +30,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "first generator seed")
 	n := flag.Int("n", 100, "number of consecutive seeds to check")
 	duration := flag.Duration("duration", 0, "optional wall-clock budget; stops early when exceeded")
-	oracles := flag.String("oracles", "all", "comma-separated oracle list (or \"all\")")
+	oracles := flag.String("oracles", "all", "comma-separated oracle list ("+strings.Join(check.AllOracles(), ",")+`) or "all"`)
 	repros := flag.String("repros", "testdata/repros", "directory for shrunk failing scenarios")
 	budget := flag.Int("shrink", 400, "shrinker budget in check runs per failure")
 	repro := flag.String("repro", "", "path to a scenario or repro JSON to re-check instead of generating")

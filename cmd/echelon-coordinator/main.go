@@ -109,7 +109,7 @@ func main() {
 	var s sched.Scheduler
 	switch *schedName {
 	case "echelon":
-		s = sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
+		s = sched.NewDelta(sched.EchelonMADD{Backfill: true})
 	case "coflow":
 		s = sched.CoflowMADD{Backfill: true}
 	case "fair":

@@ -33,7 +33,7 @@ func serveCoordinator(t *testing.T, qopts queue.Options, ln net.Listener) (strin
 	reg := telemetry.NewRegistry()
 	co, err := coordinator.New(coordinator.Options{
 		Net:       net0,
-		Scheduler: sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}),
+		Scheduler: sched.NewDelta(sched.EchelonMADD{Backfill: true}),
 		Queue:     queue.New(qopts),
 		Metrics:   reg,
 		Logf:      t.Logf,

@@ -40,17 +40,6 @@ func TestCheck_Quick(t *testing.T) {
 	}
 }
 
-// TestCheck_CachedVsCold exercises the PlanCache differential oracle alone:
-// warm-cache and no-cache EchelonMADD must produce identical runs.
-func TestCheck_CachedVsCold(t *testing.T) {
-	for _, seed := range quickSeeds[:8] {
-		out := RunSeed(seed, Config{Oracles: []string{OracleCache}})
-		for _, v := range out.Violations {
-			t.Errorf("seed %d: %s: %s", seed, v.Oracle, v.Detail)
-		}
-	}
-}
-
 // TestCheck_SimVsLive exercises the sim-vs-live differential oracle alone:
 // replaying the simulated flow events against a live coordinator must
 // reproduce references, tardiness and the initial allocation.

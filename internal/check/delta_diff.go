@@ -41,8 +41,8 @@ func diffDelta(c *compiled, res *sim.Result) []Violation {
 		return []Violation{vf(OracleDelta, "build groups: %v", err)}
 	}
 	net := c.newNet()
-	deltaS := sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
-	fullS := sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}
+	deltaS := sched.NewDelta(sched.EchelonMADD{Backfill: true})
+	fullS := sched.EchelonMADD{Backfill: true}
 
 	type dfFlow struct {
 		flow               *core.Flow
@@ -150,8 +150,6 @@ func diffDelta(c *compiled, res *sim.Result) []Violation {
 				dg.state.AchievedTardiness = tard
 			}
 		}
-		deltaS.PlanCache().InvalidateGroup(ev.gid)
-		fullS.Cache.InvalidateGroup(ev.gid)
 
 		snap := buildSnap(ev.at)
 		full, err := fullS.Schedule(snap, net)

@@ -18,62 +18,6 @@ import (
 	"echelonflow/internal/wire"
 )
 
-// compareRuns demands two simulations of the same scenario be identical —
-// not approximately: the differential oracles assert that optimisations
-// (plan caching, delta rescheduling) are pure implementation detail.
-func compareRuns(oracle string, c *compiled, a, b *sim.Result) []Violation {
-	var out []Violation
-	if a.Makespan != b.Makespan {
-		out = append(out, vf(oracle, "makespan diverges: %v vs %v", a.Makespan, b.Makespan))
-	}
-	if a.SchedulerCalls != b.SchedulerCalls {
-		out = append(out, vf(oracle, "scheduler calls diverge: %d vs %d", a.SchedulerCalls, b.SchedulerCalls))
-	}
-	for _, n := range c.commNodes() {
-		ra, oka := a.Flows[n.ID]
-		rb, okb := b.Flows[n.ID]
-		if oka != okb || ra != rb {
-			out = append(out, vf(oracle, "flow %s record diverges: %+v vs %+v", n.ID, ra, rb))
-		}
-	}
-	for _, gid := range c.groupIDs() {
-		ga, gb := a.Groups[gid], b.Groups[gid]
-		if ga.Reference != gb.Reference || ga.Tardiness != gb.Tardiness || ga.CompletionTime != gb.CompletionTime {
-			out = append(out, vf(oracle, "group %s diverges: ref %v/%v tard %v/%v cct %v/%v",
-				gid, ga.Reference, gb.Reference, ga.Tardiness, gb.Tardiness, ga.CompletionTime, gb.CompletionTime))
-		}
-	}
-	if len(a.Rates) != len(b.Rates) {
-		out = append(out, vf(oracle, "rate timelines diverge: %d vs %d segments", len(a.Rates), len(b.Rates)))
-		return out
-	}
-	for i := range a.Rates {
-		if a.Rates[i] != b.Rates[i] {
-			out = append(out, vf(oracle, "rate segment %d diverges: %+v vs %+v", i, a.Rates[i], b.Rates[i]))
-			break
-		}
-	}
-	return out
-}
-
-// diffCache runs the scenario with a pre-warmed PlanCache and with no cache
-// at all; the cache must be invisible in every observable.
-func diffCache(c *compiled) []Violation {
-	cache := sched.NewPlanCache()
-	if _, err := runSim(c, sched.EchelonMADD{Backfill: true, Cache: cache}); err != nil {
-		return []Violation{vf(OracleCache, "warm-up run: %v", err)}
-	}
-	warm, err := runSim(c, sched.EchelonMADD{Backfill: true, Cache: cache})
-	if err != nil {
-		return []Violation{vf(OracleCache, "cached run: %v", err)}
-	}
-	cold, err := runSim(c, sched.EchelonMADD{Backfill: true})
-	if err != nil {
-		return []Violation{vf(OracleCache, "cold run: %v", err)}
-	}
-	return compareRuns(OracleCache, c, warm, cold)
-}
-
 // replayEvent is one timed action in the coordinator replay of a simulated
 // run: a fabric capacity rewrite or a flow lifecycle event.
 type replayEvent struct {
@@ -204,7 +148,7 @@ func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks
 			// prove the coordinator's delta routing (and Prime-on-Restore)
 			// preserves the trajectory. Coalescing stays off — its drain
 			// timer is wall-clock-driven and would be nondeterministic here.
-			Scheduler:         sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}),
+			Scheduler:         sched.NewDelta(sched.EchelonMADD{Backfill: true}),
 			QuarantineTimeout: time.Hour,
 			SnapshotEvery:     8,
 			Clock:             clk.now,

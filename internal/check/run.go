@@ -16,8 +16,8 @@ import (
 type Config struct {
 	// Oracles names the oracles to evaluate; nil means AllOracles().
 	Oracles []string
-	// Scheduler, when set, overrides the canonical scheduler (a cached
-	// backfilled EchelonMADD) for the base simulation. Differential oracles
+	// Scheduler, when set, overrides the canonical scheduler (a backfilled
+	// EchelonMADD) for the base simulation. Differential oracles
 	// are skipped under an override: they are statements about the
 	// canonical scheduler's implementations agreeing with each other.
 	Scheduler func() sched.Scheduler
@@ -68,9 +68,9 @@ func ParseOracles(s string) ([]string, error) {
 }
 
 // canonicalScheduler is the implementation under differential test: the
-// paper's scheduler with every PR 1 optimisation enabled.
+// paper's scheduler with backfill.
 func canonicalScheduler() sched.Scheduler {
-	return sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}
+	return sched.EchelonMADD{Backfill: true}
 }
 
 // runSim executes one simulation of the compiled scenario under s.
@@ -163,8 +163,6 @@ func Run(sc *Scenario, cfg Config) *Outcome {
 			continue
 		}
 		switch o {
-		case OracleCache:
-			out.Violations = append(out.Violations, diffCache(c)...)
 		case OracleLive:
 			out.Violations = append(out.Violations, diffLive(c, res)...)
 		case OracleJournal:

@@ -23,7 +23,7 @@ func newCoalesceCoordinator(t *testing.T, clk *fakeClock, reg *telemetry.Registr
 	net.AddUniformHosts(10, "w1", "w2", "w3")
 	c, err := New(Options{
 		Net:       net,
-		Scheduler: sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}),
+		Scheduler: sched.NewDelta(sched.EchelonMADD{Backfill: true}),
 		Coalesce:  time.Hour,
 		Clock:     clk.now,
 		Logf:      t.Logf,
@@ -139,7 +139,7 @@ func TestCoalesceCrashRestoreBitForBit(t *testing.T) {
 		net.AddUniformHosts(10, "w1", "w2", "w3")
 		return Options{
 			Net:               net,
-			Scheduler:         sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}),
+			Scheduler:         sched.NewDelta(sched.EchelonMADD{Backfill: true}),
 			Coalesce:          time.Hour,
 			QuarantineTimeout: time.Hour,
 			SnapshotEvery:     3, // force snapshot+prime inside the history

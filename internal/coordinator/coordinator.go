@@ -131,9 +131,9 @@ type Options struct {
 	// Logf receives diagnostic output; defaults to log.Printf.
 	Logf func(format string, args ...interface{})
 	// Metrics, when non-nil, receives runtime counters/gauges/histograms
-	// (reschedule counts and latency, per-call scheduler latency and plan
-	// cache counters, per-group tardiness, journal fsync latency, redial
-	// admission outcomes). Nil disables all metric work.
+	// (reschedule counts and latency, per-call scheduler latency, per-group
+	// tardiness, journal fsync latency, redial admission outcomes). Nil
+	// disables all metric work.
 	Metrics *telemetry.Registry
 	// Events, when non-nil, receives structured flow-lifecycle events
 	// (release/finish/resume, reschedule/allocation, park/revive/evict,
@@ -184,11 +184,12 @@ type Coordinator struct {
 	ratesTotal  int // allocation entries computed
 	ratesPushed int // allocation entries actually sent (after delta filtering)
 
-	// cache is the scheduler's plan cache when it exposes one; lifecycle
-	// events invalidate the affected groups eagerly. Nil-safe. cacheSeen is
-	// its Stats as of the last exported scheduler call (guarded by mu).
-	cache     *sched.PlanCache
-	cacheSeen sched.CacheStats
+	// cache is the scheduler's PlanCache handle when it exposes one; applied
+	// flow events and removed groups count on it. Nil-safe.
+	//
+	// Deprecated: kept only while benchmark/meter_test.go's
+	// TestCoordinatorResolvesHandlesThroughMeter checks the count.
+	cache *sched.PlanCache
 
 	// delta is the scheduler's incremental path when it implements
 	// sched.DeltaScheduler (resolved once in New). Nil means every
@@ -288,9 +289,6 @@ type coordTelemetry struct {
 	schedLat       *telemetry.Histogram
 	schedCalls     *telemetry.Counter
 	schedErrors    *telemetry.Counter
-	cacheHits      *telemetry.Counter
-	cacheMisses    *telemetry.Counter
-	cacheInvals    *telemetry.Counter
 }
 
 // Metric family names the coordinator exposes. Kept as constants so tests
@@ -327,9 +325,6 @@ const (
 	MetricSchedLat               = "echelon_schedule_seconds"
 	MetricSchedCalls             = "echelon_schedule_calls_total"
 	MetricSchedErrors            = "echelon_schedule_errors_total"
-	MetricPlanCacheHits          = "echelon_plan_cache_hits_total"
-	MetricPlanCacheMisses        = "echelon_plan_cache_misses_total"
-	MetricPlanCacheInvals        = "echelon_plan_cache_invalidations_total"
 )
 
 // New validates options and returns a Coordinator.
@@ -380,7 +375,7 @@ func New(opts Options) (*Coordinator, error) {
 		opts.WriteTimeout = 10 * time.Second
 	}
 	if opts.Scheduler == nil {
-		opts.Scheduler = sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}
+		opts.Scheduler = sched.EchelonMADD{Backfill: true}
 	}
 	if opts.SchedDeadline > 0 {
 		if opts.DeadlineTripAfter == 0 {
@@ -452,14 +447,6 @@ func New(opts Options) (*Coordinator, error) {
 		"Scheduler calls (full Schedule or incremental Apply).", "scheduler", name)
 	c.tel.schedErrors = m.Counter(MetricSchedErrors,
 		"Scheduler calls (full Schedule or incremental Apply) that returned an error.", "scheduler", name)
-	if c.cache != nil {
-		c.tel.cacheHits = m.Counter(MetricPlanCacheHits,
-			"PlanCache lookups reusing a memoized solo ranking.", "scheduler", name)
-		c.tel.cacheMisses = m.Counter(MetricPlanCacheMisses,
-			"PlanCache lookups that fell through to a planning pass.", "scheduler", name)
-		c.tel.cacheInvals = m.Counter(MetricPlanCacheInvals,
-			"PlanCache entries dropped by lifecycle invalidation.", "scheduler", name)
-	}
 	c.tel.totalTard.Set(0)
 	if c.queue != nil {
 		c.initJobTelemetry()
@@ -700,7 +687,7 @@ func (c *Coordinator) applyFrameLocked(evs []wire.FlowEvent, now unit.Time) (app
 		if errs != nil {
 			applied = append(applied, ev)
 		}
-		c.cache.InvalidateGroup(ev.GroupID) // the group's released flow set changed
+		c.cache.InvalidateGroup(ev.GroupID) // deprecated handle: counts only
 	}
 	return applied, errs
 }
@@ -1039,8 +1026,7 @@ func (c *Coordinator) schedClock() time.Time {
 }
 
 // observeSchedLocked exports one scheduler call that began at t0 and
-// returned err: its latency, the call and error counts, and the plan
-// cache's counter growth since the previous call.
+// returned err: its latency and the call and error counts.
 func (c *Coordinator) observeSchedLocked(t0 time.Time, err error) {
 	if c.opts.Metrics == nil {
 		return
@@ -1049,13 +1035,6 @@ func (c *Coordinator) observeSchedLocked(t0 time.Time, err error) {
 	c.tel.schedCalls.Inc()
 	if err != nil {
 		c.tel.schedErrors.Inc()
-	}
-	if c.cache != nil {
-		st := c.cache.Stats()
-		c.tel.cacheHits.Add(st.Hits - c.cacheSeen.Hits)
-		c.tel.cacheMisses.Add(st.Misses - c.cacheSeen.Misses)
-		c.tel.cacheInvals.Add(st.Invalidations - c.cacheSeen.Invalidations)
-		c.cacheSeen = st
 	}
 }
 

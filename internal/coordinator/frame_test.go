@@ -28,7 +28,7 @@ func frameOpts(t testing.TB, clock func() time.Time, n int) Options {
 	net.AddUniformHosts(10, hosts...)
 	return Options{
 		Net:               net,
-		Scheduler:         sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()}),
+		Scheduler:         sched.NewDelta(sched.EchelonMADD{Backfill: true}),
 		QuarantineTimeout: time.Hour,
 		Clock:             clock,
 		Logf:              t.Logf,

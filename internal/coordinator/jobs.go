@@ -329,7 +329,7 @@ func (c *Coordinator) finishJobLocked(jobID string, gids []string, now unit.Time
 }
 
 // removeGroupLocked is a group leaving, by any record: its runtime state,
-// plan-cache entries, gauges and job membership go. Unfinished flows of a
+// gauges and job membership go. Unfinished flows of a
 // job's group stop counting toward the job's completion, and when the group
 // was the job's last the job leaves the admitted set with it — silently: the
 // record that removed the group already implies it.
@@ -352,7 +352,7 @@ func (c *Coordinator) removeGroupLocked(gid string) {
 		}
 	}
 	delete(c.groups, gid)
-	c.cache.InvalidateGroup(gid)
+	c.cache.InvalidateGroup(gid) // deprecated handle: counts only
 	c.dropGroupMetricsLocked(gid)
 }
 

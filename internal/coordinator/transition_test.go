@@ -183,7 +183,7 @@ func contendingGroups(t *testing.T) (ga, gb *core.EchelonFlow) {
 }
 
 // flakyDelta is flakySched over the incremental scheduler: Schedule can be
-// made to fail, Apply, Prime and the plan cache are the real ones.
+// made to fail, Apply and Prime are the real ones.
 type flakyDelta struct {
 	*sched.DeltaEchelon
 	flaky flakySched
@@ -207,7 +207,7 @@ func TestLiveEqualsRestorePerRecordKind(t *testing.T) {
 			return flakySched{inner: sched.EchelonMADD{Backfill: true}, fail: fail, once: true}
 		}},
 		{"NewDelta(EchelonMADD)", func(fail *bool) sched.Scheduler {
-			d := sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
+			d := sched.NewDelta(sched.EchelonMADD{Backfill: true})
 			return flakyDelta{d, flakySched{inner: d, fail: fail, once: true}}
 		}},
 	}

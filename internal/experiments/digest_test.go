@@ -79,7 +79,7 @@ func fabricDigests(t *testing.T) []string {
 		{"coflow", func() sched.Scheduler { return sched.CoflowMADD{Backfill: true} }},
 		{"fair", func() sched.Scheduler { return sched.Fair{} }},
 		{"delta", func() sched.Scheduler {
-			return sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
+			return sched.NewDelta(sched.EchelonMADD{Backfill: true})
 		}},
 	}
 	for _, over := range []float64{1, 2, 4} {
@@ -112,7 +112,7 @@ func fabricDigests(t *testing.T) []string {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := simRecorded(w, net, sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
+		res, err := simRecorded(w, net, sched.EchelonMADD{Backfill: true})
 		add(name, res, err)
 	}
 
@@ -127,7 +127,7 @@ func fabricDigests(t *testing.T) []string {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			res, err := simRecorded(w, net, sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()})
+			res, err := simRecorded(w, net, sched.EchelonMADD{Backfill: true})
 			add(name, res, err)
 		}
 	}

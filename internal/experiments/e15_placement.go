@@ -146,7 +146,7 @@ func ExtOnlinePlacement() (*Report, error) {
 		}
 		simr, err := sim.New(sim.Options{
 			Graph: merged.Graph, Net: net,
-			Scheduler:    sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()},
+			Scheduler:    sched.EchelonMADD{Backfill: true},
 			Arrangements: merged.Arrangements,
 		})
 		if err != nil {

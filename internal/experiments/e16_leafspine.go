@@ -77,7 +77,7 @@ func e16Run(placement string, net fabric.Fabric) (*sim.Result, *ddlt.Workload, e
 	}
 	simr, err := sim.New(sim.Options{
 		Graph: w.Graph, Net: net,
-		Scheduler:    sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()},
+		Scheduler:    sched.EchelonMADD{Backfill: true},
 		Arrangements: w.Arrangements,
 	})
 	if err != nil {

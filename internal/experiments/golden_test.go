@@ -14,25 +14,25 @@ import (
 )
 
 // equivScheduler is the golden-equivalence harness: every snapshot is
-// scheduled twice — by the seed configuration (no plan cache) and by the
-// cached/parallel scheduler — and the two rate maps must be byte-identical.
-// The seed's rates drive the simulation, so any divergence is caught at the
-// first event where it appears, not just in aggregate results.
+// scheduled twice in a row by the configuration under test, and the two rate
+// maps must be byte-identical — a pass reads nothing an earlier pass left in
+// the pooled link and path tables. The first pass's rates drive the
+// simulation, so any divergence is caught at the first event where it
+// appears, not just in aggregate results.
 type equivScheduler struct {
-	t      *testing.T
-	seed   sched.Scheduler
-	cached sched.Scheduler
-	calls  int
+	t     *testing.T
+	s     sched.Scheduler
+	calls int
 }
 
-func (e *equivScheduler) Name() string { return e.seed.Name() }
+func (e *equivScheduler) Name() string { return e.s.Name() }
 
 func (e *equivScheduler) Schedule(snap *sched.Snapshot, net fabric.Fabric) (map[string]unit.Rate, error) {
 	e.calls++
-	want, errSeed := e.seed.Schedule(snap, net)
-	got, errCached := e.cached.Schedule(snap, net)
-	if (errSeed == nil) != (errCached == nil) {
-		e.t.Fatalf("call %d at t=%v: seed err %v, cached err %v", e.calls, snap.Now, errSeed, errCached)
+	want, errSeed := e.s.Schedule(snap, net)
+	got, errAgain := e.s.Schedule(snap, net)
+	if (errSeed == nil) != (errAgain == nil) {
+		e.t.Fatalf("call %d at t=%v: first err %v, repeat err %v", e.calls, snap.Now, errSeed, errAgain)
 	}
 	if errSeed != nil {
 		return want, errSeed
@@ -42,19 +42,16 @@ func (e *equivScheduler) Schedule(snap *sched.Snapshot, net fabric.Fabric) (map[
 	}
 	for id, r := range want {
 		if g, ok := got[id]; !ok || g != r {
-			e.t.Fatalf("call %d at t=%v: rate[%s] = %v cached vs %v seed", e.calls, snap.Now, id, g, r)
+			e.t.Fatalf("call %d at t=%v: rate[%s] = %v repeated vs %v first", e.calls, snap.Now, id, g, r)
 		}
 	}
 	return want, errSeed
 }
 
-// assertGolden runs the workload once under the equivalence harness and
-// returns the cache stats for callers that assert on hit counts.
-func assertGolden(t *testing.T, base sched.EchelonMADD, opts sim.Options) sched.CacheStats {
+// assertGolden runs the workload once under the equivalence harness.
+func assertGolden(t *testing.T, base sched.EchelonMADD, opts sim.Options) {
 	t.Helper()
-	cached := base
-	cached.Cache = sched.NewPlanCache()
-	eq := &equivScheduler{t: t, seed: base, cached: cached}
+	eq := &equivScheduler{t: t, s: base}
 	opts.Scheduler = eq
 	simr, err := sim.New(opts)
 	if err != nil {
@@ -66,9 +63,7 @@ func assertGolden(t *testing.T, base sched.EchelonMADD, opts sim.Options) sched.
 	if eq.calls == 0 {
 		t.Fatal("scheduler never invoked")
 	}
-	st := cached.Cache.Stats()
-	t.Logf("%d scheduler calls, cache stats %+v", eq.calls, st)
-	return st
+	t.Logf("%d scheduler calls", eq.calls)
 }
 
 // uniformOpts wires a built workload onto a uniform fabric.
@@ -138,8 +133,7 @@ func TestGoldenEquivalenceCoflowBatch(t *testing.T) {
 		sim.Options{Graph: g, Net: net, Arrangements: arrs})
 }
 
-// The E9 workload in every cadence mode — interval ticks replay nearly
-// unchanged snapshots, the cache's best case, so hits are required.
+// The E9 workload in every cadence mode, interval ticks included.
 func TestGoldenEquivalenceCadence(t *testing.T) {
 	for _, mode := range []struct {
 		name     string
@@ -154,15 +148,12 @@ func TestGoldenEquivalenceCadence(t *testing.T) {
 			opts := uniformOpts(t, w, err, 4)
 			opts.Interval = mode.interval
 			opts.IntervalOnly = mode.only
-			st := assertGolden(t, sched.EchelonMADD{Backfill: true}, opts)
-			if st.Hits == 0 {
-				t.Errorf("cache never hit on the %s cadence run: %+v", mode.name, st)
-			}
+			assertGolden(t, sched.EchelonMADD{Backfill: true}, opts)
 		})
 	}
 }
 
-// The E10 incident: capacity changes mid-run must retire cached plans
+// The E10 incident: capacity changes mid-run must retire cached paths
 // without disturbing equivalence. The incident is lowered from the typed
 // fault schedule, as in the experiment itself.
 func TestGoldenEquivalenceDegradedLink(t *testing.T) {
@@ -194,8 +185,7 @@ func TestGoldenEquivalenceRacks(t *testing.T) {
 	}
 }
 
-// Scheduler variants exercise every configuration knob against the cache:
-// no backfill, LTF ordering, GlobalEDF planning, and the weighted objective.
+// Scheduler variants exercise every configuration knob: no backfill, LTF ordering, GlobalEDF planning, and the weighted objective.
 func TestGoldenEquivalenceVariants(t *testing.T) {
 	variants := []struct {
 		name string

@@ -14,8 +14,8 @@ var rateSink map[string]unit.Rate
 
 // TestScheduleAllocs holds a warm EchelonMADD pass to one allocation budget:
 // building the rate map it returns. Everything else a pass needs — groups,
-// deadline classes, fill plans, sort scratch, validation, plan-cache
-// entries — is owned by the pooled link table or the cache and reused. The
+// deadline classes, fill plans, sort scratch, validation — is owned by the
+// pooled link table and reused. The
 // same bound holds for one Apply of a one-group delta, which runs the same
 // pass over the replanned component.
 func TestScheduleAllocs(t *testing.T) {
@@ -35,7 +35,7 @@ func TestScheduleAllocs(t *testing.T) {
 				rateSink = rates
 			})
 
-			e := EchelonMADD{Backfill: true, Cache: NewPlanCache()}
+			e := EchelonMADD{Backfill: true}
 			schedule := func() {
 				if _, err := e.Schedule(snap, net); err != nil {
 					t.Fatal(err)
@@ -54,7 +54,6 @@ func TestScheduleAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap.Flows = snap.Flows[1:]
-			d.PlanCache().InvalidateGroup("job0")
 			apply := func() {
 				if _, ok, err := d.Apply(snap, net, Delta{Groups: []string{"job0"}}); err != nil || !ok {
 					t.Fatalf("Apply: ok=%v err=%v (%+v)", ok, err, d.LastOutcome())
@@ -70,11 +69,10 @@ func TestScheduleAllocs(t *testing.T) {
 	}
 }
 
-// Pooled link tables, their path tables and a shared plan cache's reused
-// entries must not leak state between concurrent passes: four goroutines
-// scheduling their own snapshots through one cached scheduler, alternating
-// between two fabrics, get the allocation an uncached scheduler computes
-// alone on each.
+// Pooled link tables and their path tables must not leak state between
+// concurrent passes: four goroutines scheduling their own snapshots through
+// one scheduler, alternating between two fabrics, get the allocation a
+// scheduler computes alone on each.
 func TestPooledStateConcurrent(t *testing.T) {
 	nets, names := deltaFabrics(t)
 	fabrics := []fabric.Fabric{nets["leafspine"], nets["bigswitch"]}
@@ -86,7 +84,7 @@ func TestPooledStateConcurrent(t *testing.T) {
 		}
 		wants = append(wants, want)
 	}
-	e := EchelonMADD{Backfill: true, Cache: NewPlanCache()}
+	e := EchelonMADD{Backfill: true}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		snap := eightJobs(t, names)
@@ -94,9 +92,6 @@ func TestPooledStateConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if i%10 == 0 {
-					e.Cache.InvalidateAll()
-				}
 				f := (i + w) % 2
 				got, err := e.Schedule(snap, fabrics[f])
 				if err != nil {

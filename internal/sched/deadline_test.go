@@ -39,7 +39,6 @@ func stopFixture(t *testing.T) (*Snapshot, *fabric.Network) {
 func TestDeadlineIdentityWhenInBudget(t *testing.T) {
 	for _, e := range []EchelonMADD{
 		{Backfill: true},
-		{Backfill: true, Cache: NewPlanCache()},
 		{Backfill: true, GlobalEDF: true},
 	} {
 		snap, net := stopFixture(t)
@@ -93,7 +92,7 @@ func TestDeadlineOverrunFallsBackToFair(t *testing.T) {
 // completed pass, bit-equal to a cold full Schedule.
 func TestDeltaStoppedPassKeepsState(t *testing.T) {
 	snap, net := stopFixture(t)
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	d := NewDelta(EchelonMADD{Backfill: true})
 	if _, err := d.Schedule(snap, net); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func oneFlowSnapshot(t *testing.T) (*Snapshot, *fabric.Network) {
 // stop: there is no slot or helper goroutine left over from one pass for the
 // next to find busy.
 func TestDeadlineBackToBackPassesNeverBusy(t *testing.T) {
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	d := NewDelta(EchelonMADD{Backfill: true})
 	snap, net := oneFlowSnapshot(t)
 	snap.Stop, _ = stopAfter(1 << 30)
 	const passes = 20000

@@ -74,9 +74,7 @@ type deltaState struct {
 
 // DeltaEchelon wraps EchelonMADD with the incremental Apply path. Schedule
 // forwards to the inner scheduler and (re)captures incremental state, so any
-// fallback self-heals on the next full pass. The wrapper shares the inner
-// scheduler's PlanCache: cached solo rankings are valid for whichever path
-// computes them, because both store only values a cold planner would produce.
+// fallback self-heals on the next full pass.
 //
 // Why patching a component is exact: EchelonMADD plans each group against
 // per-link free-capacity timelines, then backfills and clamps per link.
@@ -159,9 +157,6 @@ func NewDelta(inner EchelonMADD) *DeltaEchelon {
 
 // Name implements Scheduler.
 func (d *DeltaEchelon) Name() string { return d.inner.Name() + "+delta" }
-
-// PlanCache exposes the inner scheduler's cache for eager invalidation.
-func (d *DeltaEchelon) PlanCache() *PlanCache { return d.inner.Cache }
 
 // LastOutcome reports what the most recent Apply did. Its Replanned slice
 // is the caller's own.
@@ -334,10 +329,7 @@ func (d *DeltaEchelon) Apply(snap *Snapshot, net fabric.Fabric, delta Delta) (ma
 	held := len(snap.Flows) - len(a.comp)
 
 	// Replan the component exactly as Schedule plans the full set — the same
-	// allocate pass, over a link table of the component's flows only. Note:
-	// no prune — the component is not the full live-group set, so pruning
-	// here would evict live entries (the hazard PlanCache.prune guards
-	// against).
+	// allocate pass, over a link table of the component's flows only.
 	lt, err := acquireLinkTable(snap, net, a.comp)
 	if err != nil {
 		return fall("invalid-snapshot") // unreachable: a.grp checked every flow

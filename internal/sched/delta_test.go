@@ -73,7 +73,7 @@ func TestDeltaApplyDisjointGroupsBitEqual(t *testing.T) {
 	g2 := pairGroup(t, "g2", "c", "d", 3, 1, 4)
 	groups := []*core.EchelonFlow{g1, g2}
 
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	d := NewDelta(EchelonMADD{Backfill: true})
 	snap1 := orderedSnapshot(t, 0, groups, nil)
 	if _, err := d.Schedule(snap1, net); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestDeltaApplyDisjointGroupsBitEqual(t *testing.T) {
 		t.Errorf("held = %d, want 2 (g2's flows)", out.Held)
 	}
 
-	full, err := EchelonMADD{Backfill: true, Cache: NewPlanCache()}.Schedule(snap2, net)
+	full, err := EchelonMADD{Backfill: true}.Schedule(snap2, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDeltaApplySharedPortComponent(t *testing.T) {
 	g3 := pairGroup(t, "g3", "d", "e", 2, 3)
 	groups := []*core.EchelonFlow{g1, g2, g3}
 
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	d := NewDelta(EchelonMADD{Backfill: true})
 	if _, err := d.Schedule(orderedSnapshot(t, 0, groups, nil), net); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDeltaApplySharedPortComponent(t *testing.T) {
 	if len(out.Replanned) != 2 || out.Replanned[0] != "g1" || out.Replanned[1] != "g2" {
 		t.Errorf("replanned = %v, want [g1 g2]", out.Replanned)
 	}
-	full, err := EchelonMADD{Backfill: true, Cache: NewPlanCache()}.Schedule(snap2, net)
+	full, err := EchelonMADD{Backfill: true}.Schedule(snap2, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDeltaApplyGroupVanishes(t *testing.T) {
 	g2 := pairGroup(t, "g2", "c", "d", 3, 1, 4)
 	groups := []*core.EchelonFlow{g1, g2}
 
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	d := NewDelta(EchelonMADD{Backfill: true})
 	r1, err := d.Schedule(orderedSnapshot(t, 0, groups, nil), net)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestDeltaApplyFallbacks(t *testing.T) {
 	snap := orderedSnapshot(t, 0, groups, nil)
 
 	// Cold state.
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	d := NewDelta(EchelonMADD{Backfill: true})
 	if _, ok, _ := d.Apply(snap, net, Delta{Groups: []string{"g1"}}); ok {
 		t.Fatal("cold Apply succeeded")
 	}
@@ -198,7 +198,7 @@ func TestDeltaApplyFallbacks(t *testing.T) {
 	}
 
 	// GlobalEDF has no port-local component.
-	ge := NewDelta(EchelonMADD{GlobalEDF: true, Cache: NewPlanCache()})
+	ge := NewDelta(EchelonMADD{GlobalEDF: true})
 	if _, err := ge.Schedule(snap, net); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDeltaApplyFallbacks(t *testing.T) {
 		pairGroup(t, "s1", "a", "b", 2, 2),
 		pairGroup(t, "s2", "a", "c", 2, 2), // shares egress(a)
 	}
-	ds := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	ds := NewDelta(EchelonMADD{Backfill: true})
 	sn := orderedSnapshot(t, 0, shared, nil)
 	if _, err := ds.Schedule(sn, net); err != nil {
 		t.Fatal(err)
@@ -237,14 +237,14 @@ func TestDeltaPrimeMatchesSchedule(t *testing.T) {
 	g2 := pairGroup(t, "g2", "c", "d", 3, 1, 4)
 	groups := []*core.EchelonFlow{g1, g2}
 
-	live := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	live := NewDelta(EchelonMADD{Backfill: true})
 	snap1 := orderedSnapshot(t, 0, groups, nil)
 	r1, err := live.Schedule(snap1, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	restored := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	restored := NewDelta(EchelonMADD{Backfill: true})
 	restored.Prime(orderedSnapshot(t, 0, groups, nil), net, r1)
 
 	snap2 := orderedSnapshot(t, 0, groups, map[string]unit.Bytes{"g1-f0": 0})
@@ -275,7 +275,7 @@ func TestDeltaApplyRackComponent(t *testing.T) {
 	g2 := pairGroup(t, "g2", "c", "d", 3, 1, 4) // r1 uplink too
 	groups := []*core.EchelonFlow{g1, g2}
 
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	d := NewDelta(EchelonMADD{Backfill: true})
 	if _, err := d.Schedule(orderedSnapshot(t, 0, groups, nil), net); err != nil {
 		t.Fatal(err)
 	}

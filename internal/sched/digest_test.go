@@ -43,7 +43,7 @@ func deltaFabrics(t *testing.T) (map[string]fabric.Fabric, []string) {
 	return map[string]fabric.Fabric{"bigswitch": net, "leafspine": ls}, names
 }
 
-// deltaDigest drives NewDelta(EchelonMADD{Backfill, Cache}) through a
+// deltaDigest drives NewDelta(EchelonMADD{Backfill}) through a
 // scripted fluid run of eightJobs and hashes every rate map and every
 // DeltaOutcome at full precision. Jobs 0–5 are released at time 0, job 6 at
 // step 2 and job 7 at step 5. Each step advances to the next flow finish,
@@ -61,7 +61,7 @@ func deltaDigest(t *testing.T, net fabric.Fabric, names []string) (digest string
 			snap.Flows = append(snap.Flows, fs)
 		}
 	}
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+	d := NewDelta(EchelonMADD{Backfill: true})
 	h := sha256.New()
 	rates, err := d.Schedule(snap, net)
 	if err != nil {
@@ -100,7 +100,6 @@ func deltaDigest(t *testing.T, net fabric.Fabric, names []string) (digest string
 		snap.Flows = live
 		var delta Delta
 		for id := range changed {
-			d.PlanCache().InvalidateGroup(id)
 			if step != 3 {
 				delta.Groups = append(delta.Groups, id)
 			}

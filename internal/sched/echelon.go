@@ -61,13 +61,7 @@ type EchelonMADD struct {
 	// pipelines); global ordering can, at the cost of the SEBF-style
 	// inter-group preference. Ablated in experiments E1/E7.
 	GlobalEDF bool
-	// Cache, when non-nil, memoizes each group's solo-tardiness ranking
-	// (and the solo plan it derives from) across Schedule calls. Entries
-	// are reused only when provably equivalent — same flow set, same
-	// tardiness floor, same fabric generation, and remaining volumes at or
-	// ahead of the cached solo plan's fluid-model pace — so allocations are
-	// byte-identical to the uncached scheduler. Copies of an EchelonMADD
-	// share the pointed-to cache. See PlanCache.
+	// Deprecated: ignored; benchmark/live.go and benchmark/simmix.go set it.
 	Cache *PlanCache
 }
 
@@ -88,10 +82,6 @@ func (e EchelonMADD) Name() string {
 	}
 	return n
 }
-
-// PlanCache exposes the scheduler's cache (possibly nil) so the simulator
-// and coordinator can invalidate it eagerly when scheduling inputs change.
-func (e EchelonMADD) PlanCache() *PlanCache { return e.Cache }
 
 // deadlineClass is a set of group flows (link-table indices) sharing one
 // ideal finish time; its members must finish simultaneously (a Coflow stage
@@ -350,25 +340,19 @@ func (lt *linkTable) planClass(cls deadlineClass, floor unit.Time) (unit.Time, e
 
 // rank computes the inter-EchelonFlow ordering metric of Property 4 — the
 // tardiness each group would achieve alone on the full fabric — and sorts
-// groups (ascending by ID on entry) into planning order. Rankings come from
-// the cache where provably equivalent; otherwise the group is planned solo
-// on the table, whose profiles are pristine before and rewound after, and
-// the solo plan is cached as the fluid-model pace that decides later reuse.
+// groups (ascending by ID on entry) into planning order. Each group is
+// planned solo on the table, whose profiles are pristine before and rewound
+// after.
 func (e EchelonMADD) rank(lt *linkTable, snap *Snapshot, groups []*passGroup) error {
 	for _, g := range groups {
 		if snap.stopped() {
 			return ErrStopped
-		}
-		if tau, ok := e.Cache.lookup(snap, lt, g); ok {
-			g.solo = tau
-			continue
 		}
 		tau, err := lt.planGroup(g)
 		if err != nil {
 			return fmt.Errorf("sched: group %q: %w", g.id, err)
 		}
 		g.solo = tau
-		e.Cache.store(snap, lt, g)
 		lt.rewind(g.idx)
 	}
 	if e.Weighted {
@@ -488,15 +472,7 @@ func (e EchelonMADD) Schedule(snap *Snapshot, net fabric.Fabric) (map[string]uni
 		return nil, err
 	}
 	defer lt.release()
-	groups := lt.groups()
-	if e.Cache != nil {
-		lt.names = lt.names[:0]
-		for _, g := range groups {
-			lt.names = append(lt.names, g.id)
-		}
-		e.Cache.prune(lt.names)
-	}
-	if err := e.allocate(lt, snap, groups); err != nil {
+	if err := e.allocate(lt, snap, lt.groups()); err != nil {
 		return nil, err
 	}
 	lt.writeRates(rates)

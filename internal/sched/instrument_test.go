@@ -110,47 +110,3 @@ func TestInstrumentCounters(t *testing.T) {
 		t.Errorf("latency observations = %d, want %d", got, stub.calls)
 	}
 }
-
-// Plan-cache lookups on the delta path reach the exported counters when
-// Apply returns, not at the next full Schedule.
-func TestInstrumentedDeltaExportsCacheStats(t *testing.T) {
-	cache := sched.NewPlanCache()
-	ds := &countingDelta{DeltaEchelon: sched.NewDelta(sched.EchelonMADD{Backfill: true, Cache: cache})}
-	c, reg := instrumentCoordinator(t, ds)
-	name := ds.Name()
-	check := func(step string) {
-		t.Helper()
-		hits := reg.Counter(coordinator.MetricPlanCacheHits, "", "scheduler", name).Value()
-		misses := reg.Counter(coordinator.MetricPlanCacheMisses, "", "scheduler", name).Value()
-		invals := reg.Counter(coordinator.MetricPlanCacheInvals, "", "scheduler", name).Value()
-		if st := cache.Stats(); hits != st.Hits || misses != st.Misses || invals != st.Invalidations {
-			t.Errorf("%s: exported hits/misses/invalidations %d/%d/%d, cache stats %+v", step, hits, misses, invals, st)
-		}
-	}
-	if err := c.RegisterGroup("a1", instrumentPipeline(t)); err != nil {
-		t.Fatal(err)
-	}
-	check("register")
-	applyOnly := 0
-	for _, ev := range []struct{ flow, event string }{
-		{"f0", wire.EventReleased},
-		{"f1", wire.EventReleased},
-		{"f0", wire.EventFinished},
-		{"f2", wire.EventReleased},
-		{"f1", wire.EventFinished},
-	} {
-		schedules, applies := ds.schedules, ds.applies
-		lookups := cache.Stats().Hits + cache.Stats().Misses
-		if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: ev.flow, Event: ev.event}); err != nil {
-			t.Fatal(err)
-		}
-		check(ev.flow + " " + ev.event)
-		if ds.schedules == schedules && ds.applies > applies && cache.Stats().Hits+cache.Stats().Misses > lookups {
-			applyOnly++
-		}
-	}
-	if applyOnly == 0 {
-		t.Errorf("no event was served by an Apply that consulted the plan cache (%d applies, %d full passes)",
-			ds.applies, ds.schedules)
-	}
-}

@@ -29,12 +29,11 @@ import (
 // the whole snapshot computes for those flows.
 //
 // Ownership: everything a pass builds — its groups and their deadline
-// classes, the fill plans, sort and prune scratch — lives in the table and
+// classes, the fill plans, sort scratch — lives in the table and
 // is reused by the next pass, so a warm pass allocates nothing but the rate
 // map its caller returns. A plan is valid until its flow is planned again:
 // lt.segs[i] aliases flow i's fill buffer, which the next classFill over
-// flow i overwrites, so a reader that keeps a plan (the plan cache) copies
-// it.
+// flow i overwrites.
 //
 // Tables are pooled; one is used by one goroutine at a time.
 type linkTable struct {
@@ -78,7 +77,6 @@ type linkTable struct {
 	rem    []unit.Bytes
 	order  []int32      // backfill's deadline order
 	gcls   []groupClass // planGlobalEDF's class order
-	names  []string     // the pass's group IDs, for PlanCache.prune
 }
 
 var linkTables = sync.Pool{New: func() any { return new(linkTable) }}
@@ -155,7 +153,6 @@ func (lt *linkTable) release() {
 	clear(lt.flows)
 	clear(lt.segs)
 	clear(lt.gbuf)
-	clear(lt.names)
 	lt.net = nil
 	linkTables.Put(lt)
 }

@@ -136,7 +136,7 @@ func TestPassCostIndependentOfFabricSize(t *testing.T) {
 				names := hostNames(hosts)
 				net := &countingFabric{Fabric: buildFabric(t, kind, names, nil)}
 				snap := eightJobs(t, names)
-				d := NewDelta(EchelonMADD{Backfill: true, Cache: NewPlanCache()})
+				d := NewDelta(EchelonMADD{Backfill: true})
 				var got, want []counts
 				step := func(what string, w counts, pass func() error) {
 					*net = countingFabric{Fabric: net.Fabric}
@@ -162,7 +162,6 @@ func TestPassCostIndependentOfFabricSize(t *testing.T) {
 
 				// One flow of job0 finishes; the event replans job0's component.
 				snap.Flows = snap.Flows[1:]
-				d.PlanCache().InvalidateGroup("job0")
 				step("Apply", counts{flowLinks: 7}, func() error {
 					if _, ok, err := d.Apply(snap, net, Delta{Groups: []string{"job0"}}); err != nil || !ok {
 						return fmt.Errorf("ok=%v err=%v (%+v)", ok, err, d.LastOutcome())
@@ -202,7 +201,7 @@ func TestPathTableFollowsSetCapacity(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			snap := eightJobs(t, names)
 			net := buildFabric(t, kind, names, nil)
-			e := EchelonMADD{Backfill: true, Cache: NewPlanCache()}
+			e := EchelonMADD{Backfill: true}
 			before, err := e.Schedule(snap, net)
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +246,7 @@ func TestPathTableFollowsFabricValue(t *testing.T) {
 			if wants[0]["j0f0"] == wants[1]["j0f0"] {
 				t.Fatal("the two fabrics give flow j0f0 one rate")
 			}
-			e := EchelonMADD{Backfill: true, Cache: NewPlanCache()}
+			e := EchelonMADD{Backfill: true}
 			for i := 0; i < 6; i++ {
 				got, err := e.Schedule(snap, nets[i%2])
 				if err != nil {

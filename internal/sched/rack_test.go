@@ -147,13 +147,12 @@ func TestSchedulersRackFeasibleProperty(t *testing.T) {
 	}
 }
 
-// MoveHost must invalidate every cached planning artifact: the PlanCache
-// epoch (keyed on Generation) and the delta scheduler's incremental state.
+// MoveHost must invalidate every cached planning artifact: the pooled path
+// tables (keyed on Generation) and the delta scheduler's incremental state.
 // A stale footprint after a host move would patch against the wrong uplinks.
 func TestMoveHostDiscardsCachedState(t *testing.T) {
 	net := rackNet(t)
-	cache := NewPlanCache()
-	d := NewDelta(EchelonMADD{Backfill: true, Cache: cache})
+	d := NewDelta(EchelonMADD{Backfill: true})
 
 	g, err := core.NewCoflow("c",
 		&core.Flow{ID: "x", Src: "a1", Dst: "b1", Size: 100},
@@ -170,9 +169,6 @@ func TestMoveHostDiscardsCachedState(t *testing.T) {
 	before, err := d.Schedule(snap, net)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cache.Stats().Entries == 0 {
-		t.Fatal("warm-up pass stored no plan cache entries")
 	}
 	if _, ok, _ := d.Apply(snap, net, Delta{}); !ok {
 		t.Fatalf("warm delta state rejected a no-op event: %+v", d.LastOutcome())

@@ -97,7 +97,7 @@ func digestCases() []digestCase {
 		name string
 		mk   func() sched.Scheduler
 	}{
-		{"echelon", func() sched.Scheduler { return sched.EchelonMADD{Backfill: true, Cache: sched.NewPlanCache()} }},
+		{"echelon", func() sched.Scheduler { return sched.EchelonMADD{Backfill: true} }},
 		{"coflow", func() sched.Scheduler { return sched.CoflowMADD{} }},
 		{"fair", func() sched.Scheduler { return sched.Fair{} }},
 	}
@@ -171,8 +171,7 @@ func digestCases() []digestCase {
 			return sim.Options{Graph: g, Net: net, Scheduler: echelon(), Arrangements: arrs, RecordRates: true}
 		}},
 	)
-	// EchelonMADD's other planning modes, uncached, so a bug the cached and
-	// uncached passes share cannot hide behind their equivalence.
+	// EchelonMADD's other planning modes, each pinned on its own.
 	variants := []struct {
 		name    string
 		s       sched.EchelonMADD

@@ -254,9 +254,6 @@ type Simulator struct {
 	// scheduler run: even IntervalOnly mode must reschedule immediately,
 	// since holding the stale rates can oversubscribe a shrunken port.
 	capChanged bool
-	// cache is the scheduler's plan cache when it exposes one, invalidated
-	// eagerly on the events that change scheduling inputs. Nil-safe.
-	cache *sched.PlanCache
 
 	// Worklists. unblocked holds the nodes whose last dependency finished
 	// since the last promotion; gated the waiting nodes whose dependencies
@@ -418,9 +415,6 @@ func New(opts Options) (*Simulator, error) {
 		s.groups[gid] = grp.gs
 	}
 	s.snap.Groups = s.groups
-	if pc, ok := opts.Scheduler.(interface{ PlanCache() *sched.PlanCache }); ok {
-		s.cache = pc.PlanCache()
-	}
 	return s, nil
 }
 
@@ -538,7 +532,6 @@ func (s *Simulator) release() int {
 			ns.group.refSet = true
 			ns.group.gs.Reference = s.now
 		}
-		s.cache.InvalidateGroup(gid) // flow set grew
 		if s.opts.Events != nil {
 			s.opts.Events.Append(telemetry.Event{Kind: telemetry.EventRelease,
 				At: float64(s.now), Group: gid, Flow: ns.node.ID})
@@ -680,7 +673,6 @@ func (s *Simulator) applyCapacityChanges() {
 		_ = s.opts.Net.SetCapacity(cc.Host, cc.Egress, cc.Ingress)
 		s.pendingChanges++
 		s.capChanged = true
-		s.cache.InvalidateAll()
 	}
 }
 
@@ -805,7 +797,6 @@ func (s *Simulator) finishFlow(i int32) {
 	if tard > gs.AchievedTardiness {
 		gs.AchievedTardiness = tard
 	}
-	s.cache.InvalidateGroup(ns.fs.GroupID) // flow set shrank, floor may have moved
 	s.result.Flows[ns.node.ID] = FlowRecord{
 		GroupID: ns.fs.GroupID, Release: ns.start, Finish: ns.finish,
 		Deadline: deadline, Size: ns.node.Size,

@@ -69,9 +69,9 @@ const (
 	jsDeparted = 4
 )
 
-// maxInternedNames bounds the per-codec intern table; beyond it, decoded
-// strings are returned without being remembered (correct, just slower for a
-// pathological peer cycling through unbounded distinct IDs).
+// maxInternedNames bounds the per-codec intern table. A full table is
+// emptied and refilled, so a long-lived peer whose job IDs churn keeps its
+// current names interned instead of the first 4096 it ever sent.
 const maxInternedNames = 4096
 
 // appendBinaryFrame appends one framed message to b, which the caller hands
@@ -288,9 +288,10 @@ func (c *Codec) decodeBinary(kind byte, flags uint16, body []byte, m *Message) e
 	return nil
 }
 
-// intern returns the canonical copy of raw, remembering new names up to
-// maxInternedNames. The map lookup with a string(raw) key does not allocate;
-// only a first-seen name costs its copy. A nil codec interns nothing.
+// intern returns the canonical copy of raw, remembering it in a table of at
+// most maxInternedNames names, which starts afresh when full. The map lookup
+// with a string(raw) key does not allocate; only a name the table does not
+// hold costs its copy. A nil codec interns nothing.
 func (c *Codec) intern(raw []byte) string {
 	if c == nil {
 		return string(raw)
@@ -299,12 +300,13 @@ func (c *Codec) intern(raw []byte) string {
 		return s
 	}
 	s := string(raw)
-	if len(c.names) < maxInternedNames {
-		if c.names == nil {
-			c.names = make(map[string]string, 64)
-		}
-		c.names[s] = s
+	switch {
+	case c.names == nil:
+		c.names = make(map[string]string, 64)
+	case len(c.names) >= maxInternedNames:
+		clear(c.names)
 	}
+	c.names[s] = s
 	return s
 }
 

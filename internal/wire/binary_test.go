@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"echelonflow/internal/core"
@@ -498,5 +499,30 @@ func TestBinaryDecodeInterns(t *testing.T) {
 	// One FlowEvent struct per message; everything else is reused.
 	if allocs > 2 {
 		t.Errorf("steady-state decode costs %.1f allocs/msg, want <= 2", allocs)
+	}
+}
+
+// TestInternTableRenews: a codec that has decoded more distinct names than
+// its intern table holds still interns the names it decodes now, so a
+// session whose peer churns job IDs decodes its current IDs without
+// allocating, and the table stays bounded.
+func TestInternTableRenews(t *testing.T) {
+	c := &Codec{}
+	for i := 0; i <= maxInternedNames; i++ {
+		c.intern([]byte("job-" + strconv.Itoa(i) + "/dp/0"))
+	}
+	body := AppendString(nil, "job-recent/dp/0")
+	(&Reader{b: body, names: c}).Str()
+	allocs := testing.AllocsPerRun(32, func() {
+		r := Reader{b: body, names: c}
+		if r.Str() != "job-recent/dp/0" {
+			t.Fatal("payload mismatch")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decoding a recent name after %d others costs %.1f allocs, want 0", maxInternedNames+1, allocs)
+	}
+	if len(c.names) > maxInternedNames {
+		t.Errorf("intern table holds %d names, bound %d", len(c.names), maxInternedNames)
 	}
 }
