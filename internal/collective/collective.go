@@ -13,6 +13,8 @@ package collective
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"echelonflow/internal/dag"
 	"echelonflow/internal/unit"
@@ -22,20 +24,13 @@ import (
 // indexed by worker (callers hang per-worker dependencies off these — e.g.
 // worker i's backward compute gates only worker i's first send), Last holds
 // the final-step flows whose joint completion is the collective's barrier,
-// and All lists every flow in emission order.
+// and All lists every flow in emission order. Step0 and Last share All's
+// storage: callers read them and may append to them, but never write their
+// elements.
 type Op struct {
 	All   []string
 	Step0 []string
 	Last  []string
-}
-
-// merge concatenates two ops sequentially (a then b).
-func (a Op) merge(b Op) Op {
-	return Op{
-		All:   append(append([]string(nil), a.All...), b.All...),
-		Step0: append([]string(nil), a.Step0...),
-		Last:  append([]string(nil), b.Last...),
-	}
 }
 
 // validateRing checks common ring-collective arguments.
@@ -46,15 +41,13 @@ func validateRing(g *dag.Graph, workers []string, size unit.Bytes) error {
 	if len(workers) < 2 {
 		return fmt.Errorf("collective: ring needs >=2 workers, got %d", len(workers))
 	}
-	seen := make(map[string]bool, len(workers))
-	for _, w := range workers {
+	for i, w := range workers {
 		if w == "" {
 			return fmt.Errorf("collective: empty worker name")
 		}
-		if seen[w] {
+		if slices.Contains(workers[:i], w) {
 			return fmt.Errorf("collective: duplicate worker %q", w)
 		}
-		seen[w] = true
 	}
 	if size < 0 {
 		return fmt.Errorf("collective: negative size %v", size)
@@ -62,26 +55,32 @@ func validateRing(g *dag.Graph, workers []string, size unit.Bytes) error {
 	return nil
 }
 
-// ringPhase emits `steps` ring steps named prefix/s<step>w<i>: in each step
-// every worker sends a chunk to its successor, depending on the chunk it
-// received in the previous step (and on deps for step 0).
-func ringPhase(g *dag.Graph, prefix string, workers []string, chunk unit.Bytes, steps int, group string, stage int, deps []string) (Op, error) {
+// ringPhase emits len(ids)/len(workers) ring steps named prefix/s<step>w<i>
+// into ids, step-major: in each step every worker sends a chunk to its
+// successor, depending on the chunk it received in the previous step (and
+// on deps for step 0). The returned Op's slices share ids.
+func ringPhase(g *dag.Graph, ids []string, prefix string, workers []string, chunk unit.Bytes, group string, stage int, deps []string) (Op, error) {
 	m := len(workers)
-	ids := make([][]string, steps)
-	var op Op
+	steps := len(ids) / m
+	nodes := make([]dag.Node, len(ids))
+	var scratch [64]byte
+	buf := append(append(scratch[:0], prefix...), "/s"...)
+	stem := len(buf)
 	for s := 0; s < steps; s++ {
-		ids[s] = make([]string, m)
 		for i := 0; i < m; i++ {
-			id := fmt.Sprintf("%s/s%dw%d", prefix, s, i)
-			ids[s][i] = id
-			if err := g.Add(&dag.Node{
+			buf = strconv.AppendInt(buf[:stem], int64(s), 10)
+			buf = strconv.AppendInt(append(buf, 'w'), int64(i), 10)
+			k := s*m + i
+			id := string(buf)
+			ids[k] = id
+			nodes[k] = dag.Node{
 				ID: id, Kind: dag.Comm,
 				Src: workers[i], Dst: workers[(i+1)%m],
 				Size: chunk, Group: group, Stage: stage,
-			}); err != nil {
+			}
+			if err := g.Add(&nodes[k]); err != nil {
 				return Op{}, err
 			}
-			op.All = append(op.All, id)
 			if s == 0 {
 				for _, d := range deps {
 					if err := g.Depend(d, id); err != nil {
@@ -92,15 +91,15 @@ func ringPhase(g *dag.Graph, prefix string, workers []string, chunk unit.Bytes, 
 			}
 			// Worker i forwards in step s what it received in step s-1
 			// from its predecessor (i-1 mod m).
-			prev := ids[s-1][(i-1+m)%m]
-			if err := g.Depend(prev, id); err != nil {
+			if err := g.Depend(ids[(s-1)*m+(i-1+m)%m], id); err != nil {
 				return Op{}, err
 			}
 		}
 	}
+	op := Op{All: ids}
 	if steps > 0 {
-		op.Step0 = append([]string(nil), ids[0]...)
-		op.Last = append([]string(nil), ids[steps-1]...)
+		op.Step0 = ids[:m:m]
+		op.Last = ids[len(ids)-m:]
 	}
 	return op, nil
 }
@@ -113,7 +112,7 @@ func RingReduceScatter(g *dag.Graph, prefix string, workers []string, size unit.
 		return Op{}, err
 	}
 	m := len(workers)
-	return ringPhase(g, prefix+"/rs", workers, size/unit.Bytes(m), m-1, group, stage, deps)
+	return ringPhase(g, make([]string, (m-1)*m), prefix+"/rs", workers, size/unit.Bytes(m), group, stage, deps)
 }
 
 // RingAllGather emits the m−1 all-gather steps, mirroring RingReduceScatter.
@@ -122,22 +121,29 @@ func RingAllGather(g *dag.Graph, prefix string, workers []string, size unit.Byte
 		return Op{}, err
 	}
 	m := len(workers)
-	return ringPhase(g, prefix+"/ag", workers, size/unit.Bytes(m), m-1, group, stage, deps)
+	return ringPhase(g, make([]string, (m-1)*m), prefix+"/ag", workers, size/unit.Bytes(m), group, stage, deps)
 }
 
 // RingAllReduce emits a full all-reduce: reduce-scatter followed by
 // all-gather, 2(m−1) steps in total (§2.1). The returned Op's Step0 are the
 // reduce-scatter entry flows and Last the all-gather exit flows.
 func RingAllReduce(g *dag.Graph, prefix string, workers []string, size unit.Bytes, group string, stage int, deps []string) (Op, error) {
-	rs, err := RingReduceScatter(g, prefix, workers, size, group, stage, deps)
+	if err := validateRing(g, workers, size); err != nil {
+		return Op{}, err
+	}
+	m := len(workers)
+	chunk := size / unit.Bytes(m)
+	all := make([]string, 2*(m-1)*m)
+	half := len(all) / 2
+	rs, err := ringPhase(g, all[:half:half], prefix+"/rs", workers, chunk, group, stage, deps)
 	if err != nil {
 		return Op{}, err
 	}
-	ag, err := RingAllGather(g, prefix, workers, size, group, stage, rs.Last)
+	ag, err := ringPhase(g, all[half:], prefix+"/ag", workers, chunk, group, stage, rs.Last)
 	if err != nil {
 		return Op{}, err
 	}
-	return rs.merge(ag), nil
+	return Op{All: all, Step0: rs.Step0, Last: ag.Last}, nil
 }
 
 // PSPush emits one gradient-push flow per worker to the parameter server
@@ -165,20 +171,26 @@ func psFanFlows(g *dag.Graph, prefix string, workers []string, ps string, perWor
 	if perWorker < 0 {
 		return Op{}, fmt.Errorf("collective: negative size %v", perWorker)
 	}
-	var op Op
+	ids := make([]string, len(workers))
+	nodes := make([]dag.Node, len(workers))
+	var scratch [64]byte
+	buf := append(append(scratch[:0], prefix...), "/w"...)
+	stem := len(buf)
 	for i, w := range workers {
 		if w == ps {
 			return Op{}, fmt.Errorf("collective: worker %q is the PS host", w)
 		}
-		id := fmt.Sprintf("%s/w%d", prefix, i)
+		buf = strconv.AppendInt(buf[:stem], int64(i), 10)
+		id := string(buf)
 		src, dst := w, ps
 		if !toPS {
 			src, dst = ps, w
 		}
-		if err := g.Add(&dag.Node{
+		nodes[i] = dag.Node{
 			ID: id, Kind: dag.Comm, Src: src, Dst: dst,
 			Size: perWorker, Group: group, Stage: stage,
-		}); err != nil {
+		}
+		if err := g.Add(&nodes[i]); err != nil {
 			return Op{}, err
 		}
 		for _, d := range deps {
@@ -186,11 +198,9 @@ func psFanFlows(g *dag.Graph, prefix string, workers []string, ps string, perWor
 				return Op{}, err
 			}
 		}
-		op.All = append(op.All, id)
+		ids[i] = id
 	}
-	op.Step0 = append([]string(nil), op.All...)
-	op.Last = append([]string(nil), op.All...)
-	return op, nil
+	return Op{All: ids, Step0: ids, Last: ids}, nil
 }
 
 // AllToAll emits a full-mesh exchange: every worker sends perPair bytes to
@@ -201,17 +211,26 @@ func AllToAll(g *dag.Graph, prefix string, workers []string, perPair unit.Bytes,
 	if err := validateRing(g, workers, perPair); err != nil {
 		return Op{}, err
 	}
-	var op Op
+	m := len(workers)
+	ids := make([]string, 0, m*(m-1))
+	nodes := make([]dag.Node, m*(m-1))
+	var scratch [64]byte
+	buf := append(append(scratch[:0], prefix...), "/a2a"...)
+	stem := len(buf)
 	for i, src := range workers {
 		for j, dst := range workers {
 			if i == j {
 				continue
 			}
-			id := fmt.Sprintf("%s/a2a%d-%d", prefix, i, j)
-			if err := g.Add(&dag.Node{
+			buf = strconv.AppendInt(buf[:stem], int64(i), 10)
+			buf = strconv.AppendInt(append(buf, '-'), int64(j), 10)
+			id := string(buf)
+			n := &nodes[len(ids)]
+			*n = dag.Node{
 				ID: id, Kind: dag.Comm, Src: src, Dst: dst,
 				Size: perPair, Group: group, Stage: stage,
-			}); err != nil {
+			}
+			if err := g.Add(n); err != nil {
 				return Op{}, err
 			}
 			for _, d := range deps {
@@ -219,12 +238,10 @@ func AllToAll(g *dag.Graph, prefix string, workers []string, perPair unit.Bytes,
 					return Op{}, err
 				}
 			}
-			op.All = append(op.All, id)
+			ids = append(ids, id)
 		}
 	}
-	op.Step0 = append([]string(nil), op.All...)
-	op.Last = append([]string(nil), op.All...)
-	return op, nil
+	return Op{All: ids, Step0: ids, Last: ids}, nil
 }
 
 // P2P emits a single point-to-point flow (pipeline-parallel activations and

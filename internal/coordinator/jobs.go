@@ -228,8 +228,10 @@ func (c *Coordinator) admitJobsLocked() {
 func (c *Coordinator) rejectJobLocked(rej *queue.RejectError, now unit.Time) {
 	// Never refused (the queue exists) and runs no pass: nothing to report.
 	_, _ = c.commitLocked(&journalEvent{Kind: jJobDeparted, At: now, JobID: rej.JobID})
-	c.event(telemetry.Event{Kind: telemetry.EventJobReject, At: float64(now),
-		Agent: rej.Owner, Detail: fmt.Sprintf("job %s: %s", rej.JobID, rej.Reason)})
+	if c.eventsOn() {
+		c.event(telemetry.Event{Kind: telemetry.EventJobReject, At: float64(now),
+			Agent: rej.Owner, Detail: fmt.Sprintf("job %s: %s", rej.JobID, rej.Reason)})
+	}
 	c.pushJobUpdateLocked(rej.Owner,
 		wire.JobUpdate{JobID: rej.JobID, Status: wire.JobRejected, Reason: rej.Reason})
 }
@@ -261,8 +263,10 @@ func (c *Coordinator) installJobLocked(a *queue.Admitted, now unit.Time) error {
 	if c.opts.Metrics != nil {
 		c.jtel.wait.Observe(float64(now - a.Job.Arrival))
 	}
-	c.event(telemetry.Event{Kind: telemetry.EventJobAdmit, At: float64(now),
-		Agent: a.Job.Owner, Detail: fmt.Sprintf("job %s on %v after %v queued", id, a.Hosts, now-a.Job.Arrival)})
+	if c.eventsOn() {
+		c.event(telemetry.Event{Kind: telemetry.EventJobAdmit, At: float64(now),
+			Agent: a.Job.Owner, Detail: fmt.Sprintf("job %s on %v after %v queued", id, a.Hosts, now-a.Job.Arrival)})
+	}
 	return nil
 }
 
@@ -324,8 +328,10 @@ func (c *Coordinator) finishJobLocked(jobID string, gids []string, now unit.Time
 			"Weighted tardiness of a departed job, labeled by placement policy.",
 			"policy", placer).Observe(tard)
 	}
-	c.event(telemetry.Event{Kind: telemetry.EventJobDepart, At: float64(now),
-		Agent: owner, Tardiness: tard, Detail: fmt.Sprintf("job %s (%d groups)", jobID, len(gids))})
+	if c.eventsOn() {
+		c.event(telemetry.Event{Kind: telemetry.EventJobDepart, At: float64(now),
+			Agent: owner, Tardiness: tard, Detail: fmt.Sprintf("job %s (%d groups)", jobID, len(gids))})
+	}
 }
 
 // removeGroupLocked is a group leaving, by any record: its runtime state,

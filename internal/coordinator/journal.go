@@ -295,8 +295,10 @@ func (c *Coordinator) snapshotLocked() {
 		return
 	}
 	c.tel.snapshots.Inc()
-	c.event(telemetry.Event{Kind: telemetry.EventSnapshot, At: float64(c.lastAdvance),
-		Detail: fmt.Sprintf("%d group(s) compacted", len(st.Groups))})
+	if c.eventsOn() {
+		c.event(telemetry.Event{Kind: telemetry.EventSnapshot, At: float64(c.lastAdvance),
+			Detail: fmt.Sprintf("%d group(s) compacted", len(st.Groups))})
+	}
 	c.journalEvents = 0
 }
 

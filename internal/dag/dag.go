@@ -11,6 +11,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"echelonflow/internal/unit"
@@ -77,18 +78,59 @@ type Node struct {
 // compilers' Depend calls and every traversal index slices instead of
 // hashing IDs; the ID map is consulted only at the API boundary.
 //
+// Edges live in two flat arenas, one per direction. Each node owns one
+// segment of each: its successors in out, its predecessors in in. Depend
+// appends to a segment in place when it has room or ends its arena, and
+// otherwise moves the segment to the arena's end with twice the room, so
+// every view is current after every Depend at amortized O(1) cost and a
+// graph allocates O(log edges) times for its edges, not twice per node.
+//
 // The zero value is not ready for use; call New.
 type Graph struct {
-	idx   map[string]int32
-	nodes []*Node // insertion order
-	// succ[i] lists the positions depending on node i; pred[i] the positions
-	// node i depends on. Both are in registration order.
-	succ, pred [][]int32
+	idx map[string]int32
+	vs  []vertex // insertion order
+	// out and in are the successor and predecessor arenas. Segments list
+	// positions in registration order.
+	out, in []int32
+}
+
+// vertex is a node and its segments of the edge arenas.
+type vertex struct {
+	node    *Node
+	out, in span
+}
+
+// span is a segment of an arena: arena[off:off+n] in use, room up to
+// off+c.
+type span struct{ off, n, c int32 }
+
+// view returns the segment's positions, capped so callers cannot append
+// into a neighbour's segment.
+func (s span) view(arena []int32) []int32 { return arena[s.off : s.off+s.n : s.off+s.n] }
+
+// push appends v to the segment s of arena, growing it in place when it has
+// room or ends the arena and moving it to the arena's end otherwise.
+func push(arena []int32, s *span, v int32) []int32 {
+	if s.n == s.c {
+		if int(s.off+s.c) == len(arena) {
+			arena = append(arena, 0)
+			s.c++
+		} else {
+			off, c := int32(len(arena)), max(2*s.n, 1)
+			arena = append(arena, arena[s.off:s.off+s.n]...)
+			arena = slices.Grow(arena, int(c-s.n))[:off+c]
+			s.off, s.c = off, c
+		}
+	}
+	arena[s.off+s.n] = v
+	s.n++
+	return arena
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{idx: make(map[string]int32)}
+	return &Graph{idx: make(map[string]int32, 16), vs: make([]vertex, 0, 16),
+		out: make([]int32, 0, 32), in: make([]int32, 0, 32)}
 }
 
 // Add inserts a node. It returns an error if the ID is empty or duplicated.
@@ -99,10 +141,8 @@ func (g *Graph) Add(n *Node) error {
 	if _, ok := g.idx[n.ID]; ok {
 		return fmt.Errorf("dag: duplicate node %q", n.ID)
 	}
-	g.idx[n.ID] = int32(len(g.nodes))
-	g.nodes = append(g.nodes, n)
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
+	g.idx[n.ID] = int32(len(g.vs))
+	g.vs = append(g.vs, vertex{node: n})
 	return nil
 }
 
@@ -125,9 +165,14 @@ func (g *Graph) Depend(from, to string) error {
 	if !ok {
 		return fmt.Errorf("dag: dependency target %q not found", to)
 	}
-	g.succ[f] = append(g.succ[f], t)
-	g.pred[t] = append(g.pred[t], f)
+	g.edge(f, t)
 	return nil
+}
+
+// edge records the dependency of position t on position f.
+func (g *Graph) edge(f, t int32) {
+	g.out = push(g.out, &g.vs[f].out, t)
+	g.in = push(g.in, &g.vs[t].in, f)
 }
 
 // MustDepend is Depend that panics on error.
@@ -140,17 +185,21 @@ func (g *Graph) MustDepend(from, to string) {
 // Node returns the node with the given ID, or nil.
 func (g *Graph) Node(id string) *Node {
 	if i, ok := g.idx[id]; ok {
-		return g.nodes[i]
+		return g.vs[i].node
 	}
 	return nil
 }
 
 // Len returns the number of nodes.
-func (g *Graph) Len() int { return len(g.nodes) }
+func (g *Graph) Len() int { return len(g.vs) }
 
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
-	return append([]*Node(nil), g.nodes...)
+	out := make([]*Node, len(g.vs))
+	for i, v := range g.vs {
+		out[i] = v.node
+	}
+	return out
 }
 
 // ids names the nodes at the given positions (nil for none).
@@ -160,7 +209,7 @@ func (g *Graph) ids(pos []int32) []string {
 	}
 	out := make([]string, len(pos))
 	for i, p := range pos {
-		out[i] = g.nodes[p].ID
+		out[i] = g.vs[p].node.ID
 	}
 	return out
 }
@@ -168,7 +217,7 @@ func (g *Graph) ids(pos []int32) []string {
 // Deps returns the IDs a node depends on, in registration order.
 func (g *Graph) Deps(id string) []string {
 	if i, ok := g.idx[id]; ok {
-		return g.ids(g.pred[i])
+		return g.ids(g.vs[i].in.view(g.in))
 	}
 	return nil
 }
@@ -176,7 +225,7 @@ func (g *Graph) Deps(id string) []string {
 // Dependents returns the IDs depending on a node, in registration order.
 func (g *Graph) Dependents(id string) []string {
 	if i, ok := g.idx[id]; ok {
-		return g.ids(g.succ[i])
+		return g.ids(g.vs[i].out.view(g.out))
 	}
 	return nil
 }
@@ -194,17 +243,17 @@ func (g *Graph) Index(id string) int {
 // i, in registration order. The slice is a read-only view of the graph's own
 // storage: callers must not modify it, and it is valid only until the next
 // Depend or Merge.
-func (g *Graph) Succ(i int) []int32 { return g.succ[i] }
+func (g *Graph) Succ(i int) []int32 { return g.vs[i].out.view(g.out) }
 
 // NumPred returns how many nodes the node at position i depends on.
-func (g *Graph) NumPred(i int) int { return len(g.pred[i]) }
+func (g *Graph) NumPred(i int) int { return int(g.vs[i].in.n) }
 
 // Roots returns nodes with no dependencies, in insertion order.
 func (g *Graph) Roots() []*Node {
 	var out []*Node
-	for i, n := range g.nodes {
-		if len(g.pred[i]) == 0 {
-			out = append(out, n)
+	for _, v := range g.vs {
+		if v.in.n == 0 {
+			out = append(out, v.node)
 		}
 	}
 	return out
@@ -225,14 +274,14 @@ func (g *Graph) TopoSort() ([]string, error) {
 // been emitted, the earliest inserted goes next. The ready set is a min-heap
 // of positions.
 func (g *Graph) topo() ([]int32, error) {
-	indeg := make([]int32, len(g.nodes))
+	indeg := make([]int32, len(g.vs))
 	var ready []int32
-	for i := range g.nodes {
-		if indeg[i] = int32(len(g.pred[i])); indeg[i] == 0 {
+	for i := range g.vs {
+		if indeg[i] = g.vs[i].in.n; indeg[i] == 0 {
 			ready = append(ready, int32(i)) // ascending: already a heap
 		}
 	}
-	out := make([]int32, 0, len(g.nodes))
+	out := make([]int32, 0, len(g.vs))
 	for len(ready) > 0 {
 		i := ready[0]
 		last := len(ready) - 1
@@ -240,17 +289,17 @@ func (g *Graph) topo() ([]int32, error) {
 		ready = ready[:last]
 		siftDown(ready, 0)
 		out = append(out, i)
-		for _, s := range g.succ[i] {
+		for _, s := range g.vs[i].out.view(g.out) {
 			if indeg[s]--; indeg[s] == 0 {
 				ready = append(ready, s)
 				siftUp(ready, len(ready)-1)
 			}
 		}
 	}
-	if len(out) != len(g.nodes) {
+	if len(out) != len(g.vs) {
 		for i, d := range indeg {
 			if d > 0 {
-				return nil, fmt.Errorf("dag: cycle involving node %q", g.nodes[i].ID)
+				return nil, fmt.Errorf("dag: cycle involving node %q", g.vs[i].node.ID)
 			}
 		}
 	}
@@ -293,7 +342,8 @@ func (g *Graph) Validate() error {
 	if _, err := g.topo(); err != nil {
 		return err
 	}
-	for _, n := range g.nodes {
+	for _, v := range g.vs {
+		n := v.node
 		switch n.Kind {
 		case Compute:
 			if n.Host == "" {
@@ -329,15 +379,15 @@ func (g *Graph) CriticalPath(refRate unit.Rate) (unit.Time, []string, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	dist := make([]unit.Time, len(g.nodes))
-	prev := make([]int32, len(g.nodes))
+	dist := make([]unit.Time, len(g.vs))
+	prev := make([]int32, len(g.vs))
 	var best unit.Time
 	bestAt := int32(-1)
 	for _, i := range topo {
-		n := g.nodes[i]
+		n := g.vs[i].node
 		start := unit.Time(0)
 		prev[i] = -1
-		for _, p := range g.pred[i] {
+		for _, p := range g.vs[i].in.view(g.in) {
 			if dist[p] > start {
 				start = dist[p]
 				prev[i] = p
@@ -355,7 +405,7 @@ func (g *Graph) CriticalPath(refRate unit.Rate) (unit.Time, []string, error) {
 	}
 	var path []string
 	for i := bestAt; i >= 0; i = prev[i] {
-		path = append(path, g.nodes[i].ID)
+		path = append(path, g.vs[i].node.ID)
 	}
 	// Reverse into execution order.
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
@@ -368,7 +418,8 @@ func (g *Graph) CriticalPath(refRate unit.Rate) (unit.Time, []string, error) {
 // by Stage then insertion order.
 func (g *Graph) GroupNodes(group string) []*Node {
 	var out []*Node
-	for _, n := range g.nodes {
+	for _, v := range g.vs {
+		n := v.node
 		if n.Kind == Comm && n.Group == group {
 			out = append(out, n)
 		}
@@ -382,7 +433,8 @@ func (g *Graph) GroupNodes(group string) []*Node {
 func (g *Graph) Groups() []string {
 	seen := make(map[string]bool)
 	var out []string
-	for _, n := range g.nodes {
+	for _, v := range g.vs {
+		n := v.node
 		if n.Kind == Comm && n.Group != "" && !seen[n.Group] {
 			seen[n.Group] = true
 			out = append(out, n.Group)
@@ -393,19 +445,32 @@ func (g *Graph) Groups() []string {
 
 // Merge adds every node and edge of other into g, returning an error on ID
 // collision. It is used to compose multi-job workloads onto one fabric.
+// Each merged node keeps its dependents in other's registration order and
+// lists its dependencies by position.
 func (g *Graph) Merge(other *Graph) error {
-	base := int32(len(g.nodes))
-	for _, n := range other.nodes {
-		cp := *n
-		if err := g.Add(&cp); err != nil {
+	base := int32(len(g.vs))
+	g.vs = slices.Grow(g.vs, len(other.vs))
+	cps := make([]Node, len(other.vs))
+	for i, v := range other.vs {
+		cps[i] = *v.node
+		if err := g.Add(&cps[i]); err != nil {
 			return err
 		}
 	}
-	for i, succ := range other.succ {
-		for _, s := range succ {
-			from, to := base+int32(i), base+s
-			g.succ[from] = append(g.succ[from], to)
-			g.pred[to] = append(g.pred[to], from)
+	// Size every merged segment exactly, then fill them walking other's
+	// successors in position order.
+	out, in := int32(len(g.out)), int32(len(g.in))
+	for i, a := range other.vs {
+		m := &g.vs[base+int32(i)]
+		m.out, m.in = span{off: out, c: a.out.n}, span{off: in, c: a.in.n}
+		out += a.out.n
+		in += a.in.n
+	}
+	g.out = slices.Grow(g.out, int(out)-len(g.out))[:out]
+	g.in = slices.Grow(g.in, int(in)-len(g.in))[:in]
+	for i, a := range other.vs {
+		for _, s := range a.out.view(other.out) {
+			g.edge(base+int32(i), base+s)
 		}
 	}
 	return nil

@@ -2,6 +2,8 @@ package ddlt
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"echelonflow/internal/core"
 	"echelonflow/internal/dag"
@@ -52,32 +54,54 @@ func Merge(ws ...*Workload) (*Workload, error) {
 // compilers emit Compute nodes in intended execution order.
 type builder struct {
 	w   *Workload
-	seq map[string]int
 	job string
+	seq []int // next Seq per host, parallel to w.Hosts
+	buf []byte
+	// block is the unused tail of the block the next node comes from.
+	block []dag.Node
 }
 
 func newBuilder(job string) *builder {
 	return &builder{
 		w:   &Workload{Graph: dag.New(), Arrangements: make(map[string]core.Arrangement)},
-		seq: make(map[string]int),
 		job: job,
 	}
 }
 
-// id prefixes a node name with the job name.
-func (b *builder) id(format string, args ...interface{}) string {
-	return b.job + "/" + fmt.Sprintf(format, args...)
+// id names a node or group: the job name, a slash, then format with each
+// %d replaced by the next argument, as fmt would print it.
+func (b *builder) id(format string, args ...int) string {
+	buf := append(append(b.buf[:0], b.job...), '/')
+	for i := 0; i < len(format); i++ {
+		if format[i] == '%' && i+1 < len(format) && format[i+1] == 'd' {
+			buf = strconv.AppendInt(buf, int64(args[0]), 10)
+			args = args[1:]
+			i++
+			continue
+		}
+		buf = append(buf, format[i])
+	}
+	b.buf = buf
+	return string(buf)
 }
 
-// gid prefixes a group name with the job name.
-func (b *builder) gid(format string, args ...interface{}) string {
-	return b.job + "/" + fmt.Sprintf(format, args...)
+// node returns a zero Node from the builder's current block, starting a
+// block twice the size of the last one (at most 256 nodes) when it runs out.
+func (b *builder) node() *dag.Node {
+	if len(b.block) == 0 {
+		b.block = make([]dag.Node, min(max(2*cap(b.block), 16), 256))
+	}
+	n := &b.block[0]
+	b.block = b.block[1:]
+	return n
 }
 
 // compute emits a Compute node on host with the next sequence number.
 func (b *builder) compute(id, host string, dur unit.Time, deps ...string) (string, error) {
-	n := &dag.Node{ID: id, Kind: dag.Compute, Host: host, Duration: dur, Seq: b.seq[host]}
-	b.seq[host]++
+	h := b.noteHost(host)
+	n := b.node()
+	*n = dag.Node{ID: id, Kind: dag.Compute, Host: host, Duration: dur, Seq: b.seq[h]}
+	b.seq[h]++
 	if err := b.w.Graph.Add(n); err != nil {
 		return "", err
 	}
@@ -86,7 +110,6 @@ func (b *builder) compute(id, host string, dur unit.Time, deps ...string) (strin
 			return "", err
 		}
 	}
-	b.noteHost(host)
 	return id, nil
 }
 
@@ -96,17 +119,22 @@ func (b *builder) group(name string, arr core.Arrangement) string {
 	return name
 }
 
-func (b *builder) noteHost(h string) {
-	for _, x := range b.w.Hosts {
+// noteHost returns h's position in the workload's hosts, adding it if new.
+func (b *builder) noteHost(h string) int {
+	for i, x := range b.w.Hosts {
 		if x == h {
-			return
+			return i
 		}
 	}
 	b.w.Hosts = append(b.w.Hosts, h)
+	b.seq = append(b.seq, 0)
+	return len(b.w.Hosts) - 1
 }
 
 // noteHosts records flow endpoints discovered outside compute().
 func (b *builder) noteHosts(hs ...string) {
+	b.w.Hosts = slices.Grow(b.w.Hosts, len(hs))
+	b.seq = slices.Grow(b.seq, len(hs))
 	for _, h := range hs {
 		b.noteHost(h)
 	}
@@ -118,9 +146,9 @@ func (b *builder) finish(sinks []string) (*Workload, error) {
 	if err := b.w.Graph.Validate(); err != nil {
 		return nil, err
 	}
-	for _, g := range b.w.Graph.Groups() {
-		if _, ok := b.w.Arrangements[g]; !ok {
-			return nil, fmt.Errorf("ddlt: group %q has no arrangement", g)
+	for _, n := range b.w.Graph.Nodes() {
+		if _, ok := b.w.Arrangements[n.Group]; n.Kind == dag.Comm && n.Group != "" && !ok {
+			return nil, fmt.Errorf("ddlt: group %q has no arrangement", n.Group)
 		}
 	}
 	return b.w, nil
@@ -137,15 +165,13 @@ func validateJobCommon(name string, m Model, workers []string, iterations int) e
 	if len(workers) < 2 {
 		return fmt.Errorf("ddlt: job %q needs >=2 workers", name)
 	}
-	seen := make(map[string]bool)
-	for _, w := range workers {
+	for i, w := range workers {
 		if w == "" {
 			return fmt.Errorf("ddlt: job %q has an empty worker name", name)
 		}
-		if seen[w] {
+		if slices.Contains(workers[:i], w) {
 			return fmt.Errorf("ddlt: job %q has duplicate worker %q", name, w)
 		}
-		seen[w] = true
 	}
 	if iterations < 1 {
 		return fmt.Errorf("ddlt: job %q needs >=1 iteration", name)

@@ -38,45 +38,45 @@ func (j DPAllReduce) Build() (*Workload, error) {
 	b := newBuilder(j.Name)
 	b.noteHosts(j.Workers...)
 
+	// prev and cur hold the previous and current backward stage's computes,
+	// one per worker.
+	prev, cur := make([]string, len(j.Workers)), make([]string, len(j.Workers))
 	var barrier []string // previous iteration's all-reduce exit flows
 	for it := 0; it < j.Iterations; it++ {
 		// Forward pass per worker.
-		fw := make([]string, len(j.Workers))
 		for i, w := range j.Workers {
 			id, err := b.compute(b.id("it%d/fw%d", it, i), w, j.Model.FwdTime(), barrier...)
 			if err != nil {
 				return nil, err
 			}
-			fw[i] = id
+			prev[i] = id
 		}
 		// Backward per bucket (deepest layers first), launching the
 		// bucket's all-reduce as soon as each worker's gradients are ready.
-		prevBw := fw
-		barrier = nil
+		barrier = barrier[:0]
 		for bi, bucket := range buckets {
 			dur := bucketBwdTime(j.Model, bucket)
-			bw := make([]string, len(j.Workers))
 			for i, w := range j.Workers {
-				id, err := b.compute(b.id("it%d/bw%dw%d", it, bi, i), w, dur, prevBw[i])
+				id, err := b.compute(b.id("it%d/bw%dw%d", it, bi, i), w, dur, prev[i])
 				if err != nil {
 					return nil, err
 				}
-				bw[i] = id
+				cur[i] = id
 			}
-			group := b.group(b.gid("it%d/ar%d", it, bi), core.Coflow{})
-			op, err := collective.RingAllReduce(b.w.Graph, b.id("it%d/ar%d", it, bi),
-				j.Workers, bucketParams(j.Model, bucket), group, 0, nil)
+			group := b.group(b.id("it%d/ar%d", it, bi), core.Coflow{})
+			op, err := collective.RingAllReduce(b.w.Graph, group, j.Workers,
+				bucketParams(j.Model, bucket), group, 0, nil)
 			if err != nil {
 				return nil, err
 			}
 			// Worker i's first send waits only for worker i's backward.
 			for i, entry := range op.Step0 {
-				if err := b.w.Graph.Depend(bw[i], entry); err != nil {
+				if err := b.w.Graph.Depend(cur[i], entry); err != nil {
 					return nil, err
 				}
 			}
 			barrier = append(barrier, op.Last...)
-			prevBw = bw
+			prev, cur = cur, prev
 		}
 	}
 	return b.finish(barrier)

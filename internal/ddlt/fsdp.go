@@ -64,17 +64,15 @@ func (j FSDP) Build() (*Workload, error) {
 	b.noteHosts(j.Workers...)
 	n := len(j.Model.Layers)
 
+	W := len(j.Workers)
+	// Per network op k: its entry and exit flows; per compute unit k and
+	// worker i: the compute's ID at k*W+i. Reused by every iteration.
+	agLast, agStep0 := make([][]string, 2*n), make([][]string, 2*n)
+	computes := make([]string, 2*n*W)
 	var barrier []string
 	for it := 0; it < j.Iterations; it++ {
-		agGroup := b.group(b.gid("it%d/ag", it), core.Staged{Gaps: fsdpGaps(j.Model)})
+		agGroup := b.group(b.id("it%d/ag", it), core.Staged{Gaps: fsdpGaps(j.Model)})
 
-		// The compute chain per worker: F(0..n−1) then B(n−1..0).
-		computeID := func(k, i int) string {
-			if k < n {
-				return b.id("it%d/fw/l%dw%d", it, k, i)
-			}
-			return b.id("it%d/bw/l%dw%d", it, 2*n-1-k, i)
-		}
 		// The network chain: AG(0..n−1) then AG'(n−1..0); op k serves
 		// compute unit k. Stage index in the EchelonFlow equals k.
 		layerOf := func(k int) int {
@@ -83,18 +81,15 @@ func (j FSDP) Build() (*Workload, error) {
 			}
 			return 2*n - 1 - k
 		}
-		agPrefix := func(k int) string {
-			if k < n {
-				return b.id("it%d/ag/l%d", it, k)
-			}
-			return b.id("it%d/agb/l%d", it, layerOf(k))
-		}
-
 		var prevLast []string // previous network op's exit flows
-		agLast := make([][]string, 2*n)
-		agStep0 := make([][]string, 2*n)
 		for k := 0; k < 2*n; k++ {
-			op, err := collective.RingAllGather(b.w.Graph, agPrefix(k), j.Workers,
+			var prefix string
+			if k < n {
+				prefix = b.id("it%d/ag/l%d", it, k)
+			} else {
+				prefix = b.id("it%d/agb/l%d", it, layerOf(k))
+			}
+			op, err := collective.RingAllGather(b.w.Graph, prefix, j.Workers,
 				j.Model.Layers[layerOf(k)].Params, agGroup, k, nil)
 			if err != nil {
 				return nil, err
@@ -117,8 +112,9 @@ func (j FSDP) Build() (*Workload, error) {
 			agStep0[k] = op.Step0
 		}
 
-		// Computes: F(l) after AG(l); B(l) after AG'(l); serial per worker
-		// via Seq. Reduce-scatter after each backward layer.
+		// Computes: F(0..n−1) then B(n−1..0), F(l) after AG(l) and B(l)
+		// after AG'(l); serial per worker via Seq. Reduce-scatter after
+		// each backward layer.
 		barrier = nil
 		for k := 0; k < 2*n; k++ {
 			l := layerOf(k)
@@ -127,16 +123,21 @@ func (j FSDP) Build() (*Workload, error) {
 			if k >= n {
 				dur = layer.Bwd
 			}
-			ids := make([]string, len(j.Workers))
+			ids := computes[k*W : (k+1)*W]
 			for i, w := range j.Workers {
-				id, err := b.compute(computeID(k, i), w, dur, agLast[k]...)
-				if err != nil {
+				var id string
+				if k < n {
+					id = b.id("it%d/fw/l%dw%d", it, l, i)
+				} else {
+					id = b.id("it%d/bw/l%dw%d", it, l, i)
+				}
+				if _, err := b.compute(id, w, dur, agLast[k]...); err != nil {
 					return nil, err
 				}
 				ids[i] = id
 			}
 			if k >= n {
-				group := b.group(b.gid("it%d/rs%d", it, l), core.Coflow{})
+				group := b.group(b.id("it%d/rs%d", it, l), core.Coflow{})
 				rs, err := collective.RingReduceScatter(b.w.Graph, b.id("it%d/rs/l%d", it, l),
 					j.Workers, layer.Params, group, 0, nil)
 				if err != nil {
@@ -159,7 +160,7 @@ func (j FSDP) Build() (*Workload, error) {
 				continue
 			}
 			for i, entry := range agStep0[k] {
-				if err := b.w.Graph.Depend(computeID(gate, i), entry); err != nil {
+				if err := b.w.Graph.Depend(computes[gate*W+i], entry); err != nil {
 					return nil, err
 				}
 			}

@@ -88,8 +88,8 @@ func (j HybridTPPP) Build() (*Workload, error) {
 	for it := 0; it < j.Iterations; it++ {
 		// Group declarations: inter-stage EchelonFlows (Eq. 6).
 		for s := 0; s+1 < S; s++ {
-			b.group(b.gid("it%d/fwd%d", it, s), core.Pipeline{T: stageFwd[s+1]})
-			b.group(b.gid("it%d/bwd%d", it, s+1), core.Pipeline{T: stageBwd[s]})
+			b.group(b.id("it%d/fwd%d", it, s), core.Pipeline{T: stageFwd[s+1]})
+			b.group(b.id("it%d/bwd%d", it, s+1), core.Pipeline{T: stageBwd[s]})
 		}
 
 		fwDone := make([][][]string, S) // [s][m] = per-rank last-layer computes
@@ -128,7 +128,7 @@ func (j HybridTPPP) Build() (*Workload, error) {
 						ids[r] = id
 					}
 					// Intra-stage activation all-reduce (Coflow, Eq. 5).
-					agroup := b.group(b.gid("it%d/as/s%dm%dl%d", it, s, m, l), core.Coflow{})
+					agroup := b.group(b.id("it%d/as/s%dm%dl%d", it, s, m, l), core.Coflow{})
 					op, err := collective.RingAllReduce(b.w.Graph,
 						b.id("it%d/as/s%dm%dl%d", it, s, m, l), group, layer.Activations, agroup, 0, nil)
 					if err != nil {
@@ -149,7 +149,7 @@ func (j HybridTPPP) Build() (*Workload, error) {
 							b.id("it%d/act/s%dm%dr%d", it, s, m, r),
 							group[r], j.StageWorkers[s+1][r],
 							stageActOut[s]/unit.Bytes(k),
-							b.gid("it%d/fwd%d", it, s), m, barrier); err != nil {
+							b.id("it%d/fwd%d", it, s), m, barrier); err != nil {
 							return nil, err
 						}
 					}
@@ -193,7 +193,7 @@ func (j HybridTPPP) Build() (*Workload, error) {
 						}
 						ids[r] = id
 					}
-					ggroup := b.group(b.gid("it%d/gs/s%dm%dl%d", it, s, m, l), core.Coflow{})
+					ggroup := b.group(b.id("it%d/gs/s%dm%dl%d", it, s, m, l), core.Coflow{})
 					op, err := collective.RingAllReduce(b.w.Graph,
 						b.id("it%d/gs/s%dm%dl%d", it, s, m, l), group, layer.Activations, ggroup, 0, nil)
 					if err != nil {
@@ -213,7 +213,7 @@ func (j HybridTPPP) Build() (*Workload, error) {
 							b.id("it%d/grad/s%dm%dr%d", it, s, m, r),
 							group[r], j.StageWorkers[s-1][r],
 							stageActOut[s-1]/unit.Bytes(k),
-							b.gid("it%d/bwd%d", it, s), mi, barrier); err != nil {
+							b.id("it%d/bwd%d", it, s), mi, barrier); err != nil {
 							return nil, err
 						}
 					}

@@ -76,6 +76,12 @@ func (j PipelineGPipe) Build() (*Workload, error) {
 	b := newBuilder(j.Name)
 	b.noteHosts(j.Workers...)
 
+	// One ID table per node kind, indexed s*M+m and reused by every
+	// iteration, and the iteration's group names per stage.
+	ids := make([]string, 4*S*M+2*S)
+	fw, act, bw, grad := ids[:S*M], ids[S*M:2*S*M], ids[2*S*M:3*S*M], ids[3*S*M:4*S*M]
+	fwdG, bwdG := ids[4*S*M:4*S*M+S], ids[4*S*M+S:]
+
 	// prevUpd[s] is stage s's optimizer update from the previous iteration:
 	// every forward of the next iteration on that stage must wait for it.
 	var prevUpd []string
@@ -83,29 +89,31 @@ func (j PipelineGPipe) Build() (*Workload, error) {
 		// Forward phase: micro-batches in order, stages in order. The
 		// activation flows of each worker pair form one EchelonFlow with
 		// distance T = the consuming stage's forward time (Eq. 6).
-		fwID := func(s, m int) string { return b.id("it%d/fw/s%dm%d", it, s, m) }
-		actID := func(s, m int) string { return b.id("it%d/act/s%dm%d", it, s, m) }
 		for s := 0; s+1 < S; s++ {
-			b.group(b.gid("it%d/fwd%d", it, s), core.Pipeline{T: infos[s+1].fwd})
+			fwdG[s] = b.group(b.id("it%d/fwd%d", it, s), core.Pipeline{T: infos[s+1].fwd})
 		}
 		for m := 0; m < M; m++ {
 			for s := 0; s < S; s++ {
-				var deps []string
+				var scratch [2]string
+				deps := scratch[:0]
 				if s > 0 {
-					deps = append(deps, actID(s-1, m))
+					deps = append(deps, act[(s-1)*M+m])
 				}
 				// Iteration barrier: the stage's parameters are only valid
 				// after its previous-iteration optimizer step.
 				if len(prevUpd) > 0 {
 					deps = append(deps, prevUpd[s])
 				}
-				if _, err := b.compute(fwID(s, m), j.Workers[s], infos[s].fwd, deps...); err != nil {
+				k := s*M + m
+				fw[k] = b.id("it%d/fw/s%dm%d", it, s, m)
+				if _, err := b.compute(fw[k], j.Workers[s], infos[s].fwd, deps...); err != nil {
 					return nil, err
 				}
 				if s+1 < S {
-					if _, err := collective.P2P(b.w.Graph, actID(s, m),
+					act[k] = b.id("it%d/act/s%dm%d", it, s, m)
+					if _, err := collective.P2P(b.w.Graph, act[k],
 						j.Workers[s], j.Workers[s+1], infos[s].actOut,
-						b.gid("it%d/fwd%d", it, s), m, []string{fwID(s, m)}); err != nil {
+						fwdG[s], m, []string{fw[k]}); err != nil {
 						return nil, err
 					}
 				}
@@ -114,27 +122,26 @@ func (j PipelineGPipe) Build() (*Workload, error) {
 		// Backward phase: micro-batches in reverse order (Fig. 1a), stages
 		// in reverse. Gradient flows of each worker pair form another
 		// EchelonFlow with distance T = the consuming stage's backward time.
-		bwID := func(s, m int) string { return b.id("it%d/bw/s%dm%d", it, s, m) }
-		gradID := func(s, m int) string { return b.id("it%d/grad/s%dm%d", it, s, m) }
 		for s := 1; s < S; s++ {
-			b.group(b.gid("it%d/bwd%d", it, s), core.Pipeline{T: infos[s-1].bwd})
+			bwdG[s] = b.group(b.id("it%d/bwd%d", it, s), core.Pipeline{T: infos[s-1].bwd})
 		}
 		for mi := 0; mi < M; mi++ {
 			m := M - 1 - mi
 			for s := S - 1; s >= 0; s-- {
-				var deps []string
+				k := s*M + m
+				dep := fw[k]
 				if s < S-1 {
-					deps = append(deps, gradID(s+1, m))
-				} else {
-					deps = append(deps, fwID(s, m))
+					dep = grad[k+M]
 				}
-				if _, err := b.compute(bwID(s, m), j.Workers[s], infos[s].bwd, deps...); err != nil {
+				bw[k] = b.id("it%d/bw/s%dm%d", it, s, m)
+				if _, err := b.compute(bw[k], j.Workers[s], infos[s].bwd, dep); err != nil {
 					return nil, err
 				}
 				if s > 0 {
-					if _, err := collective.P2P(b.w.Graph, gradID(s, m),
+					grad[k] = b.id("it%d/grad/s%dm%d", it, s, m)
+					if _, err := collective.P2P(b.w.Graph, grad[k],
 						j.Workers[s], j.Workers[s-1], infos[s].gradIn,
-						b.gid("it%d/bwd%d", it, s), mi, []string{bwID(s, m)}); err != nil {
+						bwdG[s], mi, []string{bw[k]}); err != nil {
 						return nil, err
 					}
 				}
@@ -144,7 +151,7 @@ func (j PipelineGPipe) Build() (*Workload, error) {
 		// backward micro-batch (m = 0 under the reversed order).
 		prevUpd = prevUpd[:0]
 		for s := 0; s < S; s++ {
-			id, err := b.compute(b.id("it%d/upd%d", it, s), j.Workers[s], j.UpdateTime, bwID(s, 0))
+			id, err := b.compute(b.id("it%d/upd%d", it, s), j.Workers[s], j.UpdateTime, bw[s*M])
 			if err != nil {
 				return nil, err
 			}

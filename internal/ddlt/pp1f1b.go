@@ -97,15 +97,30 @@ func (j Pipeline1F1B) Build() (*Workload, error) {
 	b := newBuilder(j.Name)
 	b.noteHosts(j.Workers...)
 
+	// One ID table per node kind, indexed s*M+m and reused by every
+	// iteration, and the iteration's group names per stage.
+	ids := make([]string, 4*S*M+2*S)
+	fw, act, bw, grad := ids[:S*M], ids[S*M:2*S*M], ids[2*S*M:3*S*M], ids[3*S*M:4*S*M]
+	fwdG, bwdG := ids[4*S*M:4*S*M+S], ids[4*S*M+S:]
+	type dep struct{ from, to string }
+	var deps []dep
 	var prevUpd []string
 	for it := 0; it < j.Iterations; it++ {
-		fwID := func(s, m int) string { return b.id("it%d/fw/s%dm%d", it, s, m) }
-		bwID := func(s, m int) string { return b.id("it%d/bw/s%dm%d", it, s, m) }
-		actID := func(s, m int) string { return b.id("it%d/act/s%dm%d", it, s, m) }
-		gradID := func(s, m int) string { return b.id("it%d/grad/s%dm%d", it, s, m) }
 		for s := 0; s+1 < S; s++ {
-			b.group(b.gid("it%d/fwd%d", it, s), core.Pipeline{T: infos[s+1].fwd})
-			b.group(b.gid("it%d/bwd%d", it, s+1), core.Pipeline{T: infos[s].bwd})
+			fwdG[s] = b.group(b.id("it%d/fwd%d", it, s), core.Pipeline{T: infos[s+1].fwd})
+			bwdG[s+1] = b.group(b.id("it%d/bwd%d", it, s+1), core.Pipeline{T: infos[s].bwd})
+		}
+		for s := 0; s < S; s++ {
+			for m := 0; m < M; m++ {
+				k := s*M + m
+				fw[k], bw[k] = b.id("it%d/fw/s%dm%d", it, s, m), b.id("it%d/bw/s%dm%d", it, s, m)
+				if s+1 < S {
+					act[k] = b.id("it%d/act/s%dm%d", it, s, m)
+				}
+				if s > 0 {
+					grad[k] = b.id("it%d/grad/s%dm%d", it, s, m)
+				}
+			}
 		}
 
 		// Pass 1: create every compute (in each stage's 1F1B order, so host
@@ -113,46 +128,46 @@ func (j Pipeline1F1B) Build() (*Workload, error) {
 		// in pass 2, since backwards reference gradient flows of later
 		// stages. Each stage's computes are also chained explicitly — 1F1B
 		// runs a fixed per-stage order, not an opportunistic one.
-		type dep struct{ from, to string }
-		var deps []dep
+		deps = deps[:0]
 		for s := 0; s < S; s++ {
 			prevOnHost := ""
 			for _, u := range schedule1F1B(s, S, M) {
+				k := s*M + u.m
 				var id string
 				if u.kind == unitFwd {
-					id = fwID(s, u.m)
+					id = fw[k]
 					if _, err := b.compute(id, j.Workers[s], infos[s].fwd); err != nil {
 						return nil, err
 					}
 					if s > 0 {
-						deps = append(deps, dep{actID(s-1, u.m), id})
+						deps = append(deps, dep{act[k-M], id})
 					}
 					if len(prevUpd) > 0 {
 						deps = append(deps, dep{prevUpd[s], id})
 					}
 					if s+1 < S {
-						if _, err := collective.P2P(b.w.Graph, actID(s, u.m),
+						if _, err := collective.P2P(b.w.Graph, act[k],
 							j.Workers[s], j.Workers[s+1], infos[s].actOut,
-							b.gid("it%d/fwd%d", it, s), u.m, []string{id}); err != nil {
+							fwdG[s], u.m, []string{id}); err != nil {
 							return nil, err
 						}
 					}
 				} else {
-					id = bwID(s, u.m)
+					id = bw[k]
 					if _, err := b.compute(id, j.Workers[s], infos[s].bwd); err != nil {
 						return nil, err
 					}
 					if s < S-1 {
-						deps = append(deps, dep{gradID(s+1, u.m), id})
+						deps = append(deps, dep{grad[k+M], id})
 					} else {
-						deps = append(deps, dep{fwID(s, u.m), id})
+						deps = append(deps, dep{fw[k], id})
 					}
 					if s > 0 {
 						// 1F1B drains micro-batches in order, so the
 						// gradient flow's stage index is its micro-batch.
-						if _, err := collective.P2P(b.w.Graph, gradID(s, u.m),
+						if _, err := collective.P2P(b.w.Graph, grad[k],
 							j.Workers[s], j.Workers[s-1], infos[s].gradIn,
-							b.gid("it%d/bwd%d", it, s), u.m, []string{id}); err != nil {
+							bwdG[s], u.m, []string{id}); err != nil {
 							return nil, err
 						}
 					}
@@ -170,7 +185,7 @@ func (j Pipeline1F1B) Build() (*Workload, error) {
 		}
 		prevUpd = prevUpd[:0]
 		for s := 0; s < S; s++ {
-			id, err := b.compute(b.id("it%d/upd%d", it, s), j.Workers[s], j.UpdateTime, bwID(s, M-1))
+			id, err := b.compute(b.id("it%d/upd%d", it, s), j.Workers[s], j.UpdateTime, bw[s*M+M-1])
 			if err != nil {
 				return nil, err
 			}

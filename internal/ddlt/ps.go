@@ -55,37 +55,37 @@ func (j DPParameterServer) Build() (*Workload, error) {
 	b.noteHosts(j.Workers...)
 	b.noteHost(j.PS)
 
+	// prev and cur hold the previous and current backward stage's computes,
+	// one per worker.
+	prev, cur := make([]string, len(j.Workers)), make([]string, len(j.Workers))
 	var barrier []string // previous iteration's pull flows
 	for it := 0; it < j.Iterations; it++ {
-		fw := make([]string, len(j.Workers))
 		for i, w := range j.Workers {
 			id, err := b.compute(b.id("it%d/fw%d", it, i), w, j.Model.FwdTime(), barrier...)
 			if err != nil {
 				return nil, err
 			}
-			fw[i] = id
+			prev[i] = id
 		}
-		prevBw := fw
-		barrier = nil
+		barrier = barrier[:0]
 		for bi, bucket := range buckets {
 			dur := bucketBwdTime(j.Model, bucket)
 			vol := bucketParams(j.Model, bucket)
-			bw := make([]string, len(j.Workers))
 			for i, w := range j.Workers {
-				id, err := b.compute(b.id("it%d/bw%dw%d", it, bi, i), w, dur, prevBw[i])
+				id, err := b.compute(b.id("it%d/bw%dw%d", it, bi, i), w, dur, prev[i])
 				if err != nil {
 					return nil, err
 				}
-				bw[i] = id
+				cur[i] = id
 			}
-			pushGroup := b.group(b.gid("it%d/push%d", it, bi), core.Coflow{})
-			push, err := collective.PSPush(b.w.Graph, b.id("it%d/b%d", it, bi),
-				j.Workers, j.PS, vol, pushGroup, 0, nil)
+			prefix := b.id("it%d/b%d", it, bi)
+			pushGroup := b.group(b.id("it%d/push%d", it, bi), core.Coflow{})
+			push, err := collective.PSPush(b.w.Graph, prefix, j.Workers, j.PS, vol, pushGroup, 0, nil)
 			if err != nil {
 				return nil, err
 			}
 			for i, entry := range push.Step0 {
-				if err := b.w.Graph.Depend(bw[i], entry); err != nil {
+				if err := b.w.Graph.Depend(cur[i], entry); err != nil {
 					return nil, err
 				}
 			}
@@ -93,14 +93,13 @@ func (j DPParameterServer) Build() (*Workload, error) {
 			if err != nil {
 				return nil, err
 			}
-			pullGroup := b.group(b.gid("it%d/pull%d", it, bi), core.Coflow{})
-			pull, err := collective.PSPull(b.w.Graph, b.id("it%d/b%d", it, bi),
-				j.Workers, j.PS, vol, pullGroup, 0, []string{agg})
+			pullGroup := b.group(b.id("it%d/pull%d", it, bi), core.Coflow{})
+			pull, err := collective.PSPull(b.w.Graph, prefix, j.Workers, j.PS, vol, pullGroup, 0, []string{agg})
 			if err != nil {
 				return nil, err
 			}
 			barrier = append(barrier, pull.Last...)
-			prevBw = bw
+			prev, cur = cur, prev
 		}
 	}
 	return b.finish(barrier)

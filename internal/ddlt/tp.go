@@ -27,12 +27,12 @@ func (j TensorParallel) Build() (*Workload, error) {
 	b.noteHosts(j.Workers...)
 	n := len(j.Model.Layers)
 
+	ids := make([]string, len(j.Workers)) // the layer's computes, one per worker
 	var barrier []string
 	for it := 0; it < j.Iterations; it++ {
 		// Forward: per-layer compute then activation all-reduce.
 		for l := 0; l < n; l++ {
 			layer := j.Model.Layers[l]
-			fw := make([]string, len(j.Workers))
 			for i, w := range j.Workers {
 				// barrier holds the previous layer's all-reduce exit flows
 				// (or the previous iteration's final all-reduce for l == 0).
@@ -40,16 +40,16 @@ func (j TensorParallel) Build() (*Workload, error) {
 				if err != nil {
 					return nil, err
 				}
-				fw[i] = id
+				ids[i] = id
 			}
-			group := b.group(b.gid("it%d/as%d", it, l), core.Coflow{})
+			group := b.group(b.id("it%d/as%d", it, l), core.Coflow{})
 			op, err := collective.RingAllReduce(b.w.Graph, b.id("it%d/as%d", it, l),
 				j.Workers, layer.Activations, group, 0, nil)
 			if err != nil {
 				return nil, err
 			}
 			for i, entry := range op.Step0 {
-				if err := b.w.Graph.Depend(fw[i], entry); err != nil {
+				if err := b.w.Graph.Depend(ids[i], entry); err != nil {
 					return nil, err
 				}
 			}
@@ -58,22 +58,21 @@ func (j TensorParallel) Build() (*Workload, error) {
 		// Backward: layers in reverse, gradient all-reduce per layer.
 		for l := n - 1; l >= 0; l-- {
 			layer := j.Model.Layers[l]
-			bw := make([]string, len(j.Workers))
 			for i, w := range j.Workers {
 				id, err := b.compute(b.id("it%d/bw/l%dw%d", it, l, i), w, layer.Bwd, barrier...)
 				if err != nil {
 					return nil, err
 				}
-				bw[i] = id
+				ids[i] = id
 			}
-			group := b.group(b.gid("it%d/gs%d", it, l), core.Coflow{})
+			group := b.group(b.id("it%d/gs%d", it, l), core.Coflow{})
 			op, err := collective.RingAllReduce(b.w.Graph, b.id("it%d/gs%d", it, l),
 				j.Workers, layer.Activations, group, 0, nil)
 			if err != nil {
 				return nil, err
 			}
 			for i, entry := range op.Step0 {
-				if err := b.w.Graph.Depend(bw[i], entry); err != nil {
+				if err := b.w.Graph.Depend(ids[i], entry); err != nil {
 					return nil, err
 				}
 			}

@@ -125,6 +125,49 @@ func TestCompiledOncePerJob(t *testing.T) {
 	}
 }
 
+// Compiling a job costs a few allocations per job, not several per node: a
+// deck job has about 45 nodes, 70 edges and 27 flows. Build is what a tenant
+// runs, Compile what Submit runs, and admission instantiates the plan.
+func TestCompileAllocs(t *testing.T) {
+	specs := deck()
+	hosts := []string{"h0", "h1", "h2", "h3"}
+	plans := make([]*Plan, len(specs))
+	for i, s := range specs {
+		var err error
+		if plans[i], err = Compile(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perJob := func(f func(i int, s wire.JobSpec) error) float64 {
+		return testing.AllocsPerRun(5, func() {
+			for i, s := range specs {
+				if err := f(i, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / float64(len(specs))
+	}
+	for _, c := range []struct {
+		name  string
+		bound float64
+		f     func(i int, s wire.JobSpec) error
+	}{
+		{"build", 150, func(_ int, s wire.JobSpec) error { _, err := Build(s, hosts[:HostsNeeded(s)]); return err }},
+		{"submit", 200, func(_ int, s wire.JobSpec) error { _, err := Compile(s); return err }},
+		{"admit", 8, func(i int, s wire.JobSpec) error {
+			_, err := plans[i].Groups(hosts[:HostsNeeded(s)], s.Weight)
+			return err
+		}},
+	} {
+		got := perJob(c.f)
+		if got > c.bound {
+			t.Errorf("%s allocates %.1f times per job, bound %.0f", c.name, got, c.bound)
+		} else {
+			t.Logf("%s allocates %.1f times per job, bound %.0f", c.name, got, c.bound)
+		}
+	}
+}
+
 // BenchmarkQueue_Compile is the per-job compile cost over the deck: build
 // is queue.Build, as a tenant compiles its admitted job; submit is the
 // compile Submit keeps (Compile); admit is what admission does with it (the

@@ -10,7 +10,11 @@
 package queue
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"echelonflow/internal/core"
@@ -52,6 +56,8 @@ type Admitted struct {
 // Groups instantiates the job's plan on its placement with the job's weight,
 // and releases the plan: an admitted job keeps only the groups it registers.
 // A job with no plan (restored pending from a snapshot) is compiled here.
+// The plan's groups are already validated and stage-sorted: instantiating
+// them calls no core.New.
 func (a *Admitted) Groups() ([]*core.EchelonFlow, error) {
 	p := a.Job.plan
 	a.Job.plan = nil
@@ -120,11 +126,22 @@ func Build(spec wire.JobSpec, hosts []string) (*ddlt.Workload, error) {
 	}
 }
 
-// slotHosts names a placement's slots: the hosts a Plan is compiled on.
+// slotHosts names a placement's slots, "q0", "q1", ...: the hosts a Plan is
+// compiled on. The names are cut from one string.
 func slotHosts(n int) []string {
+	var scratch [128]byte
+	buf := scratch[:0]
+	for i := 0; i < n; i++ {
+		buf = strconv.AppendInt(append(buf, 'q'), int64(i), 10)
+	}
+	all := string(buf)
 	out := make([]string, n)
 	for i := range out {
-		out[i] = fmt.Sprintf("q%d", i)
+		end := len(all)
+		if k := strings.IndexByte(all[1:], 'q'); k >= 0 {
+			end = k + 1
+		}
+		out[i], all = all[:end], all[end:]
 	}
 	return out
 }
@@ -132,18 +149,20 @@ func slotHosts(n int) []string {
 // Plan is a job spec compiled once, on slot hosts: everything admission
 // registers, with each flow's endpoints kept as slot indices. Node and group
 // IDs carry worker indices, never host names, so one plan serves every
-// placement of the spec.
+// placement of the spec. Its groups are validated and their flows sorted by
+// stage, as core.New would: instantiating them is copying.
 type Plan struct {
 	spec   wire.JobSpec // compiled from
 	slots  int          // HostsNeeded(spec)
 	bytes  unit.Bytes
 	groups []planGroup
+	flows  []planFlow // every group's flows, group after group
 }
 
 type planGroup struct {
 	id    string
 	arr   core.Arrangement
-	flows []planFlow
+	flows []planFlow // the group's window of Plan.flows
 }
 
 type planFlow struct {
@@ -153,10 +172,12 @@ type planFlow struct {
 	stage    int
 }
 
-// Compile builds a spec on slot hosts, lowers it with Groups and keeps the
-// result with each flow's endpoints as slot indices. It is pure, safe for
-// concurrent use and safe on any spec; an error is the spec's (invalid shape,
-// bad paradigm, pipeline with fewer layers than workers, ...).
+// Compile builds a spec on slot hosts and lowers the graph into a Plan in
+// one walk: comm nodes grouped as Groups groups them, each group checked as
+// core.New checks it and its flows stable-sorted by stage, endpoints kept as
+// slot indices. It is pure, safe for concurrent use and safe on any spec;
+// an error is the spec's (invalid shape, bad paradigm, pipeline with fewer
+// layers than workers, ...).
 func Compile(spec wire.JobSpec) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -166,26 +187,64 @@ func Compile(spec wire.JobSpec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups, err := Groups(w, 0)
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{spec: spec, slots: len(hosts), groups: make([]planGroup, len(groups))}
+	p := &Plan{spec: spec, slots: len(hosts)}
+	at := make(map[string]int32)
+	// flows[i] belongs to group groupOf[i]; both in node order.
+	flows := make([]planFlow, 0, w.Graph.Len())
+	groupOf := make([]int32, 0, w.Graph.Len())
 	for _, n := range w.Graph.Nodes() {
-		if n.Kind == dag.Comm {
-			p.bytes += n.Size // in node order: snapshots record Job.Bytes to the bit
+		if n.Kind != dag.Comm {
+			continue
 		}
-	}
-	slot := make(map[string]int32, len(hosts))
-	for i, h := range hosts {
-		slot[h] = int32(i)
-	}
-	for i, g := range groups {
-		flows := make([]planFlow, len(g.Flows))
-		for k, f := range g.Flows {
-			flows[k] = planFlow{id: f.ID, src: slot[f.Src], dst: slot[f.Dst], size: f.Size, stage: f.Stage}
+		p.bytes += n.Size // in node order: snapshots record Job.Bytes to the bit
+		gid := n.Group
+		if gid == "" {
+			gid = "flow:" + n.ID
 		}
-		p.groups[i] = planGroup{id: g.ID, arr: g.Arrangement, flows: flows}
+		k, ok := at[gid]
+		if !ok {
+			k = int32(len(p.groups))
+			at[gid] = k
+			p.groups = append(p.groups, planGroup{id: gid, arr: w.Arrangements[gid]})
+		}
+		if n.Stage < 0 {
+			return nil, fmt.Errorf("queue: group %q: flow %q has negative stage", gid, n.ID)
+		}
+		src, dst := slices.Index(hosts, n.Src), slices.Index(hosts, n.Dst)
+		if src < 0 || dst < 0 {
+			return nil, fmt.Errorf("queue: group %q: flow %q is not between slot hosts", gid, n.ID)
+		}
+		flows = append(flows, planFlow{id: n.ID, src: int32(src), dst: int32(dst), size: n.Size, stage: n.Stage})
+		groupOf = append(groupOf, k)
+	}
+	// Lay each group's flows out contiguously in one array, in node order,
+	// then sort each group by stage.
+	next := make([]int, len(p.groups))
+	for _, k := range groupOf {
+		next[k]++
+	}
+	off := 0
+	for k, n := range next {
+		next[k] = off
+		off += n
+	}
+	p.flows = make([]planFlow, len(flows))
+	for i, f := range flows {
+		p.flows[next[groupOf[i]]] = f
+		next[groupOf[i]]++
+	}
+	off = 0
+	for k := range p.groups {
+		g := &p.groups[k]
+		g.flows = p.flows[off:next[k]:next[k]]
+		off = next[k]
+		if g.arr == nil {
+			if len(g.flows) != 1 || g.id != "flow:"+g.flows[0].id {
+				return nil, fmt.Errorf("queue: group %q has no arrangement", g.id)
+			}
+			g.arr = core.Coflow{}
+		}
+		slices.SortStableFunc(g.flows, func(a, b planFlow) int { return cmp.Compare(a.stage, b.stage) })
 	}
 	return p, nil
 }
@@ -201,7 +260,9 @@ func (p *Plan) GroupIDs() []string {
 
 // Groups instantiates the plan on a placement (len(hosts) == HostsNeeded,
 // distinct, non-empty: what Build requires of one): the groups
-// Groups(Build(spec, hosts), weight) returns, without compiling.
+// Groups(Build(spec, hosts), weight) returns, without compiling. Compile
+// validated and sorted them, so this only copies: distinct slots on distinct
+// hosts keep every flow's endpoints distinct.
 func (p *Plan) Groups(hosts []string, weight float64) ([]*core.EchelonFlow, error) {
 	if len(hosts) != p.slots {
 		return nil, fmt.Errorf("queue: job %q needs %d hosts, placement bound %d", p.spec.ID, p.slots, len(hosts))
@@ -216,13 +277,10 @@ func (p *Plan) Groups(hosts []string, weight float64) ([]*core.EchelonFlow, erro
 			}
 		}
 	}
-	n := 0
-	for _, g := range p.groups {
-		n += len(g.flows)
-	}
-	flows, ptrs := make([]core.Flow, n), make([]*core.Flow, n)
-	out := make([]*core.EchelonFlow, 0, len(p.groups))
-	for _, g := range p.groups {
+	flows, ptrs := make([]core.Flow, len(p.flows)), make([]*core.Flow, len(p.flows))
+	egs := make([]core.EchelonFlow, len(p.groups))
+	out := make([]*core.EchelonFlow, len(p.groups))
+	for k, g := range p.groups {
 		members := ptrs[:len(g.flows):len(g.flows)]
 		ptrs = ptrs[len(g.flows):]
 		for i, f := range g.flows {
@@ -230,12 +288,8 @@ func (p *Plan) Groups(hosts []string, weight float64) ([]*core.EchelonFlow, erro
 			members[i] = &flows[i]
 		}
 		flows = flows[len(g.flows):]
-		eg, err := core.New(g.id, g.arr, members...)
-		if err != nil {
-			return nil, err
-		}
-		eg.Weight = weight
-		out = append(out, eg)
+		egs[k] = core.EchelonFlow{ID: g.id, Flows: members, Arrangement: g.arr, Weight: weight}
+		out[k] = &egs[k]
 	}
 	return out, nil
 }
@@ -244,7 +298,9 @@ func (p *Plan) Groups(hosts []string, weight float64) ([]*core.EchelonFlow, erro
 // the simulator's group construction: comm nodes grouped by their Group
 // name under the workload's arrangement, ungrouped nodes becoming singleton
 // Coflows named "flow:<id>". Weight (0 means unweighted) applies to every
-// group — it is the job's priority in the Eq. 4 objective.
+// group — it is the job's priority in the Eq. 4 objective. Compile lowers
+// the same way without core.New; this is the reference TestPlanMatchesBuild
+// holds it to.
 func Groups(w *ddlt.Workload, weight float64) ([]*core.EchelonFlow, error) {
 	flowsByGroup := make(map[string][]*core.Flow)
 	var order []string
