@@ -167,13 +167,6 @@ func pickScheduler(name string) (sched.Scheduler, error) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "echelon-sim:", err)
 	os.Exit(1)

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/ratelimit"
 	"echelonflow/internal/telemetry"
@@ -551,7 +552,7 @@ func (a *Agent) SendFlow(ctx context.Context, groupID, flowID string, size int64
 	if size < 0 {
 		return fmt.Errorf("agent: negative flow size")
 	}
-	bucket, err := ratelimit.NewBucket(0, a.opts.Burst)
+	bucket, err := ratelimit.NewBucket(0, a.opts.Burst, clock.Real{})
 	if err != nil {
 		return err
 	}

@@ -10,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/coordinator"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
+	"echelonflow/internal/telemetry"
 	"echelonflow/internal/unit"
 	"echelonflow/internal/wire"
 )
@@ -61,6 +63,45 @@ func TestCheck_JournalRestore(t *testing.T) {
 		for _, v := range out.Violations {
 			t.Errorf("seed %d: %s: %s", seed, v.Oracle, v.Detail)
 		}
+	}
+}
+
+// TestCheck_CoalescedJournalArmBatches keeps the journal oracle's coalesced
+// arm from passing vacuously: batches of several events form, and its
+// crashes kill coordinators with a batch still open (the event before the
+// crash is a flow event, whose window has not ended at that instant).
+func TestCheck_CoalescedJournalArmBatches(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	hooks := replayHooks{tweak: func(o *coordinator.Options) { o.Coalesce, o.Metrics = replayCoalesce, reg }}
+	openAtCrash := 0
+	for _, seed := range quickSeeds[:8] {
+		c, err := Generate(seed).compile()
+		if err != nil {
+			t.Fatalf("seed %d: compile: %v", seed, err)
+		}
+		res, err := runSim(c, canonicalScheduler())
+		if err != nil {
+			t.Fatalf("seed %d: sim: %v", seed, err)
+		}
+		evs := buildReplayEvents(c, res)
+		if len(evs) < 2 {
+			continue
+		}
+		if _, err := replayRunExt(c, res, "", nil, hooks); err != nil {
+			t.Fatalf("seed %d: coalesced replay: %v", seed, err)
+		}
+		if evs[len(evs)/2-1].kind != 0 {
+			openAtCrash++
+		}
+	}
+	events := reg.Counter(coordinator.MetricCoalescedEvents, "").Value()
+	batches := reg.Counter(coordinator.MetricCoalesceBatches, "").Value()
+	t.Logf("%d events in %d batches; %d crashes inside an open batch", events, batches, openAtCrash)
+	if events <= batches {
+		t.Errorf("%d events in %d batches: no batch held more than one event", events, batches)
+	}
+	if openAtCrash == 0 {
+		t.Error("no crash point falls inside an open batch")
 	}
 }
 
@@ -218,7 +259,7 @@ func TestCheck_DeltaVsFull(t *testing.T) {
 // logged and swallowed) and stay parked until a reschedule succeeds.
 func TestCheck_RejoinRescheduleFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
-	clk := newReplayClock()
+	clk := clock.NewManual(replayOrigin)
 	mkOpts := func(budget *int) coordinator.Options {
 		net := fabric.NewNetwork()
 		net.AddUniformHosts(10, "a", "b")
@@ -226,7 +267,7 @@ func TestCheck_RejoinRescheduleFailureSurfaces(t *testing.T) {
 			Net:               net,
 			Scheduler:         Overdrive{Inner: canonicalScheduler(), Factor: 1, FailAfter: budget},
 			QuarantineTimeout: time.Hour,
-			Clock:             clk.now,
+			Clock:             clk,
 			Logf:              t.Logf,
 		}
 	}

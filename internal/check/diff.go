@@ -7,9 +7,9 @@ import (
 	"os"
 	"reflect"
 	"sort"
-	"sync"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/coordinator"
 	"echelonflow/internal/core"
 	"echelonflow/internal/sched"
@@ -123,8 +123,16 @@ type replayHooks struct {
 	inPlace bool
 }
 
-// replayRun drives the event script against a live coordinator with an
-// injected hand-advanced clock (the E13 technique). An empty dir runs
+// replayOrigin is the replay clock's reading at scheduler time 0.
+var replayOrigin = time.Unix(1_700_000_000, 0)
+
+// replayInstant is scheduler time t on the replay clock.
+func replayInstant(t unit.Time) time.Time {
+	return replayOrigin.Add(time.Duration(float64(t) * float64(time.Second)))
+}
+
+// replayRun drives the event script against a live coordinator on a
+// clock.Manual set to each event's time (the E13 technique). An empty dir runs
 // journal-free; otherwise the coordinator journals into dir and, when
 // crashAt >= 0, is abandoned mid-script and rebuilt from the journal
 // before the event at that index — exactly a kill, not a shutdown.
@@ -137,28 +145,32 @@ func replayRun(c *compiled, res *sim.Result, dir string, crashAt int) (*replayOu
 }
 
 // replayRunExt is replayRun generalized to repeated kill/restore cycles (one
-// per index in crashes) and per-event chaos hooks.
+// per index in crashes) and per-event chaos hooks. With a Coalesce window
+// (set by hooks.tweak) the batches drain where the replay clock crosses
+// their windows; without one, a batch a degraded coordinator forces on
+// itself is drained right after its event.
 func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks replayHooks) (*replayOutcome, error) {
-	clk := newReplayClock()
+	clk := clock.NewManual(replayOrigin)
 	mkOpts := func() coordinator.Options {
 		return coordinator.Options{
 			Net: c.newNet(),
 			// Delta-wrapped: single-flow events route through the
 			// incremental Apply path, so the live and journal oracles also
 			// prove the coordinator's delta routing (and Prime-on-Restore)
-			// preserves the trajectory. Coalescing stays off — its drain
-			// timer is wall-clock-driven and would be nondeterministic here.
+			// preserves the trajectory. Coalescing is off unless an arm
+			// turns it on: the live oracle compares against the simulator,
+			// which reschedules at every event.
 			Scheduler:         sched.NewDelta(sched.EchelonMADD{Backfill: true}),
 			QuarantineTimeout: time.Hour,
 			SnapshotEvery:     8,
-			Clock:             clk.now,
+			Clock:             clk,
 			Logf:              func(string, ...interface{}) {},
 			// Group-commit with an hour-long window: every journal append
-			// rides the batched path, and the in-process "kill" (abandon
-			// without Close) loses only the deferred fsync — the write()s are
-			// already in the OS page cache, so Restore must still be
-			// bit-for-bit. This proves batching never reorders or drops a
-			// record short of real power loss.
+			// rides the batched path, and the in-process "kill" decides only
+			// when the deferred fsync lands — the write()s are already in
+			// the OS page cache, so Restore must still be bit-for-bit. This
+			// proves batching never reorders or drops a record short of real
+			// power loss.
 			GroupCommit: time.Hour,
 		}
 	}
@@ -174,11 +186,13 @@ func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks
 	if err != nil {
 		return nil, err
 	}
+	opts := mkOpts()
+	batches := opts.Coalesce > 0
 	var co *coordinator.Coordinator
 	if dir == "" {
-		co, err = coordinator.New(mkOpts())
+		co, err = coordinator.New(opts)
 	} else {
-		co, err = coordinator.Restore(mkOpts(), dir)
+		co, err = coordinator.Restore(opts, dir)
 	}
 	if err != nil {
 		return nil, err
@@ -225,12 +239,21 @@ func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks
 		crashSet[i] = true
 	}
 	evs := buildReplayEvents(c, res)
+	var lastFlow time.Time // the replay clock at the latest flow event
 	for i, ev := range evs {
 		if crashSet[i] {
+			// The kill: only the journal survives. The dead incarnation's
+			// clock stops with it: a killed process runs no timer, so a batch
+			// it left open never drains. Close writes no record; it releases
+			// the WAL handle the process would have lost, and its fsync
+			// changes no byte Restore reads (the write()s are in the page
+			// cache already).
+			clk = clock.NewManual(clk.Now())
 			if !hooks.inPlace {
-				clk.setAt(ev.at)
+				clk.Set(replayInstant(ev.at))
 			}
-			co = nil // the kill: no Close, no flush; only the journal survives
+			co.Close()
+			co = nil
 			co, err = coordinator.Restore(mkOpts(), dir)
 			if err != nil {
 				return nil, err
@@ -246,7 +269,21 @@ func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks
 				return nil, err
 			}
 		}
-		clk.setAt(ev.at)
+		clk.Set(replayInstant(ev.at))
+		if batches && i > 0 {
+			switch {
+			case crashSet[i]:
+				// What the dead incarnation allocated at the previous instant
+				// could be read only by draining the batch it left open.
+				delete(out.ratesAt, evs[i-1].at)
+			case !clk.Now().Before(lastFlow.Add(opts.Coalesce)):
+				// Every batch has drained on the clock, so Drain only reads
+				// the allocation the previous instant's events led to.
+				if out.ratesAt[evs[i-1].at], err = co.Drain(); err != nil {
+					return nil, err
+				}
+			}
+		}
 		var rates map[string]unit.Rate
 		switch ev.kind {
 		case 0:
@@ -261,6 +298,7 @@ func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks
 			if ev.kind == 2 {
 				event = wire.EventFinished
 			}
+			lastFlow = clk.Now()
 			fe, err := roundTrip(wire.FlowEvent{GroupID: ev.gid, FlowID: ev.fid, Event: event})
 			if err != nil {
 				return nil, err
@@ -269,16 +307,18 @@ func replayRunExt(c *compiled, res *sim.Result, dir string, crashes []int, hooks
 				return nil, err
 			}
 		}
-		if rates == nil {
-			// A degraded (or soft-quarantined) coordinator batches events into
-			// a coalescing window; its wall-clock drain timer would be
-			// nondeterministic here, so force the flush synchronously at the
-			// script's frozen clock instead.
+		if rates == nil && !batches {
+			// A degraded coordinator batches events into a coalescing window
+			// even with Coalesce off. The uncoalesced arms compare against
+			// runs that reschedule at every event, so flush at the event's
+			// instant rather than the window's end.
 			if rates, err = co.Drain(); err != nil {
 				return nil, err
 			}
 		}
-		out.ratesAt[ev.at] = rates // later events at the same time overwrite
+		if rates != nil { // nil: the event joined an open batch
+			out.ratesAt[ev.at] = rates // later events at the same time overwrite
+		}
 	}
 	for _, g := range groups {
 		ref, tard, err := co.GroupStatus(g.ID)
@@ -371,20 +411,40 @@ func diffLive(c *compiled, res *sim.Result) []Violation {
 	return out
 }
 
+// replayCoalesce is the journal oracle's coalescing window, live-durable's:
+// events less than it apart share a batch, and a batch's reschedule is
+// journaled where the replay clock crosses its end.
+const replayCoalesce = 2 * time.Millisecond
+
 // diffJournal replays the run twice against live coordinators — once
 // uninterrupted, once killed mid-script and rebuilt from its write-ahead
 // journal — and demands the recovered trajectory match (the E13 invariant,
 // here over randomized scenarios): every reference time, achieved
 // tardiness and the weighted total bit-equal, and allocations bit-equal at
-// every instant not tainted by crossing-flow drift (see driftedFlows).
+// every instant not tainted by crossing-flow drift (see driftedFlows). It
+// does so twice: rescheduling at every event, and coalescing events into
+// replayCoalesce batches, several events to a batch, one of them open when
+// the coordinator dies.
 func diffJournal(c *compiled, res *sim.Result) []Violation {
 	evs := buildReplayEvents(c, res)
 	if len(evs) == 0 {
 		return nil
 	}
-	golden, err := replayRun(c, res, "", -1)
+	return append(journalArm(c, res, evs, 0), journalArm(c, res, evs, replayCoalesce)...)
+}
+
+// journalArm is one golden-versus-crashed comparison of the journal oracle,
+// on a coordinator coalescing with window win (0: off).
+func journalArm(c *compiled, res *sim.Result, evs []replayEvent, win time.Duration) []Violation {
+	var hooks replayHooks
+	arm := "" // prefixes the violations of the coalesced arm
+	if win > 0 {
+		hooks.tweak = func(o *coordinator.Options) { o.Coalesce = win }
+		arm = "coalesced: "
+	}
+	golden, err := replayRunExt(c, res, "", nil, hooks)
 	if err != nil {
-		return []Violation{vf(OracleJournal, "golden replay: %v", err)}
+		return []Violation{vf(OracleJournal, "%sgolden replay: %v", arm, err)}
 	}
 	dir, err := os.MkdirTemp("", "echelon-check-journal-*")
 	if err != nil {
@@ -392,30 +452,37 @@ func diffJournal(c *compiled, res *sim.Result) []Violation {
 	}
 	defer os.RemoveAll(dir)
 	crashAt := len(evs) / 2
-	crashed, err := replayRun(c, res, dir, crashAt)
+	crashed, err := replayRunExt(c, res, dir, []int{crashAt}, hooks)
 	if err != nil {
-		return []Violation{vf(OracleJournal, "crash replay: %v", err)}
+		return []Violation{vf(OracleJournal, "%scrash replay: %v", arm, err)}
 	}
 	var out []Violation
 	for _, gid := range c.groupIDs() {
 		if golden.refs[gid] != crashed.refs[gid] {
-			out = append(out, vf(OracleJournal, "group %s reference: golden %v vs restored %v", gid, golden.refs[gid], crashed.refs[gid]))
+			out = append(out, vf(OracleJournal, "%sgroup %s reference: golden %v vs restored %v", arm, gid, golden.refs[gid], crashed.refs[gid]))
 		}
 		if golden.tards[gid] != crashed.tards[gid] {
-			out = append(out, vf(OracleJournal, "group %s tardiness: golden %v vs restored %v", gid, golden.tards[gid], crashed.tards[gid]))
+			out = append(out, vf(OracleJournal, "%sgroup %s tardiness: golden %v vs restored %v", arm, gid, golden.tards[gid], crashed.tards[gid]))
 		}
 	}
 	if golden.total != crashed.total {
-		out = append(out, vf(OracleJournal, "total tardiness: golden %v vs restored %v", golden.total, crashed.total))
+		out = append(out, vf(OracleJournal, "%stotal tardiness: golden %v vs restored %v", arm, golden.total, crashed.total))
 	}
+	// The restored run's revive pass plans at tc what the batch its
+	// predecessor died with would have planned up to a window later, so a
+	// flow in flight in that window drifts too.
 	tc := evs[crashAt].at
-	drifted := driftedFlows(res, tc)
+	drifted := driftedFlowsWindow(res, tc, tc+unit.Time(win.Seconds()))
 	for _, t := range sortedTimes(golden.ratesAt) {
+		seen, ok := crashed.ratesAt[t]
+		if !ok && win > 0 && crashAt > 0 && t == evs[crashAt-1].at {
+			continue // the batch open at the kill was never drained
+		}
 		if t >= tc && driftActiveAt(res, drifted, t) {
 			continue
 		}
-		if !reflect.DeepEqual(golden.ratesAt[t], crashed.ratesAt[t]) {
-			out = append(out, vf(OracleJournal, "allocations at t=%v: golden %v vs restored %v", t, golden.ratesAt[t], crashed.ratesAt[t]))
+		if !reflect.DeepEqual(golden.ratesAt[t], seen) {
+			out = append(out, vf(OracleJournal, "%sallocations at t=%v: golden %v vs restored %v", arm, t, golden.ratesAt[t], crashed.ratesAt[t]))
 		}
 	}
 	return out
@@ -653,30 +720,4 @@ func driftActiveAt(res *sim.Result, drifted map[string]bool, t unit.Time) bool {
 		}
 	}
 	return false
-}
-
-// replayClock is the hand-advanced coordinator clock (E13's technique):
-// scheduler time is whatever the script says, so replays are reproducible
-// regardless of real elapsed time.
-type replayClock struct {
-	mu   sync.Mutex
-	base time.Time
-	t    time.Time
-}
-
-func newReplayClock() *replayClock {
-	base := time.Unix(1_700_000_000, 0)
-	return &replayClock{base: base, t: base}
-}
-
-func (c *replayClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *replayClock) setAt(t unit.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.base.Add(time.Duration(float64(t) * float64(time.Second)))
 }

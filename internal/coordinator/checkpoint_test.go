@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/journal"
 	"echelonflow/internal/queue"
@@ -135,9 +136,9 @@ func flowOps(t *testing.T, c *Coordinator, groups ...*core.EchelonFlow) []func()
 // state bit for bit.
 func TestCrashRestoreAtEveryWALByte(t *testing.T) {
 	dir := t.TempDir()
-	clk := &tickingClock{t: time.Unix(1000, 0)}
+	clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 	opts := func() Options {
-		o := frameOpts(t, clk.now, 6)
+		o := frameOpts(t, clk, 6)
 		o.SnapshotEvery = 3
 		o.Logf = func(string, ...interface{}) {}
 		return o
@@ -209,9 +210,9 @@ func bigGroups(t *testing.T, n, m int) []*core.EchelonFlow {
 // wal, cut anywhere. Each restores the live digest at the last intact record.
 func TestCrashRestoreAcrossRewrite(t *testing.T) {
 	dir := t.TempDir()
-	clk := &tickingClock{t: time.Unix(1000, 0)}
+	clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 	opts := func() Options {
-		o := frameOpts(t, clk.now, 6)
+		o := frameOpts(t, clk, 6)
 		o.SnapshotEvery = 1
 		o.Logf = func(string, ...interface{}) {}
 		return o
@@ -292,9 +293,9 @@ func TestRestoreMixedDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clk := &fakeClock{t: time.Unix(20000, 0)}
+	clk := clock.NewManual(time.Unix(20000, 0))
 	opts := func() Options {
-		o := jobFrameOpts(t, clk.now)
+		o := jobFrameOpts(t, clk)
 		o.Logf = func(format string, args ...interface{}) {
 			if strings.Contains(format, "skipping") {
 				t.Errorf(format, args...)
@@ -325,13 +326,13 @@ func TestRestoreMixedDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range g.Flows {
-			clk.advance(time.Second)
+			clk.Advance(time.Second)
 			if _, err := live.FlowEvent(wire.FlowEvent{GroupID: g.ID, FlowID: f.ID, Event: wire.EventReleased}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < n; i++ {
-			clk.advance(time.Second)
+			clk.Advance(time.Second)
 			if _, err := live.Tick(); err != nil {
 				t.Fatal(err)
 			}
@@ -375,8 +376,8 @@ func TestRestoreMixedDirectory(t *testing.T) {
 // nothing applied or journaled.
 func TestNonFiniteOffsetRefused(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c, err := Restore(frameOpts(t, clk.now, 3), dir)
+	clk := clock.NewManual(time.Unix(1000, 0))
+	c, err := Restore(frameOpts(t, clk, 3), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestNonFiniteOffsetRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := attachSession(c, "a1")
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventReleased}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/dag"
 	"echelonflow/internal/queue"
@@ -14,20 +15,23 @@ import (
 )
 
 // tickingClock moves a non-uniform amount on every read, like a real clock
-// and unlike fakeClock: two reads inside one operation disagree, which is
-// what a frozen clock hides.
+// and unlike a bare clock.Manual: two reads inside one operation disagree,
+// which is what a frozen clock hides. Reads move only what Now returns;
+// timers still run on the Manual's own moves, never inside a read that the
+// coordinator makes under its lock.
 type tickingClock struct {
-	mu    sync.Mutex
-	t     time.Time
-	reads int
+	*clock.Manual
+	mu     sync.Mutex
+	reads  int
+	offset time.Duration
 }
 
-func (c *tickingClock) now() time.Time {
+func (c *tickingClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reads++
-	c.t = c.t.Add(time.Duration(1+c.reads%7) * 3700 * time.Microsecond)
-	return c.t
+	c.offset += time.Duration(1+c.reads%7) * 3700 * time.Microsecond
+	return c.Manual.Now().Add(c.offset)
 }
 
 // flowModel, groupModel and model are everything Restore promises to bring
@@ -127,9 +131,9 @@ func diffModels(t *testing.T, live, restored model) {
 func TestRestoreBitForBitUnderTickingClock(t *testing.T) {
 	for _, snapEvery := range []int{0, 2} {
 		dir := t.TempDir()
-		clk := &tickingClock{t: time.Unix(1000, 0)}
+		clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 		opts := func() Options {
-			o := frameOpts(t, clk.now, 3)
+			o := frameOpts(t, clk, 3)
 			o.SnapshotEvery = snapEvery
 			return o
 		}
@@ -191,9 +195,9 @@ func TestRestoreBitForBitUnderTickingClock(t *testing.T) {
 func TestJobRestoreBitForBitUnderTickingClock(t *testing.T) {
 	for _, snapEvery := range []int{0, 3} {
 		dir := t.TempDir()
-		clk := &tickingClock{t: time.Unix(1000, 0)}
+		clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 		opts := func() Options {
-			o := frameOpts(t, clk.now, 4)
+			o := frameOpts(t, clk, 4)
 			o.Queue, o.SnapshotEvery = queue.New(queue.Options{MaxJobs: 2}), snapEvery
 			return o
 		}
@@ -265,4 +269,32 @@ func jobEvents(t testing.TB, c *Coordinator, jobID string) []wire.FlowEvent {
 			wire.FlowEvent{GroupID: gid, FlowID: n.ID, Event: wire.EventFinished})
 	}
 	return evs
+}
+
+// The Interval loop ticks on the coordinator clock: each tick record carries
+// its interval's end, and after stop no tick runs.
+func TestTickEveryOnClock(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	clk := clock.NewManual(t0)
+	opts := frameOpts(t, clk, 3)
+	opts.GroupCommit = time.Hour
+	dir := t.TempDir()
+	c, err := Restore(opts, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stop := c.tickEvery(100 * time.Millisecond)
+	clk.Advance(350 * time.Millisecond)
+	stop()
+	clk.Advance(time.Second)
+	recs, kinds := walRecords(t, dir)
+	if kinds != "genesis tick tick tick" {
+		t.Fatalf("WAL kinds %q, want three ticks", kinds)
+	}
+	for i, r := range recs[1:] {
+		if want := unit.Time((time.Duration(i+1) * 100 * time.Millisecond).Seconds()); r.At != want {
+			t.Errorf("tick %d at %v, want %v", i, r.At, want)
+		}
+	}
 }

@@ -1,11 +1,14 @@
 package coordinator
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
@@ -14,10 +17,10 @@ import (
 	"echelonflow/internal/wire"
 )
 
-// newCoalesceCoordinator builds a coordinator with a long coalescing window
-// (the wall timer never fires inside a test; Drain closes batches) and the
-// incremental scheduler path enabled.
-func newCoalesceCoordinator(t *testing.T, clk *fakeClock, reg *telemetry.Registry) *Coordinator {
+// newCoalesceCoordinator builds a coordinator with an hour-long coalescing
+// window (the tests never advance the clock that far; Drain closes batches)
+// and the incremental scheduler path enabled.
+func newCoalesceCoordinator(t *testing.T, clk *clock.Manual, reg *telemetry.Registry) *Coordinator {
 	t.Helper()
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3")
@@ -25,7 +28,7 @@ func newCoalesceCoordinator(t *testing.T, clk *fakeClock, reg *telemetry.Registr
 		Net:       net,
 		Scheduler: sched.NewDelta(sched.EchelonMADD{Backfill: true}),
 		Coalesce:  time.Hour,
-		Clock:     clk.now,
+		Clock:     clk,
 		Logf:      t.Logf,
 		Metrics:   reg,
 	})
@@ -38,7 +41,7 @@ func newCoalesceCoordinator(t *testing.T, clk *fakeClock, reg *telemetry.Registr
 // A burst of flow events inside the coalescing window defers into one batch:
 // no reschedule runs until the batch drains, and the drain runs exactly one.
 func TestCoalesceBatchesFlowEvents(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	reg := telemetry.NewRegistry()
 	c := newCoalesceCoordinator(t, clk, reg)
 	defer c.Close()
@@ -99,7 +102,7 @@ func TestCoalesceBatchesFlowEvents(t *testing.T) {
 // Non-coalescible events flush the open batch before acting, so the journal
 // order always matches the live decision order.
 func TestCoalesceFlushOnNoncoalescibleEvent(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := newCoalesceCoordinator(t, clk, nil)
 	defer c.Close()
 	g1, _ := core.NewCoflow("g1", &core.Flow{ID: "x", Src: "w1", Dst: "w2", Size: 5})
@@ -133,7 +136,7 @@ func TestCoalesceFlushOnNoncoalescibleEvent(t *testing.T) {
 // reschedule pending) exactly as it was live.
 func TestCoalesceCrashRestoreBitForBit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	opts := func() Options {
 		net := fabric.NewNetwork()
 		net.AddUniformHosts(10, "w1", "w2", "w3")
@@ -143,7 +146,7 @@ func TestCoalesceCrashRestoreBitForBit(t *testing.T) {
 			Coalesce:          time.Hour,
 			QuarantineTimeout: time.Hour,
 			SnapshotEvery:     3, // force snapshot+prime inside the history
-			Clock:             clk.now,
+			Clock:             clk,
 			Logf:              t.Logf,
 		}
 	}
@@ -161,7 +164,7 @@ func TestCoalesceCrashRestoreBitForBit(t *testing.T) {
 	if _, err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(3 * time.Second)
+	clk.Advance(3 * time.Second)
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventFinished}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +174,7 @@ func TestCoalesceCrashRestoreBitForBit(t *testing.T) {
 	if _, err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	// Leave a batch open at the crash: the finish is applied and journaled
 	// (deferred), its reschedule still pending.
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f1", Event: wire.EventFinished}); err != nil {
@@ -235,7 +238,7 @@ func (s flakySched) Schedule(snap *sched.Snapshot, net fabric.Fabric) (map[strin
 // allocation the scheduler never re-validated. The failure must propagate,
 // the group must stay parked, and the error counter must move.
 func TestRejoinRescheduleFailurePropagates(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3")
 	fail := false
@@ -244,7 +247,7 @@ func TestRejoinRescheduleFailurePropagates(t *testing.T) {
 		Net:               net,
 		Scheduler:         flakySched{inner: sched.EchelonMADD{Backfill: true}, fail: &fail},
 		QuarantineTimeout: time.Hour,
-		Clock:             clk.now,
+		Clock:             clk,
 		Logf:              t.Logf,
 		Metrics:           reg,
 	})
@@ -282,5 +285,87 @@ func TestRejoinRescheduleFailurePropagates(t *testing.T) {
 	}
 	if c.GroupParked("job/pp") {
 		t.Error("group still parked after successful rejoin")
+	}
+}
+
+// A coalesced run on a Manual clock writes the same WAL, byte for byte, every
+// time: a batch drains when the script's clock crosses its window, never when
+// a goroutine gets round to it. Each batch's resched record carries its
+// window's end and lies between the frames on either side of that instant; a
+// frame landing exactly at a window's end follows the drain.
+func TestCoalescedWALDeterministic(t *testing.T) {
+	const win = 2 * time.Millisecond
+	ev := func(gid, fid, event string) wire.FlowEvent {
+		return wire.FlowEvent{GroupID: gid, FlowID: fid, Event: event}
+	}
+	script := []struct {
+		at    time.Duration
+		frame []wire.FlowEvent
+	}{
+		{0, []wire.FlowEvent{ev("ga", "f0", wire.EventReleased), ev("gb", "h0", wire.EventReleased)}},
+		{500 * time.Microsecond, []wire.FlowEvent{ev("ga", "f1", wire.EventReleased)}},
+		{1900 * time.Microsecond, []wire.FlowEvent{ev("gb", "h1", wire.EventReleased)}},
+		{3 * time.Millisecond, []wire.FlowEvent{ev("gb", "h1", wire.EventFinished)}},
+		{5 * time.Millisecond, []wire.FlowEvent{ev("ga", "f0", wire.EventFinished)}},
+		{9 * time.Millisecond, []wire.FlowEvent{ev("gb", "h0", wire.EventFinished), ev("ga", "f1", wire.EventFinished)}},
+	}
+	wantKinds := "register register flow flow flow resched flow resched flow resched flow resched"
+	wantResched := []time.Duration{2 * time.Millisecond, 5 * time.Millisecond, 7 * time.Millisecond, 11 * time.Millisecond}
+
+	run := func() (wal []byte, dir string) {
+		t0 := time.Unix(1000, 0)
+		clk := clock.NewManual(t0)
+		opts := frameOpts(t, clk, 3)
+		opts.Coalesce, opts.GroupCommit = win, time.Hour
+		dir = t.TempDir()
+		c, err := Restore(opts, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ga, gb := contendingGroups(t)
+		for _, g := range []*core.EchelonFlow{ga, gb} {
+			if err := c.RegisterGroup("a1", g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := attachSession(c, "a1")
+		for _, step := range script {
+			clk.Set(t0.Add(step.at))
+			msg := wire.Message{Type: wire.TypeFlowBatch, FlowBatch: &wire.FlowBatch{Events: step.frame}}
+			if err := c.handleMessage(s, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(win) // the last window ends
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wal, err = os.ReadFile(filepath.Join(dir, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wal, dir
+	}
+
+	first, dir := run()
+	recs, kinds := walRecords(t, dir)
+	if kinds != "genesis "+wantKinds {
+		t.Fatalf("WAL kinds %q, want genesis %s", kinds, wantKinds)
+	}
+	var got []unit.Time
+	for _, r := range recs {
+		if r.Kind == jResched {
+			got = append(got, r.At)
+		}
+	}
+	for i, d := range wantResched {
+		if got[i] != unit.Time(d.Seconds()) {
+			t.Errorf("resched %d at %v, want the window's end %v", i, got[i], unit.Time(d.Seconds()))
+		}
+	}
+	for i := 1; i < 50; i++ {
+		if wal, _ := run(); !bytes.Equal(wal, first) {
+			t.Fatalf("run %d wrote a different WAL (%d bytes vs %d)", i, len(wal), len(first))
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/journal"
@@ -126,8 +127,13 @@ type Options struct {
 	// threshold.
 	StragglerRTT time.Duration
 	PingInterval time.Duration
-	// Clock is injectable for tests; defaults to time.Now.
-	Clock func() time.Time
+	// Clock is model time: the instant every journaled record carries, the
+	// deadline budget, and the timers whose firing writes a record (the
+	// coalescing drain, the quarantine expiry, the Interval tick). The redial
+	// and submit limiters refill on it too. Nil means clock.Real. Tests, the
+	// check harness and scripted experiments drive a clock.Manual, on which
+	// those timers fire exactly when the script moves time past them.
+	Clock clock.Clock
 	// Logf receives diagnostic output; defaults to log.Printf.
 	Logf func(format string, args ...interface{})
 	// Metrics, when non-nil, receives runtime counters/gauges/histograms
@@ -159,12 +165,9 @@ type groupRT struct {
 	// parked marks a group whose owning session died: it keeps its state
 	// but is excluded from scheduling until the owner rejoins or the
 	// quarantine timeout evicts it. parkGen guards a pending eviction
-	// timer against a park/rejoin/park cycle reusing the group; parkedAt
-	// (per opts.Clock) is when the current park began, so eviction is
-	// decided against the injected clock rather than the wall timer.
-	parked   bool
-	parkGen  int
-	parkedAt time.Time
+	// timer against a park/rejoin/park cycle reusing the group.
+	parked  bool
+	parkGen int
 	// reg is the group's registration as compaction writes it, built on
 	// the first snapshot that holds the group (a group never changes shape).
 	reg *wire.Register
@@ -386,14 +389,14 @@ func New(opts Options) (*Coordinator, error) {
 		}
 	}
 	if opts.Clock == nil {
-		opts.Clock = time.Now
+		opts.Clock = clock.Real{}
 	}
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
 	}
 	c := &Coordinator{
 		opts:           opts,
-		start:          opts.Clock(),
+		start:          opts.Clock.Now(),
 		groups:         make(map[string]*groupRT),
 		sessions:       make(map[*session]struct{}),
 		byName:         make(map[string]*session),
@@ -489,9 +492,9 @@ func (c *Coordinator) dropGroupMetricsLocked(gid string) {
 	c.tel.totalTard.Set(float64(c.totalTardinessLocked()))
 }
 
-// now converts wall time to scheduler time (seconds since start).
+// now converts the clock's reading to scheduler time (seconds since start).
 func (c *Coordinator) now() unit.Time {
-	return unit.Time(c.opts.Clock().Sub(c.start).Seconds())
+	return unit.Time(c.opts.Clock.Now().Sub(c.start).Seconds())
 }
 
 // clockLocked is the one clock reading a journaled mutation makes: the
@@ -710,7 +713,7 @@ func (c *Coordinator) deferRescheduleLocked(evs []wire.FlowEvent, win time.Durat
 		c.pending = make(map[string]bool)
 		c.pendingGen++
 		gen := c.pendingGen
-		time.AfterFunc(win, func() { c.drainBatch(gen) })
+		c.opts.Clock.AfterFunc(win, func() { c.drainBatch(gen) })
 	}
 	for i := range evs {
 		c.pending[evs[i].GroupID] = true
@@ -753,9 +756,10 @@ func (c *Coordinator) flushCoalescedLocked() (map[string]unit.Rate, error) {
 	return rates, err
 }
 
-// Drain forces any open coalescing batch to reschedule immediately. With no
-// batch open it returns the allocation currently in force. Tests and
-// shutdown paths use it to avoid waiting out the window.
+// Drain forces any open coalescing batch to reschedule immediately, at the
+// clock's current instant rather than at the window's end. With no batch
+// open it only returns the allocation currently in force. A caller that
+// needs the reschedule where the event was, not a window later, uses it.
 func (c *Coordinator) Drain() (map[string]unit.Rate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -865,7 +869,48 @@ func (c *Coordinator) applyFlowLocked(ev wire.FlowEvent, now unit.Time) error {
 func (c *Coordinator) Tick() (map[string]unit.Rate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.tickLocked()
+}
+
+func (c *Coordinator) tickLocked() (map[string]unit.Rate, error) {
 	return c.commitLocked(&journalEvent{Kind: jTick, At: c.instantLocked()})
+}
+
+// tickEvery ticks every iv on the coordinator clock until the returned stop,
+// after which no tick runs. Each tick is armed from the last one's deadline,
+// so the cadence does not drift with the time a tick takes; intervals a slow
+// tick overran are skipped, as a time.Ticker drops ticks.
+func (c *Coordinator) tickEvery(iv time.Duration) (stop func()) {
+	stopped := false // these three are guarded by c.mu
+	var disarm func() bool
+	next := c.opts.Clock.Now()
+	var tick func()
+	armLocked := func() {
+		now := c.opts.Clock.Now()
+		for next = next.Add(iv); !next.After(now); next = next.Add(iv) {
+		}
+		disarm = c.opts.Clock.AfterFunc(next.Sub(now), tick)
+	}
+	tick = func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if stopped {
+			return
+		}
+		if _, err := c.tickLocked(); err != nil {
+			c.opts.Logf("coordinator: tick: %v", err)
+		}
+		armLocked()
+	}
+	c.mu.Lock()
+	armLocked()
+	c.mu.Unlock()
+	return func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		stopped = true
+		disarm()
+	}
 }
 
 // GroupStatus reports a group's reference time and achieved tardiness.
@@ -1044,12 +1089,12 @@ func (c *Coordinator) observeSchedLocked(t0 time.Time, err error) {
 // returned past its budget ("overrun") or failed ("error") is a breaker
 // strike. A non-empty reason means the caller runs the fallback instead.
 func (c *Coordinator) budgetedPassLocked(snap *sched.Snapshot, deltaGroups []string) (rates map[string]unit.Rate, full bool, reason string) {
-	start := c.opts.Clock()
+	start := c.opts.Clock.Now()
 	if start.Before(c.breakerUntil) {
 		reason = "breaker-open"
 	} else {
 		stall := time.Duration(c.schedStall.Load())
-		over := func() bool { return c.opts.Clock().Sub(start)+stall > c.opts.SchedDeadline }
+		over := func() bool { return c.opts.Clock.Now().Sub(start)+stall > c.opts.SchedDeadline }
 		snap.Stop = over
 		var err error
 		rates, full, err = c.primaryPassLocked(snap, deltaGroups)
@@ -1064,7 +1109,7 @@ func (c *Coordinator) budgetedPassLocked(snap *sched.Snapshot, deltaGroups []str
 			reason = "error"
 		}
 		if c.strikes++; c.strikes >= c.opts.DeadlineTripAfter {
-			c.breakerUntil = c.opts.Clock().Add(c.opts.DeadlineCooldown)
+			c.breakerUntil = c.opts.Clock.Now().Add(c.opts.DeadlineCooldown)
 		}
 	}
 	if c.opts.Metrics != nil {
@@ -1380,22 +1425,8 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 	defer wg.Wait()
 
 	if c.opts.Interval > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(c.opts.Interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if _, err := c.Tick(); err != nil {
-						c.opts.Logf("coordinator: tick: %v", err)
-					}
-				}
-			}
-		}()
+		stopTicks := c.tickEvery(c.opts.Interval)
+		defer stopTicks()
 	}
 
 	if c.opts.StragglerRTT > 0 {
@@ -1715,7 +1746,7 @@ func (c *Coordinator) admitRedial(agent string) bool {
 			burst = 1
 		}
 		var err error
-		if b, err = ratelimit.NewBucket(c.opts.RedialRate, burst); err != nil {
+		if b, err = ratelimit.NewBucket(c.opts.RedialRate, burst, c.opts.Clock); err != nil {
 			c.mu.Unlock()
 			c.opts.Logf("coordinator: redial limiter: %v", err)
 			return true
@@ -1799,14 +1830,12 @@ func (c *Coordinator) dropSession(s *session) {
 // they check belong to this incarnation only, so they are armed here. Shared
 // by session teardown and the rejoin-failure path.
 func (c *Coordinator) parkLocked(gids []string, agent, why string, at unit.Time) {
-	parkedAt := c.opts.Clock()
 	for _, gid := range gids {
 		g := c.groups[gid]
 		g.parkGen++
-		g.parkedAt = parkedAt
 		if c.opts.QuarantineTimeout > 0 {
 			gid, gen := gid, g.parkGen
-			time.AfterFunc(c.opts.QuarantineTimeout, func() { c.evictIfStillParked(gid, gen) })
+			c.opts.Clock.AfterFunc(c.opts.QuarantineTimeout, func() { c.evictIfStillParked(gid, gen) })
 		}
 		c.event(telemetry.Event{Kind: telemetry.EventPark, At: float64(at), Group: gid, Agent: agent, Detail: why})
 	}
@@ -1816,21 +1845,13 @@ func (c *Coordinator) parkLocked(gids []string, agent, why string, at unit.Time)
 }
 
 // evictIfStillParked is the quarantine timer callback: the group is evicted
-// only if it is still parked from the same incarnation that armed the timer,
-// and only once the quarantine window has elapsed on the configured clock.
+// only if it is still parked from the same park that armed the timer. The
+// timer runs on the coordinator clock, so the window has elapsed on it.
 func (c *Coordinator) evictIfStillParked(gid string, gen int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g, ok := c.groups[gid]
 	if !ok || !g.parked || g.parkGen != gen {
-		return
-	}
-	// The wall timer can outrun the injected clock (fake clocks in tests,
-	// timer skew in production). Deciding against opts.Clock means a rejoin
-	// landing exactly at the quarantine deadline wins: the eviction re-arms
-	// for the remainder instead of racing the adoption.
-	if left := c.opts.QuarantineTimeout - c.opts.Clock().Sub(g.parkedAt); left > 0 {
-		time.AfterFunc(left, func() { c.evictIfStillParked(gid, gen) })
 		return
 	}
 	c.evictLocked([]string{gid}, "quarantine expired", c.instantLocked())

@@ -2,10 +2,10 @@ package coordinator
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
@@ -13,32 +13,14 @@ import (
 	"echelonflow/internal/wire"
 )
 
-// fakeClock drives the coordinator deterministically.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func newTestCoordinator(t *testing.T, clk *fakeClock) *Coordinator {
+func newTestCoordinator(t *testing.T, clk *clock.Manual) *Coordinator {
 	t.Helper()
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3")
 	c, err := New(Options{
 		Net:       net,
 		Scheduler: sched.EchelonMADD{Backfill: true},
-		Clock:     clk.now,
+		Clock:     clk,
 		Logf:      t.Logf,
 	})
 	if err != nil {
@@ -74,7 +56,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := newTestCoordinator(t, clk)
 	g := pipelineGroup(t)
 	if err := c.RegisterGroup("a1", g); err != nil {
@@ -90,7 +72,7 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestFlowLifecycle(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := newTestCoordinator(t, clk)
 	g := pipelineGroup(t)
 	if err := c.RegisterGroup("a1", g); err != nil {
@@ -109,7 +91,7 @@ func TestFlowLifecycle(t *testing.T) {
 		t.Errorf("reference = %v, %v", ref, err)
 	}
 	// Second flow released 1s later.
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	rates, err = c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f1", Event: wire.EventReleased})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +100,7 @@ func TestFlowLifecycle(t *testing.T) {
 		t.Error("f1 missing from allocation")
 	}
 	// Head finishes at t=2: tardiness = finish - deadline(stage0, ref=0) = 2.
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventFinished}); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +111,7 @@ func TestFlowLifecycle(t *testing.T) {
 }
 
 func TestFlowEventErrors(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := newTestCoordinator(t, clk)
 	g := pipelineGroup(t)
 	if err := c.RegisterGroup("a1", g); err != nil {
@@ -157,12 +139,12 @@ func TestFlowEventErrors(t *testing.T) {
 // The fluid model: after advancing time at a known rate, the remaining
 // volume shrinks, so the recomputed rate for a deadline-paced flow drops.
 func TestFluidProgressEstimation(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	fnet := fabric.NewNetwork()
 	fnet.AddUniformHosts(10, "w1", "w2", "w3")
 	// No backfill: rates are the minimal pacing, which exposes the fluid
 	// remaining-volume estimate directly.
-	c, err0 := New(Options{Net: fnet, Scheduler: sched.EchelonMADD{}, Clock: clk.now, Logf: t.Logf})
+	c, err0 := New(Options{Net: fnet, Scheduler: sched.EchelonMADD{}, Clock: clk, Logf: t.Logf})
 	if err0 != nil {
 		t.Fatal(err0)
 	}
@@ -187,7 +169,7 @@ func TestFluidProgressEstimation(t *testing.T) {
 	if r := rates["a"]; r < 1.9 || r > 2.1 {
 		t.Errorf("initial paced rate = %v, want ~2", r)
 	}
-	clk.advance(5 * time.Second)
+	clk.Advance(5 * time.Second)
 	rates, err = c.Tick()
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +184,7 @@ func TestFluidProgressEstimation(t *testing.T) {
 }
 
 func TestUnregister(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := newTestCoordinator(t, clk)
 	g := pipelineGroup(t)
 	if err := c.RegisterGroup("a1", g); err != nil {
@@ -221,10 +203,10 @@ func TestUnregister(t *testing.T) {
 
 // Competing groups from different owners are scheduled jointly.
 func TestMultiGroupAllocation(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(1, "w1", "w2")
-	c, err := New(Options{Net: net, Clock: clk.now, Logf: t.Logf})
+	c, err := New(Options{Net: net, Clock: clk, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +235,7 @@ func TestMultiGroupAllocation(t *testing.T) {
 }
 
 func TestErrorMessagesName(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := newTestCoordinator(t, clk)
 	_, err := c.FlowEvent(wire.FlowEvent{GroupID: "nope", FlowID: "f", Event: wire.EventReleased})
 	if err == nil || !strings.Contains(err.Error(), "nope") {

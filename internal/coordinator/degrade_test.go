@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
@@ -15,9 +16,9 @@ import (
 	"echelonflow/internal/wire"
 )
 
-// Deadline settings for the tests below. They run on fakeClock, on which a
-// pass takes no time: a pass overruns exactly when the injected stall
-// exceeds the budget.
+// Deadline settings for the tests below. They run on a clock.Manual, on
+// which a pass takes no time: a pass overruns exactly when the injected
+// stall exceeds the budget.
 const (
 	testBudget = 50 * time.Millisecond
 	testStall  = 75 * time.Millisecond
@@ -52,9 +53,9 @@ func degradedCounter(reg *telemetry.Registry, reason string) uint64 {
 func TestRestoreThroughDegradeEpisode(t *testing.T) {
 	for _, delta := range []bool{false, true} {
 		dir := t.TempDir()
-		clk := &fakeClock{t: time.Unix(1000, 0)}
+		clk := clock.NewManual(time.Unix(1000, 0))
 		opts := func() Options {
-			o := frameOpts(t, clk.now, 4)
+			o := frameOpts(t, clk, 4)
 			if !delta {
 				o.Scheduler = sched.EchelonMADD{Backfill: true}
 			}
@@ -102,7 +103,7 @@ func TestRestoreThroughDegradeEpisode(t *testing.T) {
 			{"tick", tick},
 		}
 		for _, step := range steps {
-			clk.advance(1500 * time.Millisecond)
+			clk.Advance(1500 * time.Millisecond)
 			step.do()
 			c2 := replayed(t, opts(), dir)
 			diffDigests(t, digestOf(c), digestOf(c2))
@@ -165,8 +166,8 @@ func TestRestoreOldRecordReplaysPrimary(t *testing.T) {
 					t.Fatalf("%s: fixture already carries a fallback record: %+v", name, r)
 				}
 			}
-			clk := &tickingClock{t: time.Unix(20000, 0)}
-			opts := jobFrameOpts(t, clk.now)
+			clk := &tickingClock{Manual: clock.NewManual(time.Unix(20000, 0))}
+			opts := jobFrameOpts(t, clk)
 			opts.SchedDeadline = budget
 			c := replayed(t, opts, dir)
 			if c.dirty {
@@ -184,10 +185,10 @@ func TestRestoreOldRecordReplaysPrimary(t *testing.T) {
 // injected clock. The probe after it runs the primary, and its success
 // closes the breaker.
 func TestDeadlineBreakerTripsAndRecovers(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	reg := telemetry.NewRegistry()
 	calls := 0
-	opts := frameOpts(t, clk.now, 3)
+	opts := frameOpts(t, clk, 3)
 	opts.Scheduler = countingSched{inner: sched.EchelonMADD{Backfill: true}, calls: &calls}
 	opts.SchedDeadline, opts.DeadlineTripAfter, opts.DeadlineCooldown = testBudget, 2, 400*time.Millisecond
 	opts.Metrics = reg
@@ -220,7 +221,7 @@ func TestDeadlineBreakerTripsAndRecovers(t *testing.T) {
 	}
 	// Open: the primary is not even attempted.
 	before := calls
-	clk.advance(399 * time.Millisecond)
+	clk.Advance(399 * time.Millisecond)
 	tick()
 	if calls != before || degradedCounter(reg, "breaker-open") != 1 {
 		t.Fatalf("breaker-open pass ran the primary %d times (breaker-open count %d)", calls-before, degradedCounter(reg, "breaker-open"))
@@ -230,7 +231,7 @@ func TestDeadlineBreakerTripsAndRecovers(t *testing.T) {
 	if err := c.SetSchedStall(0); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(time.Millisecond)
+	clk.Advance(time.Millisecond)
 	c.mu.Lock()
 	snap := c.buildSnapshotLocked()
 	c.mu.Unlock()
@@ -250,10 +251,10 @@ func TestDeadlineBreakerTripsAndRecovers(t *testing.T) {
 // fallback answers on the same snapshot, and the coordinator is degraded
 // until a primary full pass succeeds.
 func TestDeadlineErrorFallsBack(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	reg := telemetry.NewRegistry()
 	fail := false
-	opts := frameOpts(t, clk.now, 3)
+	opts := frameOpts(t, clk, 3)
 	opts.Scheduler = flakySched{inner: sched.EchelonMADD{Backfill: true}, fail: &fail, once: true}
 	opts.SchedDeadline, opts.Metrics = testBudget, reg
 	c, err := New(opts)
@@ -282,9 +283,9 @@ func TestDeadlineErrorFallsBack(t *testing.T) {
 // the fallback has since overwritten: delta reschedules run full until a
 // primary full pass clears the dirty bit, and patch again after it.
 func TestDeadlineDeltaGatesApplyAfterDegrade(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	reg := telemetry.NewRegistry()
-	opts := frameOpts(t, clk.now, 4)
+	opts := frameOpts(t, clk, 4)
 	opts.SchedDeadline, opts.Metrics = testBudget, reg
 	c, err := New(opts)
 	if err != nil {
@@ -306,7 +307,7 @@ func TestDeadlineDeltaGatesApplyAfterDegrade(t *testing.T) {
 	applied := func() uint64 { return reg.Counter(MetricDeltaApplied, "").Value() }
 	event := func(gid, id, ev string) {
 		t.Helper()
-		clk.advance(time.Second)
+		clk.Advance(time.Second)
 		if _, err := c.FlowEvent(wire.FlowEvent{GroupID: gid, FlowID: id, Event: ev}); err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/journal"
@@ -18,7 +19,7 @@ import (
 )
 
 // frameOpts is a delta-scheduled coordinator on n uniform hosts w1..wn.
-func frameOpts(t testing.TB, clock func() time.Time, n int) Options {
+func frameOpts(t testing.TB, clk clock.Clock, n int) Options {
 	t.Helper()
 	net := fabric.NewNetwork()
 	hosts := make([]string, n)
@@ -30,7 +31,7 @@ func frameOpts(t testing.TB, clock func() time.Time, n int) Options {
 		Net:               net,
 		Scheduler:         sched.NewDelta(sched.EchelonMADD{Backfill: true}),
 		QuarantineTimeout: time.Hour,
-		Clock:             clock,
+		Clock:             clk,
 		Logf:              t.Logf,
 	}
 }
@@ -145,9 +146,9 @@ func TestFrameEqualsSinglesUnderHeldClock(t *testing.T) {
 		for seed := int64(1); seed <= 25; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			groups, frames := randomScript(t, rng)
-			build := func() (*Coordinator, *fakeClock, *session) {
-				clk := &fakeClock{t: time.Unix(1000, 0)}
-				opts := frameOpts(t, clk.now, 6)
+			build := func() (*Coordinator, *clock.Manual, *session) {
+				clk := clock.NewManual(time.Unix(1000, 0))
+				opts := frameOpts(t, clk, 6)
 				opts.Coalesce = mode.coalesce
 				c, err := New(opts)
 				if err != nil {
@@ -165,8 +166,8 @@ func TestFrameEqualsSinglesUnderHeldClock(t *testing.T) {
 			deferred := mode.coalesce > 0 || mode.soft
 			for fi, frame := range frames {
 				step := time.Duration(1+rng.Intn(900)) * time.Millisecond
-				fclk.advance(step)
-				sclk.advance(step)
+				fclk.Advance(step)
+				sclk.Advance(step)
 				before := framed.Reschedules()
 				if _, errs := framed.flowFrame(frame, mode.soft); len(errs) > 0 {
 					t.Fatalf("%s seed %d frame %d: %v", mode.name, seed, fi, errs)
@@ -217,8 +218,8 @@ func TestFrameEqualsSinglesUnderHeldClock(t *testing.T) {
 // the other events apply, and only they are journaled.
 func TestFrameErrorIsolation(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c, err := Restore(frameOpts(t, clk.now, 3), dir)
+	clk := clock.NewManual(time.Unix(1000, 0))
+	c, err := Restore(frameOpts(t, clk, 3), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestFrameErrorIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := attachSession(c, "a1")
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	frame := []wire.FlowEvent{
 		{GroupID: "job/pp", FlowID: "f0", Event: wire.EventReleased},
 		{GroupID: "nope", FlowID: "f0", Event: wire.EventReleased},   // unknown group
@@ -276,13 +277,13 @@ func TestFrameErrorIsolation(t *testing.T) {
 	if _, errs := c.flowFrame(bad, false); len(errs) != 2 || c.journal.Seq() != seq {
 		t.Errorf("all-refused frame at a held clock: %d errors, %d records; want 2, 0", len(errs), c.journal.Seq()-seq)
 	}
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	if _, err := c.FlowEvent(frame[1]); err == nil || c.journal.Seq() != seq+1 {
 		t.Errorf("refused event after the clock moved: err %v, %d records; want an error and 1 record", err, c.journal.Seq()-seq)
 	}
 	want := modelOf(c)
 	c.Close()
-	c2, err := Restore(frameOpts(t, clk.now, 3), dir)
+	c2, err := Restore(frameOpts(t, clk, 3), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +293,8 @@ func TestFrameErrorIsolation(t *testing.T) {
 
 // jobFrameOpts is frameOpts with the job pipeline on four hosts, one job
 // admitted at a time.
-func jobFrameOpts(t testing.TB, clock func() time.Time) Options {
-	opts := frameOpts(t, clock, 4)
+func jobFrameOpts(t testing.TB, clk clock.Clock) Options {
+	opts := frameOpts(t, clk, 4)
 	opts.Queue = queue.New(queue.Options{MaxJobs: 1})
 	return opts
 }
@@ -305,9 +306,9 @@ func jobFrameOpts(t testing.TB, clock func() time.Time) Options {
 func TestFrameJobDepartsAfterFrame(t *testing.T) {
 	for _, coalesce := range []time.Duration{0, time.Hour} {
 		dir := t.TempDir()
-		clk := &tickingClock{t: time.Unix(1000, 0)}
+		clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 		opts := func() Options {
-			o := jobFrameOpts(t, clk.now)
+			o := jobFrameOpts(t, clk)
 			o.Coalesce = coalesce
 			return o
 		}
@@ -398,9 +399,9 @@ func TestFrameCrashRestoreAcrossCompaction(t *testing.T) {
 		for _, coalesce := range []time.Duration{0, time.Hour} {
 			for crashAfter := 1; crashAfter*frameLen <= len(script); crashAfter++ {
 				dir := t.TempDir()
-				clk := &tickingClock{t: time.Unix(1000, 0)}
+				clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 				opts := func() Options {
-					o := frameOpts(t, clk.now, 6)
+					o := frameOpts(t, clk, 6)
 					o.Logf = func(string, ...interface{}) {}
 					o.SnapshotEvery, o.GroupCommit, o.Coalesce = snapEvery, groupCommit, coalesce
 					return o
@@ -502,8 +503,8 @@ func frameFixture(t testing.TB, n int, coalesce time.Duration) (*Coordinator, *s
 // decision, where 32 single events are 32 of each.
 func TestFrameIsOneUnitOfWork(t *testing.T) {
 	for _, coalesce := range []time.Duration{0, time.Hour} {
-		clk := &tickingClock{t: time.Unix(1000, 0)}
-		opts := frameOpts(t, clk.now, 16)
+		clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
+		opts := frameOpts(t, clk, 16)
 		opts.Queue = queue.New(queue.Options{})
 		opts.GroupCommit, opts.Coalesce = time.Hour, coalesce
 		dir := t.TempDir()

@@ -82,7 +82,7 @@ func (c *Coordinator) submitThrottledLocked(tenant string) bool {
 			burst = 1
 		}
 		var err error
-		if b, err = ratelimit.NewBucket(c.opts.SubmitRate, burst); err != nil {
+		if b, err = ratelimit.NewBucket(c.opts.SubmitRate, burst, c.opts.Clock); err != nil {
 			c.opts.Logf("coordinator: submit limiter: %v", err)
 			return false
 		}

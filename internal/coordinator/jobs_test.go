@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/dag"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/queue"
@@ -16,7 +17,7 @@ import (
 
 // queueCoordinator builds a coordinator with the job pipeline enabled on a
 // four-host fabric.
-func queueCoordinator(t *testing.T, clk *fakeClock, qopts queue.Options, mod func(*Options)) *Coordinator {
+func queueCoordinator(t *testing.T, clk *clock.Manual, qopts queue.Options, mod func(*Options)) *Coordinator {
 	t.Helper()
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3", "w4")
@@ -24,7 +25,7 @@ func queueCoordinator(t *testing.T, clk *fakeClock, qopts queue.Options, mod fun
 		Net:       net,
 		Scheduler: sched.EchelonMADD{Backfill: true},
 		Queue:     queue.New(qopts),
-		Clock:     clk.now,
+		Clock:     clk,
 		Logf:      t.Logf,
 	}
 	if mod != nil {
@@ -55,7 +56,7 @@ func jobGroupIDs(t testing.TB, spec wire.JobSpec) []string {
 // driveJob releases and finishes every comm flow of an admitted job, exactly
 // as its agent would, using the deterministic compilation on the admitted
 // placement.
-func driveJob(t *testing.T, c *Coordinator, clk *fakeClock, spec wire.JobSpec, hosts []string) {
+func driveJob(t *testing.T, c *Coordinator, clk *clock.Manual, spec wire.JobSpec, hosts []string) {
 	t.Helper()
 	w, err := queue.Build(spec, hosts)
 	if err != nil {
@@ -72,7 +73,7 @@ func driveJob(t *testing.T, c *Coordinator, clk *fakeClock, spec wire.JobSpec, h
 		if _, err := c.FlowEvent(wire.FlowEvent{GroupID: gid, FlowID: n.ID, Event: wire.EventReleased}); err != nil {
 			t.Fatalf("release %s: %v", n.ID, err)
 		}
-		clk.advance(10 * time.Millisecond)
+		clk.Advance(10 * time.Millisecond)
 		if _, err := c.FlowEvent(wire.FlowEvent{GroupID: gid, FlowID: n.ID, Event: wire.EventFinished}); err != nil {
 			t.Fatalf("finish %s: %v", n.ID, err)
 		}
@@ -80,7 +81,7 @@ func driveJob(t *testing.T, c *Coordinator, clk *fakeClock, spec wire.JobSpec, h
 }
 
 func TestJobPipelineLifecycle(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	reg := telemetry.NewRegistry()
 	c := queueCoordinator(t, clk, queue.Options{}, func(o *Options) { o.Metrics = reg })
 	spec := submitSpec("j0", 2)
@@ -116,7 +117,7 @@ func TestJobPipelineLifecycle(t *testing.T) {
 }
 
 func TestJobAdmissionBudget(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := queueCoordinator(t, clk, queue.Options{MaxJobs: 1}, nil)
 	if err := c.SubmitJob("a1", submitSpec("j0", 2)); err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestJobAdmissionBudget(t *testing.T) {
 }
 
 func TestSubmitJobErrors(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 
 	// No queue configured.
 	plain := newTestCoordinator(t, clk)
@@ -196,7 +197,7 @@ func TestSubmitJobErrors(t *testing.T) {
 }
 
 func TestJobUnplaceableRejectedAtAdmission(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := queueCoordinator(t, clk, queue.Options{}, nil)
 	// Five workers on a four-host fabric: compiles fine, places never.
 	if err := c.SubmitJob("a1", submitSpec("wide", 5)); err != nil {
@@ -216,7 +217,7 @@ func TestJobUnplaceableRejectedAtAdmission(t *testing.T) {
 
 // jobRestoreOpts builds journaled options with a fresh queue per incarnation
 // (the queue, like the fabric, is config — Restore rebuilds its state).
-func jobRestoreOpts(t *testing.T, clk *fakeClock, snapEvery int) Options {
+func jobRestoreOpts(t *testing.T, clk *clock.Manual, snapEvery int) Options {
 	t.Helper()
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3", "w4")
@@ -226,7 +227,7 @@ func jobRestoreOpts(t *testing.T, clk *fakeClock, snapEvery int) Options {
 		Queue:             queue.New(queue.Options{MaxJobs: 1}),
 		QuarantineTimeout: time.Hour,
 		SnapshotEvery:     snapEvery,
-		Clock:             clk.now,
+		Clock:             clk,
 		Logf:              t.Logf,
 	}
 }
@@ -237,7 +238,7 @@ func jobRestoreOpts(t *testing.T, clk *fakeClock, snapEvery int) Options {
 func TestJobCrashRestoreBitForBit(t *testing.T) {
 	for _, snapEvery := range []int{0, 3} {
 		dir := t.TempDir()
-		clk := &fakeClock{t: time.Unix(1000, 0)}
+		clk := clock.NewManual(time.Unix(1000, 0))
 		c, err := Restore(jobRestoreOpts(t, clk, snapEvery), dir)
 		if err != nil {
 			t.Fatal(err)
@@ -245,11 +246,11 @@ func TestJobCrashRestoreBitForBit(t *testing.T) {
 		if err := c.SubmitJob("a1", submitSpec("j0", 2)); err != nil {
 			t.Fatal(err)
 		}
-		clk.advance(time.Second)
+		clk.Advance(time.Second)
 		if err := c.SubmitJob("a1", submitSpec("j1", 3)); err != nil {
 			t.Fatal(err)
 		}
-		clk.advance(time.Second)
+		clk.Advance(time.Second)
 		if err := c.SubmitJob("a2", submitSpec("j2", 2)); err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestJobCrashRestoreBitForBit(t *testing.T) {
 // An owner-driven group unregister dissolves the job silently once its last
 // group is gone, keeping queue occupancy aligned with registered state.
 func TestJobDissolvesWhenGroupsUnregistered(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := queueCoordinator(t, clk, queue.Options{}, nil)
 	spec := submitSpec("j0", 2)
 	if err := c.SubmitJob("a1", spec); err != nil {

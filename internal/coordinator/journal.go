@@ -572,19 +572,17 @@ func (c *Coordinator) applyJournalLocked(raw []byte) {
 // groups instead wait indefinitely — evicting everything a moment after
 // recovering it would make recovery pointless.
 func (c *Coordinator) parkRestoredLocked() int {
-	parkedAt := c.opts.Clock()
 	parked := 0
 	for gid, g := range c.groups {
 		parked++
 		g.parked = true
 		g.parkGen++
-		g.parkedAt = parkedAt
 		for _, f := range g.flows {
 			f.rate = 0
 		}
 		if c.opts.QuarantineTimeout > 0 {
 			gid, gen := gid, g.parkGen
-			time.AfterFunc(c.opts.QuarantineTimeout, func() { c.evictIfStillParked(gid, gen) })
+			c.opts.Clock.AfterFunc(c.opts.QuarantineTimeout, func() { c.evictIfStillParked(gid, gen) })
 		}
 	}
 	return parked

@@ -7,20 +7,23 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
 	"echelonflow/internal/wire"
 )
 
-// startQuarantineServer is startServer with a quarantine window.
-func startQuarantineServer(t *testing.T, quarantine time.Duration) (*Coordinator, string, func()) {
+// startQuarantineServer is startServer with a quarantine window, on a
+// Manual clock: the window expires only when the test advances it.
+func startQuarantineServer(t *testing.T, quarantine time.Duration) (*Coordinator, *clock.Manual, string, func()) {
 	t.Helper()
 	netModel := fabric.NewNetwork()
 	netModel.AddUniformHosts(10, "w1", "w2", "w3")
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c, err := New(Options{
 		Net: netModel, Scheduler: sched.EchelonMADD{Backfill: true},
-		QuarantineTimeout: quarantine, Logf: t.Logf,
+		QuarantineTimeout: quarantine, Clock: clk, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +36,7 @@ func startQuarantineServer(t *testing.T, quarantine time.Duration) (*Coordinator
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { defer wg.Done(); _ = c.Serve(ctx, ln) }()
-	return c, ln.Addr().String(), func() { cancel(); wg.Wait() }
+	return c, clk, ln.Addr().String(), func() { cancel(); wg.Wait() }
 }
 
 // waitFor polls cond for up to five seconds.
@@ -50,14 +53,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // Parking keeps the group's accumulated state and counts it exactly once in
 // the Eq. 4 objective; the rejoin adopts that state instead of resetting it.
-// Driven in-process with a fake clock so the tardiness arithmetic is exact.
+// Driven in-process on a Manual clock so the tardiness arithmetic is exact.
 func TestQuarantineParkedTardinessCountedOnce(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	netModel := fabric.NewNetwork()
 	netModel.AddUniformHosts(10, "w1", "w2", "w3")
 	c, err := New(Options{
 		Net: netModel, Scheduler: sched.EchelonMADD{Backfill: true},
-		QuarantineTimeout: time.Hour, Clock: clk.now, Logf: t.Logf,
+		QuarantineTimeout: time.Hour, Clock: clk, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +72,7 @@ func TestQuarantineParkedTardinessCountedOnce(t *testing.T) {
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventReleased}); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventFinished}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestQuarantineParkedTardinessCountedOnce(t *testing.T) {
 	if got := c.TotalTardiness(); got != want {
 		t.Errorf("parked TotalTardiness = %v, want %v", got, want)
 	}
-	clk.advance(10 * time.Second)
+	clk.Advance(10 * time.Second)
 	if got := c.TotalTardiness(); got != want {
 		t.Errorf("TotalTardiness drifted to %v while parked, want %v", got, want)
 	}
@@ -117,7 +120,7 @@ func TestQuarantineParkedTardinessCountedOnce(t *testing.T) {
 // A reconnecting agent revives its parked groups with exactly one
 // reschedule; the re-register it replays afterwards is a no-op.
 func TestQuarantineRejoinReschedulesOnce(t *testing.T) {
-	coord, addr, stop := startQuarantineServer(t, 30*time.Second)
+	coord, _, addr, stop := startQuarantineServer(t, 30*time.Second)
 	defer stop()
 
 	a := dialRaw(t, addr, "a1")
@@ -185,9 +188,10 @@ func TestQuarantineRejoinReschedulesOnce(t *testing.T) {
 }
 
 // An expired quarantine evicts; a rejoin beats the timer and the stale timer
-// then fires harmlessly.
+// then fires harmlessly. Both timers fire inside the test's Advance, so the
+// outcome is read right after it.
 func TestQuarantineEviction(t *testing.T) {
-	coord, addr, stop := startQuarantineServer(t, 150*time.Millisecond)
+	coord, clk, addr, stop := startQuarantineServer(t, 150*time.Millisecond)
 	defer stop()
 
 	a := dialRaw(t, addr, "a1")
@@ -201,10 +205,11 @@ func TestQuarantineEviction(t *testing.T) {
 		return err == nil
 	})
 	a.conn.Close()
-	waitFor(t, "eviction", func() bool {
-		_, _, err := coord.GroupStatus("job/pp")
-		return err != nil
-	})
+	waitFor(t, "park", func() bool { return coord.GroupParked("job/pp") })
+	clk.Advance(150 * time.Millisecond)
+	if _, _, err := coord.GroupStatus("job/pp"); err == nil {
+		t.Fatal("expired quarantine did not evict")
+	}
 
 	// Round two: rejoin inside the window. The group must survive the old
 	// timer's expiry because the park generation moved on.
@@ -221,7 +226,7 @@ func TestQuarantineEviction(t *testing.T) {
 	c2 := dialRaw(t, addr, "a1")
 	defer c2.conn.Close()
 	waitFor(t, "revive", func() bool { return !coord.GroupParked("job/pp") })
-	time.Sleep(300 * time.Millisecond) // let the stale eviction timer fire
+	clk.Advance(150 * time.Millisecond) // the stale eviction timer fires
 	if _, _, err := coord.GroupStatus("job/pp"); err != nil {
 		t.Errorf("stale quarantine timer evicted a revived group: %v", err)
 	}
@@ -230,12 +235,12 @@ func TestQuarantineEviction(t *testing.T) {
 // Parked groups are invisible to the scheduler: their flows hold zero rate
 // and competing groups get the capacity.
 func TestQuarantineFreesBandwidth(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	netModel := fabric.NewNetwork()
 	netModel.AddUniformHosts(1, "w1", "w2")
 	c, err := New(Options{
 		Net: netModel, Scheduler: sched.EchelonMADD{Backfill: true},
-		QuarantineTimeout: time.Hour, Clock: clk.now, Logf: t.Logf,
+		QuarantineTimeout: time.Hour, Clock: clk, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,13 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
 	"echelonflow/internal/wire"
 )
 
-// restoreOpts builds Options for a journaled coordinator on a fake clock.
-func restoreOpts(t *testing.T, clk *fakeClock) Options {
+// restoreOpts builds Options for a journaled coordinator on a Manual clock.
+func restoreOpts(t *testing.T, clk *clock.Manual) Options {
 	t.Helper()
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3")
@@ -20,7 +21,7 @@ func restoreOpts(t *testing.T, clk *fakeClock) Options {
 		Net:               net,
 		Scheduler:         sched.EchelonMADD{Backfill: true},
 		QuarantineTimeout: time.Hour,
-		Clock:             clk.now,
+		Clock:             clk,
 		Logf:              t.Logf,
 	}
 }
@@ -29,7 +30,7 @@ func restoreOpts(t *testing.T, clk *fakeClock) Options {
 // behaves exactly like New, with journaling armed for next time.
 func TestRestoreEmptyDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "never-created")
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c, err := Restore(restoreOpts(t, clk), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestRestoreEmptyDir(t *testing.T) {
 // bit-for-bit, parks the recovered groups, and lets the owner rejoin.
 func TestRestoreReplaysState(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c, err := Restore(restoreOpts(t, clk), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestRestoreReplaysState(t *testing.T) {
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventReleased}); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(3 * time.Second)
+	clk.Advance(3 * time.Second)
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventFinished}); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRestoreReplaysState(t *testing.T) {
 // A torn final record — the crash hit mid-append — loses only that record.
 func TestRestoreTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c, err := Restore(restoreOpts(t, clk), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +158,7 @@ func TestRestoreTornFinalRecord(t *testing.T) {
 // would surface as a duplicate re-registration after replay.
 func TestRestoreSnapshotNewerThanTail(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c, err := Restore(restoreOpts(t, clk), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestRestoreSnapshotNewerThanTail(t *testing.T) {
 	c.mu.Lock()
 	c.snapshotLocked() // truncates the wal
 	c.mu.Unlock()
-	clk.advance(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventFinished}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestRestoreSnapshotNewerThanTail(t *testing.T) {
 // without a covering snapshot) is skipped with a log line, not fatal.
 func TestRestoreDuplicateRegisterSkipped(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c, err := Restore(restoreOpts(t, clk), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -238,17 +239,16 @@ func TestRestoreDuplicateRegisterSkipped(t *testing.T) {
 	}
 }
 
-// A rejoin landing exactly at the quarantine deadline beats eviction: the
-// timer decision is made against the coordinator clock, and a wall timer
-// firing before the configured window has elapsed on that clock re-arms
-// instead of evicting.
+// Quarantine expiry runs on the coordinator clock: a rejoin landing a
+// nanosecond before the deadline beats eviction, and the stale timer then
+// fires harmlessly; with no rejoin the group goes exactly at the deadline.
 func TestQuarantineRejoinAtDeadline(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3")
 	c, err := New(Options{
 		Net: net, Scheduler: sched.EchelonMADD{Backfill: true},
-		QuarantineTimeout: 10 * time.Second, Clock: clk.now, Logf: t.Logf,
+		QuarantineTimeout: 10 * time.Second, Clock: clk, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,38 +257,37 @@ func TestQuarantineRejoinAtDeadline(t *testing.T) {
 	if err := c.RegisterGroup("a1", g); err != nil {
 		t.Fatal(err)
 	}
+	present := func() bool {
+		_, _, err := c.GroupStatus("job/pp")
+		return err == nil
+	}
 	c.dropSession(&session{agent: "a1"})
 	if !c.GroupParked("job/pp") {
 		t.Fatal("group not parked")
 	}
-	gen := c.groups["job/pp"].parkGen
-
-	// The wall timer fires while the coordinator clock has not moved (the
-	// extreme form of the same-tick race): must re-arm, not evict.
-	c.evictIfStillParked("job/pp", gen)
-	if _, _, err := c.GroupStatus("job/pp"); err != nil {
+	clk.Advance(10*time.Second - time.Nanosecond)
+	if !present() {
 		t.Fatal("evicted before the quarantine window elapsed on the coordinator clock")
 	}
-
-	// Rejoin lands exactly at the deadline; the pending timer then fires.
-	clk.advance(10 * time.Second)
 	if err := c.RegisterGroup("a1", g); err != nil {
 		t.Fatalf("rejoin at deadline: %v", err)
 	}
-	c.evictIfStillParked("job/pp", gen)
-	if _, _, err := c.GroupStatus("job/pp"); err != nil {
-		t.Error("stale timer evicted a group that rejoined at the deadline")
+	clk.Advance(time.Nanosecond) // the pending timer fires
+	if !present() {
+		t.Error("stale timer evicted a group that rejoined before the deadline")
 	}
 	if c.GroupParked("job/pp") {
 		t.Error("group still parked after deadline rejoin")
 	}
 
-	// Round two, no rejoin: once the window has truly elapsed, evict.
+	// Round two, no rejoin: evicted at the deadline, not a nanosecond before.
 	c.dropSession(&session{agent: "a1"})
-	gen = c.groups["job/pp"].parkGen
-	clk.advance(10*time.Second + time.Millisecond)
-	c.evictIfStillParked("job/pp", gen)
-	if _, _, err := c.GroupStatus("job/pp"); err == nil {
+	clk.Advance(10*time.Second - time.Nanosecond)
+	if !present() {
+		t.Fatal("evicted before the quarantine window elapsed")
+	}
+	clk.Advance(time.Nanosecond)
+	if present() {
 		t.Error("expired quarantine did not evict")
 	}
 }
@@ -300,7 +299,7 @@ func TestQuarantineRejoinAtDeadline(t *testing.T) {
 // snapshot landed after a degrade.
 func TestRestoreCapacitySurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	opts := restoreOpts(t, clk)
 	opts.SnapshotEvery = 1 // compact after every append: no jCapacity survives in the tail
 	c, err := Restore(opts, dir)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
@@ -151,11 +152,11 @@ func TestHelloVersionRefused(t *testing.T) {
 // both reschedules at the same instant and f0's rate cannot drift between
 // them — the assertion is about delta filtering, not scheduling jitter.
 func TestDeltaAllocationPushes(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	netModel := fabric.NewNetwork()
 	netModel.AddUniformHosts(10, "w1", "w2", "w3")
 	coord, err0 := New(Options{Net: netModel, Scheduler: sched.EchelonMADD{Backfill: true},
-		Clock: clk.now, Logf: t.Logf})
+		Clock: clk, Logf: t.Logf})
 	if err0 != nil {
 		t.Fatal(err0)
 	}

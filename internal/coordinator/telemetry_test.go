@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/sched"
@@ -13,7 +14,7 @@ import (
 	"echelonflow/internal/wire"
 )
 
-func newTelemetryCoordinator(t *testing.T, clk *fakeClock) (*Coordinator, *telemetry.Registry, *telemetry.EventLog) {
+func newTelemetryCoordinator(t *testing.T, clk *clock.Manual) (*Coordinator, *telemetry.Registry, *telemetry.EventLog) {
 	t.Helper()
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3")
@@ -22,7 +23,7 @@ func newTelemetryCoordinator(t *testing.T, clk *fakeClock) (*Coordinator, *telem
 	c, err := New(Options{
 		Net:       net,
 		Scheduler: sched.EchelonMADD{Backfill: true},
-		Clock:     clk.now,
+		Clock:     clk,
 		Logf:      t.Logf,
 		Metrics:   reg,
 		Events:    evl,
@@ -56,7 +57,7 @@ func gaugeValue(snap []telemetry.SnapshotFamily, name string, labels map[string]
 }
 
 func TestTelemetryEagerFamilies(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c, reg, _ := newTelemetryCoordinator(t, clk)
 	defer c.Close()
 	// The CI smoke test curls /metrics on a freshly booted coordinator: the
@@ -78,7 +79,7 @@ func TestTelemetryEagerFamilies(t *testing.T) {
 }
 
 func TestTelemetryTardinessGaugesMatchTotal(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c, reg, evl := newTelemetryCoordinator(t, clk)
 	defer c.Close()
 	g := pipelineGroup(t)
@@ -89,7 +90,7 @@ func TestTelemetryTardinessGaugesMatchTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Finish f0 late: it runs [0, 5] against a pipeline deadline of r+2.
-	clk.advance(5 * time.Second)
+	clk.Advance(5 * time.Second)
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventFinished}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestTelemetryTardinessGaugesMatchTotal(t *testing.T) {
 }
 
 func TestTelemetryNilRegistryUnchanged(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	c := newTestCoordinator(t, clk) // no Metrics/Events configured
 	defer c.Close()
 	g := pipelineGroup(t)
@@ -158,7 +159,7 @@ func TestTelemetryNilRegistryUnchanged(t *testing.T) {
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventReleased}); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	if _, err := c.FlowEvent(wire.FlowEvent{GroupID: "job/pp", FlowID: "f0", Event: wire.EventFinished}); err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +188,12 @@ func (s *countingDelta) Apply(snap *sched.Snapshot, net fabric.Fabric, d sched.D
 // full passes alike, in one call count that the latency histogram agrees
 // with; and each failed pass is one scheduler error.
 func TestTelemetrySchedulerCalls(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3")
 	s := &countingDelta{DeltaEchelon: sched.NewDelta(sched.EchelonMADD{Backfill: true})}
 	reg := telemetry.NewRegistry()
-	c, err := New(Options{Net: net, Scheduler: s, Clock: clk.now, Logf: t.Logf, Metrics: reg})
+	c, err := New(Options{Net: net, Scheduler: s, Clock: clk, Logf: t.Logf, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +227,10 @@ func TestTelemetrySchedulerCalls(t *testing.T) {
 	if err := c.RegisterGroup("a1", solo); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	event("job/pp", "f0", wire.EventFinished)
 	event("job/pp", "f1", wire.EventReleased)
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	event("job/dp", "d0", wire.EventFinished)
 	event("job/dp", "d1", wire.EventFinished)
 	if _, err := c.UnregisterGroup("job/dp"); err != nil {
@@ -249,7 +250,7 @@ func TestTelemetrySchedulerCalls(t *testing.T) {
 	fail := false
 	reg = telemetry.NewRegistry()
 	c2, err := New(Options{Net: net, Scheduler: flakySched{inner: sched.EchelonMADD{Backfill: true}, fail: &fail},
-		Clock: clk.now, Logf: t.Logf, Metrics: reg})
+		Clock: clk, Logf: t.Logf, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/journal"
@@ -141,9 +142,9 @@ func journalKinds(t *testing.T) map[string]string {
 // A record kind cannot exist on the live side alone: every j* constant has a
 // case in the one transition, which is what Restore runs.
 func TestEveryRecordKindHasATransition(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
+	clk := clock.NewManual(time.Unix(1000, 0))
 	for name, kind := range journalKinds(t) {
-		c, err := New(jobFrameOpts(t, clk.now))
+		c, err := New(jobFrameOpts(t, clk))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestEveryRecordKindHasATransition(t *testing.T) {
 			t.Errorf("%s (%q) has no transition: %v", name, kind, err)
 		}
 	}
-	c, err := New(jobFrameOpts(t, clk.now))
+	c, err := New(jobFrameOpts(t, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +216,9 @@ func TestLiveEqualsRestorePerRecordKind(t *testing.T) {
 		for _, snapEvery := range []int{0, 5} {
 			t.Run(fmt.Sprintf("%s/snapshot-every-%d", sc.name, snapEvery), func(t *testing.T) {
 				dir := t.TempDir()
-				clk := &tickingClock{t: time.Unix(1000, 0)}
+				clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 				opts := func(fail *bool) Options {
-					o := jobFrameOpts(t, clk.now)
+					o := jobFrameOpts(t, clk)
 					o.Scheduler, o.SnapshotEvery = sc.make(fail), snapEvery
 					o.Logf = func(string, ...interface{}) {}
 					return o
@@ -307,12 +308,7 @@ func TestLiveEqualsRestorePerRecordKind(t *testing.T) {
 					}},
 					{"park a job's groups", func() { c.dropSession(&session{agent: "a3"}) }},
 					{"evict dissolving j2", func() {
-						clk.mu.Lock()
-						clk.t = clk.t.Add(2 * time.Hour) // past the quarantine window
-						clk.mu.Unlock()
-						for _, gid := range jobGroupsOf("j2") {
-							c.evictIfStillParked(gid, c.groups[gid].parkGen)
-						}
+						clk.Advance(2 * time.Hour) // past the quarantine window: the eviction timers fire
 						if _, running := c.QueueDepth(); running != 0 {
 							t.Fatalf("%d job(s) still admitted after j2's groups were evicted", running)
 						}
@@ -356,9 +352,9 @@ func TestLiveEqualsRestorePerRecordKind(t *testing.T) {
 func TestTickRestoreBitForBitUnderTickingClock(t *testing.T) {
 	for _, snapEvery := range []int{0, 3} {
 		dir := t.TempDir()
-		clk := &tickingClock{t: time.Unix(1000, 0)}
+		clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 		opts := func() Options {
-			o := frameOpts(t, clk.now, 3)
+			o := frameOpts(t, clk, 3)
 			o.SnapshotEvery = snapEvery
 			return o
 		}
@@ -417,9 +413,9 @@ func TestTickRestoreBitForBitUnderTickingClock(t *testing.T) {
 func dissolveJ0(t *testing.T, evict bool) (c *Coordinator, restore func() *Coordinator) {
 	t.Helper()
 	dir := t.TempDir()
-	clk := &tickingClock{t: time.Unix(1000, 0)}
+	clk := &tickingClock{Manual: clock.NewManual(time.Unix(1000, 0))}
 	opts := func() Options {
-		o := jobFrameOpts(t, clk.now)
+		o := jobFrameOpts(t, clk)
 		if evict {
 			o.QuarantineTimeout = 0
 		}
@@ -535,8 +531,8 @@ func TestRestoreReadsParentJournal(t *testing.T) {
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatal(err)
 		}
-		clk := &fakeClock{t: time.Unix(20000, 0)}
-		opts := jobFrameOpts(t, clk.now)
+		clk := clock.NewManual(time.Unix(20000, 0))
+		opts := jobFrameOpts(t, clk)
 		opts.Logf = func(format string, args ...interface{}) {
 			if strings.Contains(format, "skipping") {
 				t.Errorf("%s: "+format, append([]interface{}{name}, args...)...)

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sync"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/coordinator"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
@@ -16,33 +16,6 @@ import (
 	"echelonflow/internal/unit"
 	"echelonflow/internal/wire"
 )
-
-// e13Clock is a hand-advanced clock injected into the coordinator so the
-// crash-recovery timeline is bit-reproducible: scheduler time is whatever
-// the script says it is, independent of how long recovery really takes.
-type e13Clock struct {
-	mu   sync.Mutex
-	base time.Time
-	t    time.Time
-}
-
-func newE13Clock() *e13Clock {
-	base := time.Unix(1_700_000_000, 0)
-	return &e13Clock{base: base, t: base}
-}
-
-func (c *e13Clock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// setAt moves scheduler time to t seconds past the run's origin.
-func (c *e13Clock) setAt(t unit.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.base.Add(time.Duration(float64(t) * float64(time.Second)))
-}
 
 // e13Groups builds the two pipeline jobs the scenario schedules. Job A and
 // job B never share a NIC direction after the crash window, so the one flow
@@ -83,7 +56,12 @@ type e13Result struct {
 // and rebuilt from the journal at t=5 via the faults subsystem's
 // coordinator_crash/coordinator_restart hooks.
 func e13Run(crash bool, dir string) (*e13Result, error) {
-	clk := newE13Clock()
+	// The coordinator runs on a Manual clock so the crash-recovery timeline
+	// is bit-reproducible: scheduler time is whatever the script sets,
+	// independent of how long recovery really takes.
+	origin := time.Unix(1_700_000_000, 0)
+	clk := clock.NewManual(origin)
+	setAt := func(t unit.Time) { clk.Set(origin.Add(time.Duration(float64(t) * float64(time.Second)))) }
 	mkOpts := func() coordinator.Options {
 		net := fabric.NewNetwork()
 		net.AddUniformHosts(10, "w1", "w2", "w3")
@@ -91,7 +69,7 @@ func e13Run(crash bool, dir string) (*e13Result, error) {
 			Net:               net,
 			Scheduler:         sched.EchelonMADD{Backfill: true},
 			QuarantineTimeout: time.Hour,
-			Clock:             clk.now,
+			Clock:             clk,
 			Logf:              func(string, ...interface{}) {},
 		}
 	}
@@ -112,7 +90,7 @@ func e13Run(crash bool, dir string) (*e13Result, error) {
 
 	res := &e13Result{}
 	flow := func(gid, fid string, ev string, at unit.Time) error {
-		clk.setAt(at)
+		setAt(at)
 		_, err := c.FlowEvent(wire.FlowEvent{GroupID: gid, FlowID: fid, Event: ev})
 		return err
 	}
@@ -179,7 +157,7 @@ func e13Run(crash bool, dir string) (*e13Result, error) {
 	}
 	if crash {
 		for _, e := range outage.Sorted() {
-			clk.setAt(e.At)
+			setAt(e.At)
 			var err error
 			switch e.Kind {
 			case faults.CoordinatorCrash:
@@ -203,7 +181,7 @@ func e13Run(crash bool, dir string) (*e13Result, error) {
 		return nil, err
 	}
 	// t=9: sample the allocation with b1 mid-flight.
-	clk.setAt(9)
+	setAt(9)
 	if res.midRates, err = c.Tick(); err != nil {
 		return nil, err
 	}

@@ -1,9 +1,10 @@
 package queue
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"echelonflow/internal/fabric"
 	"echelonflow/internal/unit"
@@ -82,9 +83,9 @@ type Placer interface {
 	Place(spec wire.JobSpec, v *View) ([]string, error)
 }
 
-// pickSorted orders hosts by the given less function (name-tiebroken by the
-// caller's less) and takes the first n.
-func pickSorted(v *View, spec wire.JobSpec, less func(a, b *hostKey) bool) ([]string, error) {
+// pickSorted orders hosts by the given order (name-tiebroken by the caller's
+// order) and takes the first n.
+func pickSorted(v *View, spec wire.JobSpec, order func(a, b hostKey) int) ([]string, error) {
 	keys := v.keys()
 	need := HostsNeeded(spec)
 	if need > len(keys) {
@@ -102,7 +103,7 @@ func pickSorted(v *View, spec wire.JobSpec, less func(a, b *hostKey) bool) ([]st
 	if len(alive) >= need {
 		keys = alive
 	}
-	sort.SliceStable(keys, func(i, j int) bool { return less(&keys[i], &keys[j]) })
+	slices.SortStableFunc(keys, order)
 	out := make([]string, need)
 	for i := range out {
 		out[i] = keys[i].name
@@ -120,14 +121,14 @@ func (Pack) Name() string { return "pack" }
 
 // Place implements Placer.
 func (Pack) Place(spec wire.JobSpec, v *View) ([]string, error) {
-	return pickSorted(v, spec, func(a, b *hostKey) bool {
-		if a.workers != b.workers {
-			return a.workers > b.workers
+	return pickSorted(v, spec, func(a, b hostKey) int {
+		if c := cmp.Compare(b.workers, a.workers); c != 0 {
+			return c
 		}
-		if a.load != b.load {
-			return a.load > b.load
+		if c := cmp.Compare(b.load, a.load); c != 0 {
+			return c
 		}
-		return a.name < b.name
+		return cmp.Compare(a.name, b.name)
 	})
 }
 
@@ -141,14 +142,14 @@ func (Spread) Name() string { return "spread" }
 
 // Place implements Placer.
 func (Spread) Place(spec wire.JobSpec, v *View) ([]string, error) {
-	return pickSorted(v, spec, func(a, b *hostKey) bool {
-		if a.workers != b.workers {
-			return a.workers < b.workers
+	return pickSorted(v, spec, func(a, b hostKey) int {
+		if c := cmp.Compare(a.workers, b.workers); c != 0 {
+			return c
 		}
-		if a.load != b.load {
-			return a.load < b.load
+		if c := cmp.Compare(a.load, b.load); c != 0 {
+			return c
 		}
-		return a.name < b.name
+		return cmp.Compare(a.name, b.name)
 	})
 }
 

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"echelonflow/internal/clock"
 )
 
 // Bucket is a token bucket: tokens accrue at Rate per second up to Burst,
@@ -21,11 +23,12 @@ type Bucket struct {
 	tokens  float64
 	last    time.Time
 	changed chan struct{} // closed and replaced on SetRate
-	now     func() time.Time
+	clk     clock.Clock
 }
 
-// NewBucket returns a bucket starting full at the given rate.
-func NewBucket(rate, burst float64) (*Bucket, error) {
+// NewBucket returns a bucket starting full at the given rate, refilling and
+// waiting on clk.
+func NewBucket(rate, burst float64, clk clock.Clock) (*Bucket, error) {
 	if rate < 0 {
 		return nil, fmt.Errorf("ratelimit: negative rate %v", rate)
 	}
@@ -35,20 +38,9 @@ func NewBucket(rate, burst float64) (*Bucket, error) {
 	b := &Bucket{
 		rate: rate, burst: burst, tokens: burst,
 		changed: make(chan struct{}),
-		now:     time.Now,
+		clk:     clk,
 	}
-	b.last = b.now()
-	return b, nil
-}
-
-// newBucketAt is the test constructor with an injected clock.
-func newBucketAt(rate, burst float64, now func() time.Time) (*Bucket, error) {
-	b, err := NewBucket(rate, burst)
-	if err != nil {
-		return nil, err
-	}
-	b.now = now
-	b.last = now()
+	b.last = clk.Now()
 	return b, nil
 }
 
@@ -75,7 +67,7 @@ func (b *Bucket) SetRate(rate float64) {
 
 // refillLocked accrues tokens for elapsed time.
 func (b *Bucket) refillLocked() {
-	now := b.now()
+	now := b.clk.Now()
 	dt := now.Sub(b.last).Seconds()
 	if dt > 0 {
 		b.tokens += dt * b.rate
@@ -139,14 +131,15 @@ func (b *Bucket) Wait(ctx context.Context, n float64) error {
 			}
 			continue
 		}
-		timer := time.NewTimer(wait)
+		fired := make(chan struct{})
+		stop := b.clk.AfterFunc(wait, func() { close(fired) })
 		select {
 		case <-ctx.Done():
-			timer.Stop()
+			stop()
 			return ctx.Err()
 		case <-changed:
-			timer.Stop()
-		case <-timer.C:
+			stop()
+		case <-fired:
 		}
 	}
 }

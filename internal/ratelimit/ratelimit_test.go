@@ -2,41 +2,61 @@ package ratelimit
 
 import (
 	"context"
-	"sync"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
+
+	"echelonflow/internal/clock"
 )
 
-// fakeClock is a manually advanced clock for deterministic tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+var t0 = time.Unix(0, 0)
+
+// advanceUntil moves clk forward a millisecond at a time until a result
+// arrives on done, and returns it; Wait can only return once the clock has
+// refilled what it asked for.
+func advanceUntil(t *testing.T, clk *clock.Manual, done <-chan error) error {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		select {
+		case err := <-done:
+			return err
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Wait never returned; clock at t0+%v", clk.Now().Sub(t0))
+		}
+		clk.Advance(time.Millisecond)
+		runtime.Gosched()
+	}
 }
 
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+// blocked gives a waiter started on a paused bucket time to block on it,
+// which nothing outside Wait can observe, and fails if it returned instead:
+// with no rate there is nothing it could have been granted.
+func blocked(t *testing.T, done <-chan error) {
+	t.Helper()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("paused Wait returned %v before it was woken", err)
+	default:
+	}
 }
 
 func TestNewBucketValidation(t *testing.T) {
-	if _, err := NewBucket(-1, 1); err == nil {
+	if _, err := NewBucket(-1, 1, clock.Real{}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := NewBucket(1, 0); err == nil {
+	if _, err := NewBucket(1, 0, clock.Real{}); err == nil {
 		t.Error("zero burst accepted")
 	}
 }
 
 func TestTryTakeAndRefill(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b, err := newBucketAt(10, 5, clk.now)
+	clk := clock.NewManual(t0)
+	b, err := NewBucket(10, 5, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +71,15 @@ func TestTryTakeAndRefill(t *testing.T) {
 	if wait != 200*time.Millisecond {
 		t.Errorf("wait = %v, want 200ms (2 tokens at 10/s)", wait)
 	}
-	clk.advance(200 * time.Millisecond)
+	clk.Advance(200 * time.Millisecond)
 	if _, ok := b.tryTake(2); !ok {
 		t.Error("refilled tokens not granted")
 	}
 }
 
 func TestAllow(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b, err := newBucketAt(1, 2, clk.now)
+	clk := clock.NewManual(t0)
+	b, err := NewBucket(1, 2, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,16 +92,16 @@ func TestAllow(t *testing.T) {
 	if b.Allow(1) {
 		t.Error("drained bucket granted without waiting")
 	}
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	if !b.Allow(1) {
 		t.Error("refilled token refused")
 	}
 }
 
 func TestRefillCapsAtBurst(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b, _ := newBucketAt(100, 3, clk.now)
-	clk.advance(time.Hour)
+	clk := clock.NewManual(t0)
+	b, _ := NewBucket(100, 3, clk)
+	clk.Advance(time.Hour)
 	if _, ok := b.tryTake(3); !ok {
 		t.Error("burst not available")
 	}
@@ -91,7 +111,7 @@ func TestRefillCapsAtBurst(t *testing.T) {
 }
 
 func TestSetRate(t *testing.T) {
-	b, _ := NewBucket(1, 1)
+	b, _ := NewBucket(1, 1, clock.NewManual(t0))
 	b.SetRate(42)
 	if b.Rate() != 42 {
 		t.Errorf("Rate = %v", b.Rate())
@@ -102,29 +122,44 @@ func TestSetRate(t *testing.T) {
 	}
 }
 
+// Wait sleeps on the bucket's clock: at 1000 tokens/s with the burst
+// drained, 50 tokens cost 50ms of clock time, however the goroutines run.
 func TestWaitGrantsOverTime(t *testing.T) {
-	// Real-clock test with generous margins: 1000 tokens/s, need 100 after
-	// draining the burst => ~100ms.
-	b, _ := NewBucket(1000, 100)
+	clk := clock.NewManual(t0)
+	b, _ := NewBucket(1000, 100, clk)
+	ctx := context.Background()
+	if err := b.Wait(ctx, 100); err != nil { // drain burst
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- b.Wait(ctx, 50) }()
+	if err := advanceUntil(t, clk, done); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Now().Sub(t0); got < 50*time.Millisecond {
+		t.Errorf("Wait returned at t0+%v, before 50 tokens refilled", got)
+	}
+}
+
+// On the wall clock, the agent's clock, Wait sleeps until the tokens refill:
+// 20 tokens at 1000/s with the burst drained take about 20ms.
+func TestWaitRealClock(t *testing.T) {
+	b, _ := NewBucket(1000, 100, clock.Real{})
 	ctx := context.Background()
 	if err := b.Wait(ctx, 100); err != nil { // drain burst
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := b.Wait(ctx, 50); err != nil {
+	if err := b.Wait(ctx, 20); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	if elapsed < 20*time.Millisecond {
-		t.Errorf("wait returned too fast: %v", elapsed)
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("wait took too long: %v", elapsed)
+	if elapsed := time.Since(start); elapsed < 10*time.Millisecond || elapsed > 2*time.Second {
+		t.Errorf("Wait for 20 tokens at 1000/s took %v", elapsed)
 	}
 }
 
 func TestWaitExceedsBurst(t *testing.T) {
-	b, _ := NewBucket(10, 5)
+	b, _ := NewBucket(10, 5, clock.NewManual(t0))
 	if err := b.Wait(context.Background(), 6); err == nil {
 		t.Error("request above burst accepted")
 	}
@@ -134,57 +169,54 @@ func TestWaitExceedsBurst(t *testing.T) {
 }
 
 func TestWaitCancellation(t *testing.T) {
-	b, _ := NewBucket(0, 10) // paused
-	drain := context.Background()
-	if err := b.Wait(drain, 10); err != nil { // burst grants immediately
+	b, _ := NewBucket(0, 10, clock.NewManual(t0))            // paused
+	if err := b.Wait(context.Background(), 10); err != nil { // burst grants immediately
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	err := b.Wait(ctx, 1)
-	if err == nil {
-		t.Fatal("paused bucket granted tokens")
-	}
-	if ctx.Err() == nil {
-		t.Error("expected context expiry")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- b.Wait(ctx, 1) }()
+	blocked(t, done)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("paused Wait returned %v after cancellation, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("paused Wait did not return on cancellation")
 	}
 }
 
 func TestWaitWakesOnRateChange(t *testing.T) {
-	b, _ := NewBucket(0, 10)
+	clk := clock.NewManual(t0)
+	b, _ := NewBucket(0, 10, clk)
 	if err := b.Wait(context.Background(), 10); err != nil { // drain burst
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- b.Wait(context.Background(), 5) }()
-	time.Sleep(20 * time.Millisecond)
-	b.SetRate(1e6) // effectively instant refill
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("Wait after rate change: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Wait did not wake on SetRate")
+	blocked(t, done)
+	b.SetRate(1000)
+	if err := advanceUntil(t, clk, done); err != nil {
+		t.Errorf("Wait after rate change: %v", err)
 	}
 }
 
 func TestConcurrentWaiters(t *testing.T) {
-	b, _ := NewBucket(1e6, 1000)
-	var wg sync.WaitGroup
+	clk := clock.NewManual(t0)
+	b, _ := NewBucket(1e4, 1000, clk)
 	errs := make(chan error, 20)
 	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- b.Wait(context.Background(), 500)
-		}()
+		go func() { errs <- b.Wait(context.Background(), 500) }()
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
+	for i := 0; i < 20; i++ {
+		if err := advanceUntil(t, clk, errs); err != nil {
 			t.Errorf("concurrent Wait: %v", err)
 		}
+	}
+	// 20 x 500 tokens, 1000 of them from the burst, refill at 10k/s.
+	if got := clk.Now().Sub(t0); got < 900*time.Millisecond {
+		t.Errorf("20 waiters finished at t0+%v, before 9000 tokens refilled", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"echelonflow/internal/clock"
 	"echelonflow/internal/coordinator"
 	"echelonflow/internal/core"
 	"echelonflow/internal/fabric"
@@ -56,11 +57,10 @@ func instrumentCoordinator(t *testing.T, s sched.Scheduler) (*coordinator.Coordi
 	net := fabric.NewNetwork()
 	net.AddUniformHosts(10, "w1", "w2", "w3")
 	reg := telemetry.NewRegistry()
-	now := time.Unix(1000, 0)
 	c, err := coordinator.New(coordinator.Options{
 		Net:       net,
 		Scheduler: s,
-		Clock:     func() time.Time { return now },
+		Clock:     clock.NewManual(time.Unix(1000, 0)),
 		Logf:      t.Logf,
 		Metrics:   reg,
 	})
